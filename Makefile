@@ -22,11 +22,15 @@ lint:
 	fi
 
 # Everything the CI check job runs: vet, build, the full test suite (the
-# race and crash-matrix jobs run separately; see those targets).
+# race and crash-matrix jobs run separately; see those targets). The
+# benchmark is a module of its own that imports boxes/internal/...; the
+# root ./... patterns do not compile it, so it is vetted and tested here
+# by name.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 # The whole suite under the race detector, including the concurrent
 # lookups-over-a-recovered-store walk in internal/crashmatrix and the

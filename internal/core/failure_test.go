@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"boxes/internal/faults"
 	"boxes/internal/pager"
 	"boxes/internal/xmlgen"
 )
@@ -23,9 +24,9 @@ func TestInjectedFailuresSurfaceCleanly(t *testing.T) {
 	for _, opt := range schemes {
 		t.Run(opt.Scheme.String(), func(t *testing.T) {
 			// First measure how many backend ops a full workload needs.
-			probe := pager.NewFlakyBackend(pager.NewMemBackend(opt.BlockSize), 1<<30)
+			probe := faults.NewSchedule(1)
 			o := opt
-			o.Backend = probe
+			o.Backend = pager.NewFaultBackend(pager.NewMemBackend(opt.BlockSize), probe)
 			st, err := Open(o)
 			if err != nil {
 				t.Fatal(err)
@@ -50,9 +51,10 @@ func TestInjectedFailuresSurfaceCleanly(t *testing.T) {
 							t.Fatalf("budget %d: panic: %v", budget, r)
 						}
 					}()
-					flaky := pager.NewFlakyBackend(pager.NewMemBackend(opt.BlockSize), budget)
+					sched := faults.NewSchedule(1)
+					sched.SetBudget(budget)
 					o := opt
-					o.Backend = flaky
+					o.Backend = pager.NewFaultBackend(pager.NewMemBackend(opt.BlockSize), sched)
 					st, err := Open(o)
 					if err != nil {
 						return // even Open may fail; fine
@@ -84,8 +86,8 @@ func TestInjectedFailuresSurfaceCleanly(t *testing.T) {
 // of untouched labels answerable once the backend recovers (the in-memory
 // bookkeeping is not poisoned by the error path).
 func TestLookupAfterFailedUpdate(t *testing.T) {
-	flaky := pager.NewFlakyBackend(pager.NewMemBackend(512), 1<<30)
-	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, Backend: flaky})
+	sched := faults.NewSchedule(1)
+	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, Backend: pager.NewFaultBackend(pager.NewMemBackend(512), sched)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +96,11 @@ func TestLookupAfterFailedUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail the very next backend operation, then recover.
-	flaky.Budget = flaky.Ops()
+	sched.SetBudget(sched.Ops())
 	if _, err := st.InsertElementBefore(doc.Elems[50].Start); !errors.Is(err, pager.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
-	flaky.Budget = 1 << 30
+	sched.SetBudget(-1)
 	// A label far away from the failed update must still resolve.
 	if _, err := st.Lookup(doc.Elems[250].Start); err != nil {
 		t.Fatalf("lookup after recovery: %v", err)

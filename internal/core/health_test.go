@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"boxes/internal/faults"
 	"boxes/internal/obs"
 	"boxes/internal/pager"
 	"boxes/internal/xmlgen"
@@ -118,8 +119,8 @@ func TestHealthGaugesEmptyStore(t *testing.T) {
 // instead of failing when the backend is refusing I/O: it returns what it
 // can and reports the interruptions in boxes_health_walk_errors.
 func TestHealthWalkSurvivesInjectedFailures(t *testing.T) {
-	flaky := pager.NewFlakyBackend(pager.NewMemBackend(512), 1<<30)
-	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: flaky})
+	sched := faults.NewSchedule(1)
+	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: pager.NewFaultBackend(pager.NewMemBackend(512), sched)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestHealthWalkSurvivesInjectedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky.Budget = flaky.Ops() // every backend op from here on fails
+	sched.SetBudget(sched.Ops()) // every backend op from here on fails
 	if _, err := st.InsertElementBefore(doc.Elems[50].Start); !errors.Is(err, pager.ErrInjected) {
 		t.Fatalf("insert err = %v, want injected", err)
 	}
@@ -149,12 +150,12 @@ func TestHealthWalkSurvivesInjectedFailures(t *testing.T) {
 }
 
 // TestCrashDumpOnInjectedFailure exercises the whole flight-recorder path:
-// a FlakyBackend kills an insert, and the store's recorder writes a crash
+// an exhausted FaultBackend budget kills an insert, and the store's recorder writes a crash
 // file carrying the trigger, the recent ops, and the structural gauges.
 func TestCrashDumpOnInjectedFailure(t *testing.T) {
 	dir := t.TempDir()
-	flaky := pager.NewFlakyBackend(pager.NewMemBackend(512), 1<<30)
-	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: flaky, CrashDir: dir, CrashRing: 32})
+	sched := faults.NewSchedule(1)
+	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: pager.NewFaultBackend(pager.NewMemBackend(512), sched), CrashDir: dir, CrashRing: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestCrashDumpOnInjectedFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flaky.Budget = flaky.Ops()
+	sched.SetBudget(sched.Ops())
 	if _, err := st.InsertElementBefore(doc.Elems[50].Start); !errors.Is(err, pager.ErrInjected) {
 		t.Fatalf("insert err = %v, want injected", err)
 	}

@@ -155,8 +155,8 @@ func TestCorruptionWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		ctrl := pager.NewCrashController(crashAt, false)
-		fb, err = pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+		ctrl := powerCut(crashAt, false)
+		fb, err = pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,8 +224,8 @@ func TestConcurrentLookupsAfterRecovery(t *testing.T) {
 	baseLIDs, baseElems := buildBase(t, base, cfg)
 
 	// Crash partway through the scripted workload.
-	ctrl := pager.NewCrashController(25, true)
-	fb, err := pager.OpenFileOpts(base, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	ctrl := powerCut(25, true)
+	fb, err := pager.OpenFileOpts(base, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,21 @@ import (
 
 const blockSize = 512
 
+// powerCut returns a disk controller that cuts power at the at-th raw write
+// point (0 = never: it only counts, which is how a sweep discovers its
+// range), persisting only the first half of the fatal write when torn.
+func powerCut(at int, torn bool) *pager.DiskController {
+	dc := pager.NewDiskController()
+	if at > 0 {
+		kind := pager.DiskCrash
+		if torn {
+			kind = pager.DiskTornCrash
+		}
+		dc.PlanWrite(at, kind)
+	}
+	return dc
+}
+
 // schemeConfig is one row of the crash matrix.
 type schemeConfig struct {
 	name    string
@@ -37,6 +52,28 @@ func matrix() []schemeConfig {
 		{"bbox", core.Options{Scheme: core.SchemeBBox}, false},
 		{"bbox-o", core.Options{Scheme: core.SchemeBBox, Ordinal: true}, true},
 		{"naive-8", core.Options{Scheme: core.SchemeNaive, NaiveK: 8}, false},
+	}
+}
+
+// pinnedPoints is the number of raw write points each sweep's golden run
+// performs, per scheme — and, for the double-crash sweep, the total number
+// of redo cuts those points fan out into. The sweeps discover their range
+// dynamically, so a protocol change that added, dropped or merged a write
+// point would otherwise pass by re-discovering a different range; the
+// literal table makes the raw write order part of the contract.
+var pinnedPoints = map[string]map[string]int{
+	"matrix":      {"wbox": 72, "wbox-o": 105, "bbox": 72, "bbox-o": 72, "naive-8": 54},
+	"group":       {"wbox": 48, "wbox-o": 75, "bbox": 48, "bbox-o": 48, "naive-8": 36},
+	"zoo/churn":   {"wbox": 72, "wbox-o": 96, "bbox": 72, "bbox-o": 72, "naive-8": 54},
+	"zoo/bisect":  {"wbox": 72, "wbox-o": 96, "bbox": 72, "bbox-o": 72, "naive-8": 54},
+	"double/redo": {"wbox": 804, "wbox-o": 1698, "bbox": 804, "bbox-o": 804, "naive-8": 456},
+}
+
+// checkPinned fails the sweep when its discovered count left the table.
+func checkPinned(t *testing.T, sweep, scheme string, got int) {
+	t.Helper()
+	if want := pinnedPoints[sweep][scheme]; got != want {
+		t.Fatalf("%s/%s: %d raw write points, pinned %d", sweep, scheme, got, want)
 	}
 }
 
@@ -161,8 +198,8 @@ func copyStore(t *testing.T, from, to string) {
 // oracle LID order after k script ops.
 func goldenRun(t *testing.T, path string, cfg schemeConfig, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
 	t.Helper()
-	ctrl := pager.NewCrashController(0, false)
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	ctrl := powerCut(0, false)
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +304,7 @@ func TestCrashMatrix(t *testing.T) {
 			golden := filepath.Join(dir, "golden.box")
 			copyStore(t, base, golden)
 			snapshots, writePoints := goldenRun(t, golden, cfg, baseLIDs, baseElems)
-			if writePoints == 0 {
-				t.Fatal("script performed no writes; sweep is vacuous")
-			}
+			checkPinned(t, "matrix", cfg.name, writePoints)
 
 			for _, torn := range []bool{false, true} {
 				for at := 1; at <= writePoints; at++ {
@@ -277,8 +312,8 @@ func TestCrashMatrix(t *testing.T) {
 					crash := filepath.Join(dir, fmt.Sprintf("crash-%d-%v.box", at, torn))
 					copyStore(t, base, crash)
 
-					ctrl := pager.NewCrashController(at, torn)
-					fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+					ctrl := powerCut(at, torn)
+					fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 					if err != nil {
 						t.Fatalf("%s: open: %v", tag, err)
 					}

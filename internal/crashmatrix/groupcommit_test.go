@@ -56,8 +56,8 @@ func batchScriptOp(w *world, j int) error {
 // is the oracle LID order after k complete batches.
 func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems []order.ElemLIDs) (snapshots [][]order.LID, writePoints int) {
 	t.Helper()
-	ctrl := pager.NewCrashController(0, false)
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+	ctrl := powerCut(0, false)
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 			golden := filepath.Join(dir, "golden.box")
 			copyStore(t, base, golden)
 			snapshots, writePoints := goldenGroupRun(t, golden, baseLIDs, baseElems)
-			if writePoints == 0 {
-				t.Fatal("batch script performed no writes; sweep is vacuous")
-			}
+			checkPinned(t, "group", cfg.name, writePoints)
 
 			for _, torn := range []bool{false, true} {
 				for at := 1; at <= writePoints; at++ {
@@ -113,8 +111,8 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 					crash := filepath.Join(dir, fmt.Sprintf("gcrash-%d-%v.box", at, torn))
 					copyStore(t, base, crash)
 
-					ctrl := pager.NewCrashController(at, torn)
-					fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, CrashControl: ctrl})
+					ctrl := powerCut(at, torn)
+					fb, err := pager.OpenFileOpts(crash, pager.FileOptions{NoSync: true, DiskControl: ctrl})
 					if err != nil {
 						t.Fatalf("%s: open: %v", tag, err)
 					}

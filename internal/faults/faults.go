@@ -1,8 +1,9 @@
 // Package faults is the error taxonomy and fault-handling toolkit shared
 // by the pager and its tests: it classifies backend errors as transient or
 // permanent, runs bounded retry loops with exponential backoff and seeded
-// jitter, and provides one deterministic, seeded fault Schedule behind
-// which the pager's injection backends (flaky, crash) are unified.
+// jitter, and provides the one deterministic, seeded fault Schedule that
+// drives the pager's Backend-level injector and the serve layer's
+// connection-level one.
 //
 // The package sits below the pager (it imports nothing from this module),
 // so both production code and fault-injection tests can share it without

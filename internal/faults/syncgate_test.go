@@ -42,47 +42,3 @@ func TestClassifyNoSpacePermanent(t *testing.T) {
 		}
 	}
 }
-
-// TestScheduleNoSpaceAtWrite checks the one-shot full-disk injection: the
-// n-th write fails with ModeNoSpace, everything before and after is
-// healthy (space "came back").
-func TestScheduleNoSpaceAtWrite(t *testing.T) {
-	s := NewSchedule(1)
-	s.NoSpaceAtWrite(2)
-	if d := s.Decide(OpWrite); d.Fail {
-		t.Fatalf("write 1 failed early: %+v", d)
-	}
-	d := s.Decide(OpWrite)
-	if !d.Fail || d.Mode != ModeNoSpace {
-		t.Fatalf("write 2: %+v, want ModeNoSpace failure", d)
-	}
-	if d := s.Decide(OpWrite); d.Fail {
-		t.Fatalf("write 3 failed after the one-shot: %+v", d)
-	}
-	if s.Injected() != 1 {
-		t.Fatalf("injected = %d, want 1", s.Injected())
-	}
-}
-
-// TestScheduleFailSyncAt checks the sync-point clock: only OpSync
-// decisions advance it, and the armed sync fails exactly once.
-func TestScheduleFailSyncAt(t *testing.T) {
-	s := NewSchedule(1)
-	s.FailSyncAt(2)
-	if d := s.Decide(OpSync); d.Fail {
-		t.Fatalf("sync 1 failed early: %+v", d)
-	}
-	if d := s.Decide(OpWrite); d.Fail {
-		t.Fatalf("writes must not advance the sync clock: %+v", d)
-	}
-	d := s.Decide(OpSync)
-	if !d.Fail {
-		t.Fatalf("sync 2: %+v, want failure", d)
-	}
-	if s.Syncs() != 2 {
-		t.Fatalf("syncs = %d, want 2", s.Syncs())
-	}
-	if d := s.Decide(OpSync); d.Fail {
-		t.Fatalf("sync 3 failed after the one-shot: %+v", d)
-	}
-}

@@ -253,7 +253,8 @@ func TestCheckSurvivesCrashMidRepair(t *testing.T) {
 		dir := t.TempDir()
 		crashPath := filepath.Join(dir, "crash.box")
 		copyStore(t, path, crashPath)
-		ctrl := pager.NewCrashController(at, true)
+		ctrl := pager.NewDiskController()
+		ctrl.PlanWrite(at, pager.DiskTornCrash)
 		_, err := checkWithController(crashPath, ctrl)
 		if !ctrl.Crashed() {
 			break // repair completed before the crash point
@@ -274,8 +275,8 @@ func TestCheckSurvivesCrashMidRepair(t *testing.T) {
 
 // checkWithController runs the repair path with crash injection; it mirrors
 // Check but opens the file through a controller.
-func checkWithController(path string, ctrl *pager.CrashController) (*Report, error) {
-	fb, err := pager.OpenFileOpts(path, pager.FileOptions{CrashControl: ctrl})
+func checkWithController(path string, ctrl *pager.DiskController) (*Report, error) {
+	fb, err := pager.OpenFileOpts(path, pager.FileOptions{DiskControl: ctrl})
 	if err != nil {
 		return nil, err
 	}

@@ -110,8 +110,8 @@ const (
 	CtrPagerCacheMisses
 	// CtrPagerIOErrors counts backend I/O failures surfaced by the pager.
 	CtrPagerIOErrors
-	// CtrPagerInjectedFailures counts failures injected by a FlakyBackend,
-	// so fault-injection runs are observable.
+	// CtrPagerInjectedFailures counts failures injected by a
+	// pager.FaultBackend, so fault-injection runs are observable.
 	CtrPagerInjectedFailures
 	// CtrPagerWALCommits counts write-ahead log transactions committed.
 	CtrPagerWALCommits

@@ -7,7 +7,7 @@ import (
 
 // BackupTo writes a consistent logical snapshot of the store to a fresh
 // file at path (plus its .crc / .wal sidecars, matching the source's
-// geometry and feature flags). Every block image is read through readRaw —
+// geometry). Every block image is read through readRaw —
 // which consults the group-commit overlay and verifies checksums — so the
 // copy reflects exactly the committed state at the moment of the call and
 // a corrupt source block aborts the backup rather than propagating rot.
@@ -31,11 +31,7 @@ func (fb *FileBackend) BackupTo(path string) error {
 	}
 	st := fb.headerState()
 
-	dst, err := CreateFileOpts(path, FileOptions{
-		BlockSize:   fb.blockSize,
-		NoChecksums: fb.crc == nil,
-		NoWAL:       fb.wal == nil,
-	})
+	dst, err := CreateFile(path, fb.blockSize)
 	if err != nil {
 		return err
 	}
@@ -48,10 +44,8 @@ func (fb *FileBackend) BackupTo(path string) error {
 			if _, err := dst.f.WriteAt(buf, dst.offset(id)); err != nil {
 				return err
 			}
-			if dst.crc != nil {
-				if err := dst.writeCRCEntry(id, checksum(buf)); err != nil {
-					return err
-				}
+			if err := dst.writeCRCEntry(id, checksum(buf)); err != nil {
+				return err
 			}
 		}
 		dst.next = st.next

@@ -1,11 +1,32 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 
 	"boxes/internal/faults"
 )
+
+// ErrCrashed is returned by every operation after a simulated power cut
+// (a DiskController crash point, or a FaultBackend crash decision): the
+// machine lost power, so nothing succeeds until the store file is
+// reopened by a fresh process.
+var ErrCrashed = errors.New("pager: simulated power cut")
+
+// blockFile is the raw file surface FileBackend performs I/O through.
+// *os.File implements it; a diskFile wraps one to inject faults at
+// precise write and sync points.
+type blockFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Stat() (os.FileInfo, error)
+	Close() error
+}
 
 // DiskFaultKind is one fault a DiskController can inject at a planned raw
 // write or sync point.
@@ -48,13 +69,16 @@ func (k DiskFaultKind) String() string {
 }
 
 // DiskController injects a pre-planned schedule of disk faults underneath
-// a FileBackend. Like CrashController it counts every raw write (WriteAt
-// and Truncate across the data file, CRC sidecar and WAL) as one global,
-// deterministically ordered write point, and every fsync as one sync
-// point; unlike CrashController, which models exactly one power cut, the
-// plan maps any subset of points to any DiskFaultKind — so one controller
-// expresses a composed history: a transient flake at write 7, ENOSPC at
-// write 19, a torn power cut at write 30, an fsync failure at sync 3.
+// a FileBackend — the one VFS-level injector. It counts every raw write
+// the backend performs (WriteAt and Truncate across the data file, CRC
+// sidecar and WAL: frame appends, commit records, in-place applies, header
+// and checksum updates, log resets) as one global, deterministically
+// ordered write point, and every fsync as one sync point. The plan maps
+// any subset of points to any DiskFaultKind, so one controller expresses
+// anything from a single power cut (the crash matrix: run until ErrCrashed
+// surfaces, drop the backend, reopen the path with a plain OpenFile) to a
+// composed history: a transient flake at write 7, ENOSPC at write 19, a
+// torn power cut at write 30, an fsync failure at sync 3.
 //
 // The plan is fixed up front (maps of 1-based indices), which is what
 // makes a simulated history byte-identically replayable: the same plan
@@ -180,11 +204,12 @@ func (c *DiskController) dead() bool {
 
 // diskFile routes one file's I/O through a DiskController.
 type diskFile struct {
-	f    blockFile
+	f    *os.File
 	ctrl *DiskController
 }
 
-func (df *diskFile) rawFile() blockFile { return df.f }
+// Stat bypasses the controller: probing a length is not a fault point.
+func (df *diskFile) Stat() (os.FileInfo, error) { return df.f.Stat() }
 
 func (df *diskFile) ReadAt(p []byte, off int64) (int, error) {
 	if df.ctrl.dead() {

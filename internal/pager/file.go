@@ -15,18 +15,26 @@ import (
 )
 
 // fileMagic identifies a FileBackend store file (format 2: checksummed
-// header, optional per-block CRC sidecar and write-ahead log).
+// header, per-block CRC sidecar and write-ahead log).
 var fileMagic = [8]byte{'B', 'O', 'X', 'P', 'A', 'G', 'E', '2'}
 
 // fileHeaderSize is magic (8) + blockSize (4) + next (8) + free head (8) +
 // allocated (8) + meta root (8) + flags (4) + header crc (4).
 const fileHeaderSize = 52
 
-// Header feature flags.
+// Header feature flags. Every store carries both: the field survives from
+// a format that made them optional, and a header lacking either is
+// rejected at open with ErrUnsupportedFormat.
 const (
 	flagChecksums = 1 << 0
 	flagWAL       = 1 << 1
+	flagsRequired = flagChecksums | flagWAL
 )
+
+// ErrUnsupportedFormat is returned when opening a store whose header lacks
+// the checksum or write-ahead-log feature flag: such a file was written in
+// place with no sidecar or log, and there is no read or write path for it.
+var ErrUnsupportedFormat = errors.New("pager: store was created without checksums or a write-ahead log; format no longer supported")
 
 // crcFileHeaderSize is the sidecar header: magic (8) + blockSize (4) +
 // reserved (4). Entries are 4 bytes per block, indexed by block ID.
@@ -41,26 +49,15 @@ type FileOptions struct {
 	// BlockSize is the block size for CreateFileOpts (DefaultBlockSize if
 	// <= 0). Ignored by OpenFileOpts, which reads it from the header.
 	BlockSize int
-	// NoChecksums creates the file without the CRC sidecar (create only;
-	// opening honors the header flags).
-	NoChecksums bool
-	// NoWAL creates the file without a write-ahead log: writes go in place
-	// immediately and a crash mid-operation leaves whatever subset of
-	// blocks happened to reach the disk (create only).
-	NoWAL bool
 	// NoSync skips fsync calls. The commit protocol and its I/O pattern
 	// are unchanged, so benchmarks measure the WAL's write amplification
 	// without paying for a CI runner's fsync latency. Never use it when
 	// the data matters.
 	NoSync bool
-	// CrashControl injects a simulated power cut at a precise raw write
-	// point (tests only). See CrashController.
-	CrashControl *CrashController
 	// DiskControl injects a pre-planned schedule of composed disk faults
 	// (crashes, torn writes, ENOSPC, transient flakes, fsync failures) at
 	// precise raw write and sync points (tests and the simulator only).
-	// See DiskController. Composes with CrashControl: the crash
-	// controller wraps outermost, so both charge the same point order.
+	// See DiskController.
 	DiskControl *DiskController
 }
 
@@ -148,8 +145,8 @@ type RecoveryInfo struct {
 // is naturally unusable, matching NilBlock. Freed blocks are chained into
 // a free list through their first 8 bytes.
 //
-// By default every block carries a CRC32-C in a sidecar (<path>.crc)
-// verified on each read, and all writes flow through a write-ahead log
+// Every block carries a CRC32-C in a sidecar (<path>.crc) verified on
+// each read, and all writes flow through a write-ahead log
 // (<path>.wal): a batch of writes (one Store operation) is staged in
 // memory, logged with a commit record, fsynced, and only then applied in
 // place, so a power cut at any instant leaves the store at a clean
@@ -157,8 +154,8 @@ type RecoveryInfo struct {
 type FileBackend struct {
 	path      string
 	f         blockFile // data file
-	wal       blockFile // write-ahead log, nil when NoWAL
-	crc       blockFile // checksum sidecar, nil when NoChecksums
+	wal       blockFile // write-ahead log
+	crc       blockFile // checksum sidecar
 	blockSize int
 	flags     uint32
 	nosync    bool
@@ -196,8 +193,7 @@ type FileBackend struct {
 }
 
 // CreateFile creates (or truncates) a file-backed store at path with the
-// given block size (DefaultBlockSize if size <= 0), with checksums and the
-// write-ahead log enabled.
+// given block size (DefaultBlockSize if size <= 0).
 func CreateFile(path string, size int) (*FileBackend, error) {
 	return CreateFileOpts(path, FileOptions{BlockSize: size})
 }
@@ -214,45 +210,31 @@ func CreateFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 	fb := &FileBackend{
 		path:      path,
 		blockSize: size,
+		flags:     flagsRequired,
 		next:      1,
 		nosync:    opts.NoSync,
 	}
-	if !opts.NoChecksums {
-		fb.flags |= flagChecksums
-	}
-	if !opts.NoWAL {
-		fb.flags |= flagWAL
-	}
-	f, err := openRaw(path, true, opts.CrashControl, opts.DiskControl)
-	if err != nil {
+	var err error
+	if fb.f, err = openRaw(path, true, opts.DiskControl); err != nil {
 		return nil, err
 	}
-	fb.f = f
-	if fb.flags&flagChecksums != 0 {
-		c, err := openRaw(path+".crc", true, opts.CrashControl, opts.DiskControl)
-		if err != nil {
-			fb.f.Close()
-			return nil, err
-		}
-		fb.crc = c
-		if _, err := fb.crc.WriteAt(encodeCRCHeader(size), 0); err != nil {
-			fb.closeFiles()
-			return nil, err
-		}
+	if fb.crc, err = openRaw(path+".crc", true, opts.DiskControl); err != nil {
+		fb.closeFiles()
+		return nil, err
 	}
-	if fb.flags&flagWAL != 0 {
-		w, err := openRaw(path+".wal", true, opts.CrashControl, opts.DiskControl)
-		if err != nil {
-			fb.closeFiles()
-			return nil, err
-		}
-		fb.wal = w
-		if _, err := fb.wal.WriteAt(encodeWALHeader(size), 0); err != nil {
-			fb.closeFiles()
-			return nil, err
-		}
-		fb.setWALSize(walHeaderSize)
+	if _, err := fb.crc.WriteAt(encodeCRCHeader(size), 0); err != nil {
+		fb.closeFiles()
+		return nil, err
 	}
+	if fb.wal, err = openRaw(path+".wal", true, opts.DiskControl); err != nil {
+		fb.closeFiles()
+		return nil, err
+	}
+	if _, err := fb.wal.WriteAt(encodeWALHeader(size), 0); err != nil {
+		fb.closeFiles()
+		return nil, err
+	}
+	fb.setWALSize(walHeaderSize)
 	if err := fb.writeHeader(); err != nil {
 		fb.closeFiles()
 		return nil, err
@@ -271,10 +253,10 @@ func OpenFile(path string) (*FileBackend, error) {
 	return OpenFileOpts(path, FileOptions{})
 }
 
-// OpenFileOpts opens an existing store. Durability features come from the
-// stored header flags; only NoSync and CrashControl are honored here.
+// OpenFileOpts opens an existing store. The block size comes from the
+// stored header; NoSync and DiskControl are honored.
 func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
-	f, err := openRaw(path, false, opts.CrashControl, opts.DiskControl)
+	f, err := openRaw(path, false, opts.DiskControl)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +272,7 @@ func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 	if hdrErr != nil {
 		// A torn header is recoverable when the WAL holds a committed
 		// transaction: its commit frame carries the full header state.
-		if rerr := fb.recoverHeaderFromWAL(path, opts.CrashControl, opts.DiskControl); rerr != nil {
+		if rerr := fb.recoverHeaderFromWAL(path, opts.DiskControl); rerr != nil {
 			fb.f.Close()
 			if errors.Is(hdrErr, ErrCorrupt) {
 				return nil, hdrErr
@@ -303,23 +285,19 @@ func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 		fb.f.Close()
 		return nil, err
 	}
-	if fb.flags&flagChecksums != 0 && fb.crc == nil {
-		if err := fb.openSidecar(opts.CrashControl, opts.DiskControl); err != nil {
+	if err := fb.openSidecar(opts.DiskControl); err != nil {
+		fb.closeFiles()
+		return nil, err
+	}
+	if fb.wal == nil { // already open when the header was rebuilt from it
+		if err := fb.openWAL(opts.DiskControl); err != nil {
 			fb.closeFiles()
 			return nil, err
 		}
 	}
-	if fb.flags&flagWAL != 0 {
-		if fb.wal == nil {
-			if err := fb.openWAL(opts.CrashControl, opts.DiskControl); err != nil {
-				fb.closeFiles()
-				return nil, err
-			}
-		}
-		if err := fb.recoverWAL(); err != nil {
-			fb.closeFiles()
-			return nil, err
-		}
+	if err := fb.recoverWAL(); err != nil {
+		fb.closeFiles()
+		return nil, err
 	}
 	if err := fb.validateGeometry(); err != nil { // replay may have grown the file
 		fb.closeFiles()
@@ -329,25 +307,20 @@ func OpenFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 }
 
 // openRaw opens one of the store's files, optionally routed through a
-// disk and/or crash controller (the crash controller wraps outermost).
-func openRaw(path string, create bool, ctrl *CrashController, dc *DiskController) (blockFile, error) {
+// disk controller.
+func openRaw(path string, create bool, dc *DiskController) (blockFile, error) {
 	mode := os.O_RDWR
 	if create {
 		mode |= os.O_CREATE | os.O_TRUNC
 	}
-	var f blockFile
 	osf, err := os.OpenFile(path, mode, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	f = osf
 	if dc != nil {
-		f = &diskFile{f: f, ctrl: dc}
+		return &diskFile{f: osf, ctrl: dc}, nil
 	}
-	if ctrl != nil {
-		f = &crashFile{f: f, ctrl: ctrl}
-	}
-	return f, nil
+	return osf, nil
 }
 
 func encodeCRCHeader(blockSize int) []byte {
@@ -376,9 +349,13 @@ func (fb *FileBackend) decodeHeader(hdr []byte) error {
 	return nil
 }
 
-// validateGeometry rejects a header inconsistent with the file itself
-// instead of letting later reads return garbage.
+// validateGeometry rejects a header of the unsupported in-place format, or
+// one inconsistent with the file itself, instead of letting later reads
+// return garbage.
 func (fb *FileBackend) validateGeometry() error {
+	if fb.flags&flagsRequired != flagsRequired {
+		return fmt.Errorf("%w (header flags %#x)", ErrUnsupportedFormat, fb.flags)
+	}
 	if fb.blockSize < fileHeaderSize {
 		return corruptRegion("header", "block size %d smaller than header", fb.blockSize)
 	}
@@ -406,36 +383,17 @@ func (fb *FileBackend) validateGeometry() error {
 	return nil
 }
 
-// rawFiler lets injection wrappers (crashFile, diskFile) expose the file
-// they wrap, so fileSize can reach the real *os.File underneath any
-// wrapper stack.
-type rawFiler interface{ rawFile() blockFile }
-
-// fileSize probes a blockFile's length (blockFile has no Stat).
+// fileSize reports a store file's current length.
 func fileSize(f blockFile) (int64, error) {
-	for {
-		if osf, ok := f.(*os.File); ok {
-			st, err := osf.Stat()
-			if err != nil {
-				return 0, err
-			}
-			return st.Size(), nil
-		}
-		rf, ok := f.(rawFiler)
-		if !ok {
-			break
-		}
-		f = rf.rawFile()
-	}
-	data, err := readAll(f)
+	st, err := f.Stat()
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(data)), nil
+	return st.Size(), nil
 }
 
 // openSidecar opens (or rebuilds) the checksum sidecar.
-func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) error {
+func (fb *FileBackend) openSidecar(dc *DiskController) error {
 	if _, err := os.Stat(fb.path + ".crc"); err != nil {
 		if !os.IsNotExist(err) {
 			return err
@@ -444,7 +402,7 @@ func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) er
 		// store). Rebuild it from the data we have: no verification is
 		// possible for the rebuilt entries, but every later write is
 		// protected again.
-		c, err := openRaw(fb.path+".crc", true, ctrl, dc)
+		c, err := openRaw(fb.path+".crc", true, dc)
 		if err != nil {
 			return err
 		}
@@ -464,7 +422,7 @@ func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) er
 		fb.recovery.SidecarRebuilt = true
 		return fb.sync(fb.crc)
 	}
-	c, err := openRaw(fb.path+".crc", false, ctrl, dc)
+	c, err := openRaw(fb.path+".crc", false, dc)
 	if err != nil {
 		return err
 	}
@@ -485,13 +443,13 @@ func (fb *FileBackend) openSidecar(ctrl *CrashController, dc *DiskController) er
 }
 
 // openWAL opens (or creates) the write-ahead log file.
-func (fb *FileBackend) openWAL(ctrl *CrashController, dc *DiskController) error {
+func (fb *FileBackend) openWAL(dc *DiskController) error {
 	_, statErr := os.Stat(fb.path + ".wal")
 	missing := os.IsNotExist(statErr)
 	if statErr != nil && !missing {
 		return statErr
 	}
-	w, err := openRaw(fb.path+".wal", missing, ctrl, dc)
+	w, err := openRaw(fb.path+".wal", missing, dc)
 	if err != nil {
 		return err
 	}
@@ -508,11 +466,11 @@ func (fb *FileBackend) openWAL(ctrl *CrashController, dc *DiskController) error 
 // recoverHeaderFromWAL rebuilds a torn header from the committed
 // transaction in the WAL, if there is one. The WAL header supplies the
 // block size the store header could not.
-func (fb *FileBackend) recoverHeaderFromWAL(path string, ctrl *CrashController, dc *DiskController) error {
+func (fb *FileBackend) recoverHeaderFromWAL(path string, dc *DiskController) error {
 	if _, err := os.Stat(path + ".wal"); err != nil {
 		return err
 	}
-	w, err := openRaw(path+".wal", false, ctrl, dc)
+	w, err := openRaw(path+".wal", false, dc)
 	if err != nil {
 		return err
 	}
@@ -540,12 +498,7 @@ func (fb *FileBackend) recoverHeaderFromWAL(path string, ctrl *CrashController, 
 	// The last committed transaction carries the newest header state; the
 	// replay in recoverWAL (called by OpenFileOpts) rewrites the header
 	// from it.
-	last := txns[len(txns)-1]
-	fb.next = last.hdr.next
-	fb.freeHead = last.hdr.freeHead
-	fb.allocated = last.hdr.allocated
-	fb.metaRoot = last.hdr.metaRoot
-	fb.flags = last.hdr.flags
+	fb.restoreHeaderState(txns[len(txns)-1].hdr)
 	fb.setWALSize(walHeaderSize)
 	return nil
 }
@@ -568,40 +521,23 @@ func (fb *FileBackend) recoverWAL() error {
 		// image is pure physical redo, so replaying every transaction in
 		// order is idempotent and lands on the committed prefix exactly.
 		last := txns[len(txns)-1]
-		fb.next = last.hdr.next
-		fb.freeHead = last.hdr.freeHead
-		fb.allocated = last.hdr.allocated
-		fb.metaRoot = last.hdr.metaRoot
-		fb.flags = last.hdr.flags
-		frames := 0
+		fb.restoreHeaderState(last.hdr)
+		// Redo writes every logged image in append order — no newest-per-
+		// block merge — so a cut during recovery itself meets the same write
+		// points whatever the group structure of the log was.
+		var images []walImage
 		for _, txn := range txns {
 			if err := validateWALImages(txn, fb.blockSize); err != nil {
 				return err
 			}
-			for _, img := range txn.images {
-				if _, err := fb.f.WriteAt(img.data, fb.offset(img.id)); err != nil {
-					return err
-				}
-				if err := fb.writeCRCEntry(img.id, checksum(img.data)); err != nil {
-					return err
-				}
-				frames++
-			}
+			images = append(images, txn.images...)
 		}
-		if err := fb.writeHeader(); err != nil {
+		if err := fb.applyInPlace(images, last.hdr); err != nil {
 			return err
-		}
-		if err := fb.sync(fb.f); err != nil {
-			return err
-		}
-		if fb.crc != nil {
-			if err := fb.sync(fb.crc); err != nil {
-				return err
-			}
 		}
 		fb.recovery.Replayed = true
 		fb.recovery.ReplayedTxns = len(txns)
-		fb.recovery.ReplayedFrames = frames
+		fb.recovery.ReplayedFrames = len(images)
 	}
 	if len(data) > walHeaderSize {
 		if err := fb.wal.Truncate(walHeaderSize); err != nil {
@@ -633,12 +569,6 @@ func (fb *FileBackend) setWALSize(n int64) {
 	fb.walSize = n
 	fb.walSizeA.Store(n)
 }
-
-// ChecksumsEnabled reports whether per-block CRCs are verified on read.
-func (fb *FileBackend) ChecksumsEnabled() bool { return fb.flags&flagChecksums != 0 }
-
-// WALEnabled reports whether writes flow through the write-ahead log.
-func (fb *FileBackend) WALEnabled() bool { return fb.flags&flagWAL != 0 }
 
 // Bound returns the exclusive upper bound of ever-allocated block IDs.
 func (fb *FileBackend) Bound() BlockID { return fb.next }
@@ -679,9 +609,6 @@ func (fb *FileBackend) writeHeaderState(st walHeaderState) error {
 
 // writeCRCEntry records a block's checksum in the sidecar.
 func (fb *FileBackend) writeCRCEntry(id BlockID, sum uint32) error {
-	if fb.crc == nil {
-		return nil
-	}
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], sum)
 	_, err := fb.crc.WriteAt(buf[:], crcEntryOffset(id))
@@ -736,9 +663,6 @@ func (fb *FileBackend) poisonWith(cause error) {
 // counted, so the fsync *pattern* stays measurable in fsync-free
 // benchmark runs.
 func (fb *FileBackend) sync(f blockFile) error {
-	if f == nil {
-		return nil
-	}
 	if !fb.nosync {
 		if err := f.Sync(); err != nil {
 			serr := &faults.SyncError{Err: err}
@@ -792,10 +716,7 @@ func (fb *FileBackend) SetMetaRoot(id BlockID) error {
 	if fb.inBatch {
 		return nil
 	}
-	if fb.WALEnabled() {
-		return fb.commit(nil, pre)
-	}
-	return fb.writeHeader()
+	return fb.commit(nil, pre)
 }
 
 // MetaRoot implements MetaRooter.
@@ -831,7 +752,7 @@ func (fb *FileBackend) restoreHeaderState(s walHeaderState) {
 // BeginBatch implements TxBackend: subsequent writes, allocations and
 // frees stage in memory and commit together at CommitBatch. No I/O.
 func (fb *FileBackend) BeginBatch() {
-	if !fb.WALEnabled() || fb.inBatch {
+	if fb.inBatch {
 		return
 	}
 	fb.inBatch = true
@@ -885,16 +806,12 @@ func mapNoSpace(err error) error {
 	return err
 }
 
-// commit runs the WAL protocol for a set of staged images plus the current
-// header state. On failure before the commit record is durable the header
-// fields roll back to pre — the abort is clean, the store stays usable,
-// and an ENOSPC surfaces as the typed ErrNoSpace. A failed WAL fsync or
-// any failure after the durability point instead poisons the backend
-// (see ErrPoisoned): in the first case durability of the commit record is
-// unknowable, in the second the WAL holds a committed transaction the
-// data file does not — either way a later successful commit would
-// truncate the WAL over it, so no later commit is allowed until a reopen
-// resolves the log.
+// commit runs the WAL protocol inline for a set of staged images plus the
+// current header state. On failure before the commit record is durable the
+// header fields roll back to pre — the abort is clean, the store stays
+// usable, and an ENOSPC surfaces as the typed ErrNoSpace. A failed WAL
+// fsync or any failure after the durability point has poisoned the backend
+// by the time commitWAL returns (see ErrPoisoned).
 func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) error {
 	if err := fb.Poisoned(); err != nil {
 		fb.restoreHeaderState(pre)
@@ -906,107 +823,147 @@ func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) erro
 		// synchronous path just waits for its group.
 		return fb.gcSyncCommit(stage)
 	}
-	images := sortedImages(stage)
-
-	// Inline commits attribute the same "wal"-row phases as the group
-	// committer (frame_write, fsync, apply); here they nest inside the
-	// operation's wal_commit phase and, when tracing, appear as writer-lane
-	// child spans of the operation.
-	section := func(ph obs.Phase, start time.Time) {
-		if fb.obs == nil {
-			return
-		}
-		d := time.Since(start)
-		fb.obs.ObservePhaseWAL(ph, d)
-		if tr := fb.obs.Tracer(); tr.Enabled() {
-			tr.RecordAuto(false, ph.String(), start, d)
-		}
-	}
-
-	// Phase 1: log. Each frame is one raw write, then the commit record,
-	// then fsync — the durability point.
-	t0 := time.Now()
-	logged := 0
-	for _, img := range images {
-		frame := encodeWALFrame(img.id, img.data)
-		if _, err := fb.wal.WriteAt(frame, fb.walSize+int64(logged)); err != nil {
-			fb.restoreHeaderState(pre)
-			return mapNoSpace(err)
-		}
-		logged += len(frame)
-	}
-	commitFrame := encodeWALCommit(len(images), fb.headerState())
-	if _, err := fb.wal.WriteAt(commitFrame, fb.walSize+int64(logged)); err != nil {
+	txn := walTxn{images: sortedImages(stage), hdr: fb.headerState()}
+	durable, err := fb.commitWAL([]*walTxn{&txn}, nil)
+	if !durable {
 		fb.restoreHeaderState(pre)
-		return mapNoSpace(err)
 	}
-	logged += len(commitFrame)
-	section(obs.PhaseFrameWrite, t0)
+	return err
+}
+
+// commitWAL is the write-ahead protocol, the only place it is written
+// down: every transaction's block frames and its own commit record are
+// appended to the log, one fsync makes them all durable, the newest image
+// of each touched block and the last transaction's header are applied in
+// place, and the log is reset. The inline commit path hands it one
+// transaction, the group committer its whole group. Each transaction's
+// images must be sorted by block ID.
+//
+// durable reports whether the WAL fsync — the durability point — was
+// passed. Before it nothing is decided and the failure policy is the
+// caller's (the log tail past walSize is garbage the next append
+// overwrites; an out-of-space append surfaces as the typed ErrNoSpace). A
+// failure after it leaves committed transactions in the WAL that the data
+// file does not hold, so the backend is poisoned here: a later successful
+// commit would truncate the log over them, and only a reopen's redo can
+// complete the apply.
+//
+// group is nil for an inline commit, whose "wal"-row phases (frame_write,
+// fsync, apply) nest inside the operation's wal_commit phase and trace as
+// writer-lane children of the operation; the committer passes its
+// commit_group span, and the sections trace as committer-lane children of
+// it — several op spans resolving against a single fsync span.
+func (fb *FileBackend) commitWAL(txns []*walTxn, group *obs.Span) (durable bool, err error) {
+	// Phase 1: log. Each frame is one raw write, then the transaction's
+	// commit record; one fsync covers them all.
+	t0 := time.Now()
+	logged, frames := 0, 0
+	for _, txn := range txns {
+		for _, img := range txn.images {
+			frame := encodeWALFrame(img.id, img.data)
+			if _, err := fb.wal.WriteAt(frame, fb.walSize+int64(logged)); err != nil {
+				return false, mapNoSpace(err)
+			}
+			logged += len(frame)
+		}
+		frames += len(txn.images)
+		rec := encodeWALCommit(len(txn.images), txn.hdr)
+		if _, err := fb.wal.WriteAt(rec, fb.walSize+int64(logged)); err != nil {
+			return false, mapNoSpace(err)
+		}
+		logged += len(rec)
+	}
+	fb.walSection(group, obs.PhaseFrameWrite, t0)
 	t0 = time.Now()
 	if err := fb.sync(fb.wal); err != nil {
-		fb.restoreHeaderState(pre)
-		return err
+		return false, err
 	}
-	section(obs.PhaseFsync, t0)
+	fb.walSection(group, obs.PhaseFsync, t0)
 	fb.setWALSize(fb.walSize + int64(logged))
 	fb.statsMu.Lock()
-	fb.stats.Commits++
-	fb.stats.Frames += uint64(len(images))
+	fb.stats.Commits += uint64(len(txns))
+	fb.stats.Frames += uint64(frames)
 	fb.stats.WALBytes += uint64(logged)
 	fb.statsMu.Unlock()
-	fb.obs.Inc(obs.CtrPagerWALCommits)
-	fb.obs.Add(obs.CtrPagerWALFrames, uint64(len(images)))
+	fb.obs.Add(obs.CtrPagerWALCommits, uint64(len(txns)))
+	fb.obs.Add(obs.CtrPagerWALFrames, uint64(frames))
 
-	// Phase 2: apply in place. Failures past this point leave a committed
-	// transaction in the WAL; recovery at next open completes the apply.
-	// applyMu keeps the scrubber's raw reads off blocks mid-overwrite.
+	// Phase 2: apply in place, newest image per block. A lone transaction's
+	// images are already that list; a group's are merged and re-sorted.
 	t0 = time.Now()
-	defer func() { section(obs.PhaseApply, t0) }()
-	if err := func() error {
-		fb.applyMu.Lock()
-		defer fb.applyMu.Unlock()
-		for _, img := range images {
-			if _, err := fb.f.WriteAt(img.data, fb.offset(img.id)); err != nil {
-				return err
-			}
-			fb.statsMu.Lock()
-			fb.stats.DataBytes += uint64(len(img.data))
-			fb.statsMu.Unlock()
-			if err := fb.writeCRCEntry(img.id, checksum(img.data)); err != nil {
-				return err
+	defer func() { fb.walSection(group, obs.PhaseApply, t0) }()
+	images := txns[0].images
+	if len(txns) > 1 {
+		merged := make(map[BlockID][]byte, frames)
+		for _, txn := range txns {
+			for _, img := range txn.images {
+				merged[img.id] = img.data
 			}
 		}
-		if err := fb.writeHeader(); err != nil {
-			return err
-		}
-		if err := fb.sync(fb.f); err != nil {
-			return err
-		}
-		if fb.crc != nil {
-			if err := fb.sync(fb.crc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}(); err != nil {
-		// The commit record is durable but the apply was cut short: the
-		// WAL is ahead of the data file. Poison so no later commit can
-		// truncate the log over the unapplied images.
+		images = sortedImages(merged)
+	}
+	if err := fb.applyInPlace(images, txns[len(txns)-1].hdr); err != nil {
 		fb.poisonWith(err)
-		return err
+		return true, err
 	}
 
 	// Phase 3: reset the log. If the truncate is lost to a crash the
-	// committed transaction replays at next open — pure redo, idempotent.
+	// committed transactions replay at next open — pure redo, idempotent.
 	if err := fb.wal.Truncate(walHeaderSize); err != nil {
 		fb.poisonWith(err)
-		return err
+		return true, err
 	}
 	fb.setWALSize(walHeaderSize)
 	fb.statsMu.Lock()
 	fb.stats.Truncations++
 	fb.statsMu.Unlock()
-	return nil
+	return true, nil
+}
+
+// applyInPlace is the in-place half of the protocol, shared by commitWAL
+// and open-time redo: each image and its checksum entry in the order
+// given, then the header, then the data and sidecar fsyncs. applyMu keeps
+// the scrubber's raw reads off blocks mid-overwrite.
+func (fb *FileBackend) applyInPlace(images []walImage, hdr walHeaderState) error {
+	fb.applyMu.Lock()
+	defer fb.applyMu.Unlock()
+	for _, img := range images {
+		if _, err := fb.f.WriteAt(img.data, fb.offset(img.id)); err != nil {
+			return err
+		}
+		fb.statsMu.Lock()
+		fb.stats.DataBytes += uint64(len(img.data))
+		fb.statsMu.Unlock()
+		if err := fb.writeCRCEntry(img.id, checksum(img.data)); err != nil {
+			return err
+		}
+	}
+	if err := fb.writeHeaderState(hdr); err != nil {
+		return err
+	}
+	if err := fb.sync(fb.f); err != nil {
+		return err
+	}
+	return fb.sync(fb.crc)
+}
+
+// walSection attributes one protocol section to its "wal"-row phase and,
+// when tracing, records it as a span (see commitWAL for the two shapes).
+func (fb *FileBackend) walSection(group *obs.Span, ph obs.Phase, start time.Time) {
+	if fb.obs == nil {
+		return
+	}
+	d := time.Since(start)
+	fb.obs.ObservePhaseWAL(ph, d)
+	tr := fb.obs.Tracer()
+	if !tr.Enabled() {
+		return
+	}
+	if group != nil {
+		tr.RecordSpan(obs.LaneCommitter, ph.String(), group.ID(), start, d, 0, nil)
+	} else {
+		tr.RecordAuto(false, ph.String(), start, d)
+	}
 }
 
 func sortedImages(stage map[BlockID][]byte) []walImage {
@@ -1042,16 +999,14 @@ func (fb *FileBackend) readRaw(id BlockID, buf []byte) error {
 	if _, err := fb.f.ReadAt(buf, fb.offset(id)); err != nil {
 		return err
 	}
-	if fb.crc != nil {
-		want, err := fb.readCRCEntry(id)
-		if err != nil {
-			fb.obs.Inc(obs.CtrPagerChecksumFailures)
-			return err
-		}
-		if got := checksum(buf); got != want {
-			fb.obs.Inc(obs.CtrPagerChecksumFailures)
-			return corruptBlock(id, "checksum mismatch (stored %08x, computed %08x)", want, got)
-		}
+	want, err := fb.readCRCEntry(id)
+	if err != nil {
+		fb.obs.Inc(obs.CtrPagerChecksumFailures)
+		return err
+	}
+	if got := checksum(buf); got != want {
+		fb.obs.Inc(obs.CtrPagerChecksumFailures)
+		return corruptBlock(id, "checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return nil
 }
@@ -1087,32 +1042,11 @@ func (fb *FileBackend) Allocate() (BlockID, error) {
 		fb.next++
 	}
 	fb.allocated++
-	zero := make([]byte, fb.blockSize)
-	if fb.WALEnabled() {
-		// Zeroing is staged: it becomes durable with the batch's commit.
-		if err := fb.stageWrite(id, zero); err != nil {
-			fb.restoreHeaderState(pre)
-			return NilBlock, err
-		}
-		return id, nil
-	}
-	// Legacy in-place path: zero the block so allocation semantics match
-	// MemBackend, and fsync growth before the block's first use so a crash
-	// cannot surface a block the header already points past.
-	grew := id == fb.next-1
-	if _, err := fb.f.WriteAt(zero, fb.offset(id)); err != nil {
+	// Zeroing (allocation semantics match MemBackend) is staged: it becomes
+	// durable with the batch's commit.
+	if err := fb.stageWrite(id, make([]byte, fb.blockSize)); err != nil {
 		fb.restoreHeaderState(pre)
 		return NilBlock, err
-	}
-	if err := fb.writeCRCEntry(id, checksum(zero)); err != nil {
-		fb.restoreHeaderState(pre)
-		return NilBlock, err
-	}
-	if grew {
-		if err := fb.sync(fb.f); err != nil {
-			fb.restoreHeaderState(pre)
-			return NilBlock, err
-		}
 	}
 	return id, nil
 }
@@ -1131,18 +1065,7 @@ func (fb *FileBackend) Free(id BlockID) error {
 	binary.LittleEndian.PutUint64(img[:8], uint64(fb.freeHead))
 	fb.freeHead = id
 	fb.allocated--
-	if fb.WALEnabled() {
-		if err := fb.stageWrite(id, img); err != nil {
-			fb.restoreHeaderState(pre)
-			return err
-		}
-		return nil
-	}
-	if _, err := fb.f.WriteAt(img, fb.offset(id)); err != nil {
-		fb.restoreHeaderState(pre)
-		return err
-	}
-	if err := fb.writeCRCEntry(id, checksum(img)); err != nil {
+	if err := fb.stageWrite(id, img); err != nil {
 		fb.restoreHeaderState(pre)
 		return err
 	}
@@ -1163,9 +1086,8 @@ func (fb *FileBackend) ReadBlock(id BlockID, buf []byte) error {
 	return fb.readRaw(id, buf)
 }
 
-// WriteBlock implements Backend. With the WAL enabled the write stages
-// into the open batch (or commits alone); without it the write goes in
-// place immediately.
+// WriteBlock implements Backend: the write stages into the open batch, or
+// commits alone outside one.
 func (fb *FileBackend) WriteBlock(id BlockID, buf []byte) error {
 	if fb.closed {
 		return ErrClosed
@@ -1179,16 +1101,7 @@ func (fb *FileBackend) WriteBlock(id BlockID, buf []byte) error {
 	fb.statsMu.Lock()
 	fb.stats.LogicalWrites++
 	fb.statsMu.Unlock()
-	if fb.WALEnabled() {
-		return fb.stageWrite(id, buf)
-	}
-	if _, err := fb.f.WriteAt(buf, fb.offset(id)); err != nil {
-		return err
-	}
-	fb.statsMu.Lock()
-	fb.stats.DataBytes += uint64(len(buf))
-	fb.statsMu.Unlock()
-	return fb.writeCRCEntry(id, checksum(buf))
+	return fb.stageWrite(id, buf)
 }
 
 // VerifyBlock reads a block and checks its checksum without returning the
@@ -1228,9 +1141,8 @@ func (fb *FileBackend) FreeBlocks() ([]BlockID, error) {
 // NumBlocks implements Backend.
 func (fb *FileBackend) NumBlocks() uint64 { return fb.allocated }
 
-// Sync commits the current header state durably: with the WAL on this is
-// a (possibly empty) committed transaction so even a torn header write
-// stays recoverable; without it, a plain header write plus fsync.
+// Sync commits the current header state durably, as a (possibly empty)
+// committed transaction so even a torn header write stays recoverable.
 func (fb *FileBackend) Sync() error {
 	if fb.closed {
 		return ErrClosed
@@ -1238,19 +1150,10 @@ func (fb *FileBackend) Sync() error {
 	if fb.inBatch {
 		return errors.New("pager: sync inside an open batch")
 	}
-	if fb.WALEnabled() {
-		if err := fb.commitImplicit(nil); err != nil {
-			return err
-		}
-		return fb.sync(fb.f)
-	}
-	if err := fb.writeHeader(); err != nil {
+	if err := fb.commitImplicit(nil); err != nil {
 		return err
 	}
-	if err := fb.sync(fb.f); err != nil {
-		return err
-	}
-	return fb.sync(fb.crc)
+	return fb.sync(fb.f)
 }
 
 // Close implements Backend, making the header durable first.
@@ -1269,15 +1172,11 @@ func (fb *FileBackend) Close() error {
 	if cerr := fb.f.Close(); err == nil {
 		err = cerr
 	}
-	if fb.crc != nil {
-		if cerr := fb.crc.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := fb.crc.Close(); err == nil {
+		err = cerr
 	}
-	if fb.wal != nil {
-		if cerr := fb.wal.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := fb.wal.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

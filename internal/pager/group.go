@@ -12,22 +12,17 @@ import (
 
 // Group commit amortizes the WAL fsync — the dominant cost of the durable
 // path — over concurrently committing transactions. Instead of running the
-// three-phase commit protocol inline, CommitBatchAsync hands the staged
-// images plus a header snapshot to a dedicated committer goroutine and
-// returns a CommitTicket. The committer drains its queue into one group:
-//
-//  1. Append every queued transaction's block frames and its own commit
-//     record to the WAL, then fsync once — the group's shared durability
-//     point.
-//  2. Apply the newest image of each touched block in place (a block
-//     written by several transactions in the group is applied once),
-//     write the last transaction's header, fsync data and sidecar.
-//  3. Truncate the WAL and resolve every ticket.
+// commit protocol inline, CommitBatchAsync hands the staged images plus a
+// header snapshot to a dedicated committer goroutine and returns a
+// CommitTicket. The committer drains its queue into one group, runs
+// commitWAL over it — the same protocol an inline commit runs over one
+// transaction, so the group shares one WAL fsync and a block written by
+// several of its transactions is applied once — and resolves every ticket.
 //
 // Because each transaction keeps its own commit record, a crash anywhere
-// inside phase 1 leaves a clean *prefix* of the group: recovery replays
-// the transactions whose commit records are complete and discards the
-// torn tail. No interleaving can surface a partial transaction.
+// inside the log phase leaves a clean *prefix* of the group: recovery
+// replays the transactions whose commit records are complete and discards
+// the torn tail. No interleaving can surface a partial transaction.
 //
 // Between enqueue and phase 2 the committed images live in an overlay map
 // consulted by readRaw, so the enqueuing writer immediately reads its own
@@ -125,8 +120,7 @@ type AsyncTxBackend interface {
 
 // groupTxn is one queued transaction awaiting its group.
 type groupTxn struct {
-	images []walImage     // sorted staged images
-	hdr    walHeaderState // header snapshot at enqueue (commit-record payload)
+	walTxn // sorted staged images; header snapshot at enqueue
 	seq    uint64
 	solo   bool // queue was empty and committer idle at enqueue
 	ticket *CommitTicket
@@ -152,19 +146,14 @@ type groupState struct {
 	inflight int  // transactions currently being flushed
 	hold     bool // test hook: committer pauses before taking a group
 	stop     bool
-	err      error // sticky: first committer failure poisons later commits
 	done     chan struct{}
 }
 
-// StartGroupCommit launches the committer goroutine. It requires the WAL
-// (the group protocol is a WAL protocol) and no open batch. Durability
-// zero values get defaults; see Durability.
+// StartGroupCommit launches the committer goroutine. It requires no open
+// batch. Durability zero values get defaults; see Durability.
 func (fb *FileBackend) StartGroupCommit(d Durability) error {
 	if fb.closed {
 		return ErrClosed
-	}
-	if !fb.WALEnabled() {
-		return errors.New("pager: group commit requires the write-ahead log")
 	}
 	if fb.inBatch {
 		return errors.New("pager: group commit started inside an open batch")
@@ -184,7 +173,6 @@ func (fb *FileBackend) StartGroupCommit(d Durability) error {
 	gc.dur = d
 	gc.overlay = make(map[BlockID]overlayEntry, 32)
 	gc.stop = false
-	gc.err = nil
 	gc.done = make(chan struct{})
 	gc.on.Store(true)
 	go fb.committer()
@@ -192,8 +180,9 @@ func (fb *FileBackend) StartGroupCommit(d Durability) error {
 }
 
 // StopGroupCommit drains the queue, flushes a final group if needed, and
-// stops the committer. It returns the sticky committer error, if any.
-// Afterwards commits run synchronously again.
+// stops the committer. It returns the error that poisoned the backend, if
+// any (every committer failure does). Afterwards commits run synchronously
+// again.
 func (fb *FileBackend) StopGroupCommit() error {
 	gc := &fb.gc
 	gc.mu.Lock()
@@ -210,7 +199,7 @@ func (fb *FileBackend) StopGroupCommit() error {
 	defer gc.mu.Unlock()
 	gc.on.Store(false)
 	gc.stop = false
-	return gc.err
+	return fb.Poisoned()
 }
 
 // GroupCommitEnabled implements AsyncTxBackend.
@@ -261,17 +250,9 @@ func (fb *FileBackend) gcEnqueue(images []walImage) *CommitTicket {
 		return t
 	}
 	gc.mu.Lock()
-	if gc.err != nil {
-		err := gc.err
-		gc.mu.Unlock()
-		t.err = err
-		close(t.done)
-		return t
-	}
 	gc.seq++
 	txn := &groupTxn{
-		images: images,
-		hdr:    fb.headerState(),
+		walTxn: walTxn{images: images, hdr: fb.headerState()},
 		seq:    gc.seq,
 		solo:   len(gc.queue) == 0 && gc.inflight == 0,
 		ticket: t,
@@ -346,6 +327,7 @@ func (fb *FileBackend) gcTimedWake(d time.Duration) *time.Timer {
 func (fb *FileBackend) committer() {
 	gc := &fb.gc
 	defer close(gc.done)
+	var txns []*walTxn // the group as commitWAL takes it; reused across flushes
 	for {
 		gc.mu.Lock()
 		for (len(gc.queue) == 0 || gc.hold) && !gc.stop {
@@ -369,7 +351,6 @@ func (fb *FileBackend) committer() {
 		group := gc.queue
 		gc.queue = nil
 		gc.inflight = len(group)
-		prevErr := gc.err
 		gc.mu.Unlock()
 
 		// Each transaction's wait from enqueue to pickup is the queue_wait
@@ -388,15 +369,24 @@ func (fb *FileBackend) committer() {
 			}
 		}
 
-		err := prevErr
+		// The committer's failure policy is the sticky one: the enqueuing
+		// writers have moved on, so the in-memory header and the overlay
+		// cannot roll back to a pre-group snapshot the way an inline commit
+		// does. Any flush failure — before the durability point too —
+		// therefore poisons the backend, and every later commit, group or
+		// inline, fails fast until a reopen resolves the log.
+		err := fb.Poisoned()
 		if err == nil {
-			err = fb.applyGroup(group)
+			txns = txns[:0]
+			for _, txn := range group {
+				txns = append(txns, &txn.walTxn)
+			}
+			if err = fb.flushGroup(txns); err != nil {
+				fb.poisonWith(err)
+			}
 		}
 
 		gc.mu.Lock()
-		if err != nil && gc.err == nil {
-			gc.err = err
-		}
 		if err == nil {
 			// Drop overlay entries the apply made visible in the file.
 			// An entry re-staged by a *newer* transaction (higher seq)
@@ -421,127 +411,25 @@ func (fb *FileBackend) committer() {
 	}
 }
 
-// applyGroup runs the WAL protocol for a whole group: every transaction's
-// frames and commit record, one fsync, a deduplicated in-place apply, the
-// last transaction's header, and the log reset. Runs only on the committer
-// goroutine — the sole WAL appender while group commit is on. Each protocol
-// section is attributed to a "wal"-row phase (frame_write, fsync, apply)
-// and, when tracing, recorded as committer-lane spans under one
-// commit_group span — so a trace shows several op spans resolving against a
-// single fsync span, the coalescing the group committer exists for.
-func (fb *FileBackend) applyGroup(group []*groupTxn) (err error) {
-	inst := fb.obs != nil
-	tr := fb.obs.Tracer()
+// flushGroup runs commitWAL for one group under a committer-lane
+// commit_group span and charges the group accounting once the group's
+// shared durability point is passed. Runs only on the committer goroutine
+// — the sole WAL appender while group commit is on.
+func (fb *FileBackend) flushGroup(txns []*walTxn) (err error) {
 	var gsp obs.Span
-	if tr.Enabled() {
+	if tr := fb.obs.Tracer(); tr.Enabled() {
 		gsp = tr.StartLane(obs.LaneCommitter, "commit_group", 0)
-		defer func() { gsp.EndCount(len(group), err) }()
+		defer func() { gsp.EndCount(len(txns), err) }()
 	}
-	section := func(ph obs.Phase, start time.Time) {
-		if !inst {
-			return
-		}
-		d := time.Since(start)
-		fb.obs.ObservePhaseWAL(ph, d)
-		if tr.Enabled() {
-			tr.RecordSpan(obs.LaneCommitter, ph.String(), gsp.ID(), start, d, 0, nil)
-		}
+	durable, err := fb.commitWAL(txns, &gsp)
+	if durable {
+		fb.statsMu.Lock()
+		fb.stats.GroupCommits++
+		fb.stats.GroupedTxns += uint64(len(txns))
+		fb.statsMu.Unlock()
+		fb.obs.Inc(obs.CtrPagerWALGroups)
 	}
-
-	// Phase 1: log the group, fsync once.
-	t0 := time.Now()
-	start := fb.walSize
-	logged := 0
-	frames := 0
-	for _, txn := range group {
-		for _, img := range txn.images {
-			frame := encodeWALFrame(img.id, img.data)
-			if _, err = fb.wal.WriteAt(frame, start+int64(logged)); err != nil {
-				return err
-			}
-			logged += len(frame)
-			frames++
-		}
-		cf := encodeWALCommit(len(txn.images), txn.hdr)
-		if _, err = fb.wal.WriteAt(cf, start+int64(logged)); err != nil {
-			return err
-		}
-		logged += len(cf)
-	}
-	section(obs.PhaseFrameWrite, t0)
-	t0 = time.Now()
-	if err = fb.sync(fb.wal); err != nil {
-		return err
-	}
-	section(obs.PhaseFsync, t0)
-	fb.setWALSize(fb.walSize + int64(logged))
-	fb.statsMu.Lock()
-	fb.stats.Commits += uint64(len(group))
-	fb.stats.Frames += uint64(frames)
-	fb.stats.WALBytes += uint64(logged)
-	fb.stats.GroupCommits++
-	fb.stats.GroupedTxns += uint64(len(group))
-	fb.statsMu.Unlock()
-	fb.obs.Add(obs.CtrPagerWALCommits, uint64(len(group)))
-	fb.obs.Add(obs.CtrPagerWALFrames, uint64(frames))
-	fb.obs.Inc(obs.CtrPagerWALGroups)
-
-	// Phase 2: apply in place, newest image per block. Failures past the
-	// fsync leave committed transactions in the WAL; recovery replays them.
-	// applyMu keeps the scrubber's raw reads off blocks mid-overwrite.
-	t0 = time.Now()
-	defer func() { section(obs.PhaseApply, t0) }()
-	merged := make(map[BlockID][]byte, frames)
-	for _, txn := range group {
-		for _, img := range txn.images {
-			merged[img.id] = img.data
-		}
-	}
-	if err = func() error {
-		fb.applyMu.Lock()
-		defer fb.applyMu.Unlock()
-		for _, img := range sortedImages(merged) {
-			if _, err := fb.f.WriteAt(img.data, fb.offset(img.id)); err != nil {
-				return err
-			}
-			fb.statsMu.Lock()
-			fb.stats.DataBytes += uint64(len(img.data))
-			fb.statsMu.Unlock()
-			if err := fb.writeCRCEntry(img.id, checksum(img.data)); err != nil {
-				return err
-			}
-		}
-		if err := fb.writeHeaderState(group[len(group)-1].hdr); err != nil {
-			return err
-		}
-		if err := fb.sync(fb.f); err != nil {
-			return err
-		}
-		if fb.crc != nil {
-			if err := fb.sync(fb.crc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}(); err != nil {
-		// Committed-but-unapplied transactions are in the WAL: poison so
-		// no later (sync or group) commit truncates the log over them.
-		fb.poisonWith(err)
-		return err
-	}
-
-	// Phase 3: reset the log. Only the committer appends while group
-	// commit runs, so everything logged is now applied; losing the
-	// truncate to a crash just replays the group — idempotent redo.
-	if err = fb.wal.Truncate(walHeaderSize); err != nil {
-		fb.poisonWith(err)
-		return err
-	}
-	fb.setWALSize(walHeaderSize)
-	fb.statsMu.Lock()
-	fb.stats.Truncations++
-	fb.statsMu.Unlock()
-	return nil
+	return err
 }
 
 var _ AsyncTxBackend = (*FileBackend)(nil)

@@ -1,20 +1,29 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
 
 	"boxes/internal/faults"
 )
 
-// FaultBackend routes every data operation of a Backend through a
-// faults.Injector, turning the injector's decisions into the pager's
-// typed errors: transient faults wrap ErrInjected and faults.ErrTransient
+// ErrInjected marks a failure a FaultBackend injected (as opposed to one
+// the wrapped device produced).
+var ErrInjected = errors.New("pager: injected I/O failure")
+
+// FaultBackend is the one Backend-level fault injector: it routes every
+// data operation of a Backend through a faults.Injector (normally a seeded
+// faults.Schedule) and turns the injector's decisions into the pager's
+// typed errors. Transient faults wrap ErrInjected and faults.ErrTransient
 // (so a Store opened WithRetry absorbs them), permanent faults wrap
 // ErrInjected alone, and crash decisions kill the device with ErrCrashed —
-// a torn crash persisting a half-written block image first, exactly like
-// the old CrashBackend. FlakyBackend and CrashBackend are thin veneers
-// over the same machinery, so the crash matrix and the retry tests share
-// one seeded, deterministic fault engine (faults.Schedule).
+// a torn crash persisting a half-written block image first. A Store
+// layered on top counts each injected failure in its error metrics
+// (pager_injected_failures_total), so fault-injection runs are observable.
+//
+// Torn mode writes through to the inner backend, so over a FileBackend —
+// whose batching would commit the torn image atomically and mask the tear
+// — use a DiskController for intra-commit crash points instead.
 //
 // Batch and metadata capabilities pass through: when the inner backend is
 // a TxBackend or MetaRooter, the wrapper delegates; otherwise BeginBatch /
@@ -22,7 +31,7 @@ import (
 // root is kept in memory — good enough for fault-injection tests over a
 // MemBackend, transparent over a FileBackend. Transaction plumbing
 // (commit, batch bookkeeping) is intentionally not charged: faults fire
-// at logical block operations, the same points FlakyBackend always used.
+// at logical block operations.
 type FaultBackend struct {
 	Inner    Backend
 	Injector faults.Injector

@@ -69,15 +69,15 @@ func TestRetryAbsorbsEveryKthTransientFault(t *testing.T) {
 // the error surfaces as a permanent ExhaustedError wrapping ErrInjected,
 // and the write-fault latch trips.
 func TestRetryExhaustionLatchesWriteFault(t *testing.T) {
-	flaky := NewTransientFlakyBackend(NewMemBackend(512))
+	sched := faults.NewSchedule(1)
 	reg := obs.NewRegistry()
-	st := NewStore(flaky, WithRetry(testRetryPolicy()), WithObserver(reg))
+	st := NewStore(NewFaultBackend(NewMemBackend(512), sched), WithRetry(testRetryPolicy()), WithObserver(reg))
 
 	id, err := st.Allocate()
 	if err != nil {
 		t.Fatalf("allocate: %v", err)
 	}
-	flaky.FailNext(100) // far beyond MaxAttempts
+	sched.ArmFailNext(100) // far beyond MaxAttempts
 	err = st.Write(id, make([]byte, 512))
 	if err == nil {
 		t.Fatalf("write should have exhausted its retries")
@@ -102,7 +102,7 @@ func TestRetryExhaustionLatchesWriteFault(t *testing.T) {
 	// The device heals (burst drained by the retries themselves plus
 	// subsequent ops): new writes succeed, but the latch stays until
 	// explicitly cleared.
-	flaky.FailNext(0)
+	sched.ArmFailNext(0)
 	if err := st.Write(id, make([]byte, 512)); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}

@@ -23,17 +23,13 @@ type RawVerifier interface {
 // checksum, bypassing the open-batch stage and the group-commit overlay.
 // A block whose newest committed image still sits in the overlay is
 // reported clean: its disk bytes are stale by design and will be
-// overwritten when the committer applies the group. Returns nil when
-// checksums are disabled (nothing to verify against).
+// overwritten when the committer applies the group.
 func (fb *FileBackend) VerifyBlockRaw(id BlockID) error {
 	if fb.closed {
 		return ErrClosed
 	}
 	if id == NilBlock || id >= fb.next {
 		return fmt.Errorf("pager: raw verify of invalid block %d", id)
-	}
-	if fb.crc == nil {
-		return nil
 	}
 	scratch := make([]byte, fb.blockSize)
 	if fb.gcReadOverlay(id, scratch) {
@@ -72,29 +68,28 @@ func (fb *FileBackend) RepairBlock(id BlockID) (bool, error) {
 	if fb.gcReadOverlay(id, img) {
 		return true, fb.rewriteRaw(id, img)
 	}
-	if fb.wal != nil {
-		data, err := readAll(fb.wal)
-		if err != nil {
-			return false, err
-		}
-		// A torn tail (the committer appending concurrently) scans as an
-		// uncommitted suffix and is ignored; only fsynced commits repair.
-		txns, _, err := scanWAL(data, fb.blockSize)
-		if err == nil {
-			var found []byte
-			for _, txn := range txns {
-				for _, w := range txn.images {
-					if w.id == id {
-						found = w.data
-					}
-				}
-			}
-			if found != nil {
-				return true, fb.rewriteRaw(id, found)
+	data, err := readAll(fb.wal)
+	if err != nil {
+		return false, err
+	}
+	// A torn tail (the committer appending concurrently) scans as an
+	// uncommitted suffix and is ignored; only fsynced commits repair.
+	txns, _, err := scanWAL(data, fb.blockSize)
+	if err != nil {
+		return false, nil
+	}
+	var found []byte
+	for _, txn := range txns {
+		for _, w := range txn.images {
+			if w.id == id {
+				found = w.data
 			}
 		}
 	}
-	return false, nil
+	if found == nil {
+		return false, nil
+	}
+	return true, fb.rewriteRaw(id, found)
 }
 
 // rewriteRaw durably rewrites one block image and its checksum in place,
@@ -111,10 +106,7 @@ func (fb *FileBackend) rewriteRaw(id BlockID, data []byte) error {
 	if err := fb.sync(fb.f); err != nil {
 		return err
 	}
-	if fb.crc != nil {
-		return fb.sync(fb.crc)
-	}
-	return nil
+	return fb.sync(fb.crc)
 }
 
 // ScrubConfig paces the online scrubber.
@@ -185,9 +177,6 @@ func (s *Store) NewScrubber(cfg ScrubConfig) (*Scrubber, error) {
 	rv, ok := s.backend.(RawVerifier)
 	if !ok {
 		return nil, errors.New("pager: backend does not support raw verification (scrubbing needs a FileBackend)")
-	}
-	if fb, ok := s.backend.(*FileBackend); ok && !fb.ChecksumsEnabled() {
-		return nil, errors.New("pager: scrubbing needs checksums (store opened with NoChecksums)")
 	}
 	return &Scrubber{st: s, rv: rv, cfg: cfg.withDefaults(), cursor: 1}, nil
 }

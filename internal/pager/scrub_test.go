@@ -243,20 +243,10 @@ func TestScrubBackgroundLoop(t *testing.T) {
 	}
 }
 
-// Scrubbing requires a raw-verifiable backend and checksums.
-func TestScrubRequiresFileBackendWithChecksums(t *testing.T) {
+// Scrubbing requires a raw-verifiable backend.
+func TestScrubRequiresFileBackend(t *testing.T) {
 	mem := NewMemStore(256)
 	if _, err := mem.NewScrubber(ScrubConfig{}); err == nil {
 		t.Fatal("MemBackend store should not scrub")
-	}
-	path := filepath.Join(t.TempDir(), "nocrc.box")
-	fb, err := CreateFileOpts(path, FileOptions{BlockSize: 256, NoChecksums: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStore(fb)
-	defer st.Close()
-	if _, err := st.NewScrubber(ScrubConfig{}); err == nil {
-		t.Fatal("checksum-less store should not scrub")
 	}
 }

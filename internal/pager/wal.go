@@ -6,7 +6,9 @@ import (
 )
 
 // The write-ahead log makes every pager batch (one logical Store operation)
-// all-or-nothing across power cuts. The protocol per commit:
+// all-or-nothing across power cuts. The protocol per commit (this file is
+// the log's format; FileBackend.commitWAL is the protocol's one
+// implementation):
 //
 //  1. Append one block frame per staged image to <path>.wal, then a commit
 //     frame carrying the frame count and the complete header state.
@@ -100,8 +102,8 @@ func encodeWALCommit(count int, hdr walHeaderState) []byte {
 	return buf
 }
 
-// readAll reads the entire file through a blockFile (which has no Seek or
-// Stat), probing forward in fixed chunks until EOF.
+// readAll reads the entire file through a blockFile (which has no Seek),
+// probing forward in fixed chunks until EOF.
 func readAll(f blockFile) ([]byte, error) {
 	var out []byte
 	buf := make([]byte, 64*1024)

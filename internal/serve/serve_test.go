@@ -32,14 +32,14 @@ type envOptions struct {
 	batchMax    int
 	maxSessions int
 	wrapConn    func(net.Conn) net.Conn
-	crash       *pager.CrashController
+	crash       *pager.DiskController
 }
 
 func startEnv(t *testing.T, o envOptions) *testEnv {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "served.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{
-		BlockSize: 512, NoSync: true, CrashControl: o.crash,
+		BlockSize: 512, NoSync: true, DiskControl: o.crash,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -535,15 +535,17 @@ func TestServeSessionTableBounded(t *testing.T) {
 			t.Fatal("lookup of unknown LID succeeded")
 		}
 		c.Close()
-	}
-	// Wait for the handlers to detach their sessions (releaseSession runs
-	// before the ConnsActive decrement in the handler's defer chain).
-	deadline := time.Now().Add(5 * time.Second)
-	for env.met.ConnsActive.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("connection handlers did not exit")
+		// Wait for the handler to detach its session (releaseSession runs
+		// before the ConnsActive decrement in the handler's defer chain):
+		// only detached sessions are evictable, so a client that dials
+		// before its predecessor detached would legitimately overshoot.
+		deadline := time.Now().Add(5 * time.Second)
+		for env.met.ConnsActive.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("connection handler did not exit")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	env.srv.mu.Lock()
 	n := len(env.srv.sessions)

@@ -220,7 +220,8 @@ func TestSweepServerConnFaults(t *testing.T) {
 // present or fully absent), and the store must be fsck-clean.
 func TestSweepPowerCut(t *testing.T) {
 	for _, crashAt := range []int{10, 25, 40, 55} {
-		cc := pager.NewCrashController(crashAt, true)
+		cc := pager.NewDiskController()
+		cc.PlanWrite(crashAt, pager.DiskTornCrash)
 		env := startEnv(t, envOptions{crash: cc})
 		c, err := Dial(env.addr, ClientOptions{Timeout: 5 * time.Second})
 		if err != nil {
