@@ -25,11 +25,14 @@ lint:
 # race and crash-matrix jobs run separately; see those targets). The
 # benchmark is a module of its own that imports boxes/internal/...; the
 # root ./... patterns do not compile it, so it is vetted and tested here
-# by name.
+# by name. The benchmarks under internal/ run once each so they cannot rot;
+# the allocation ceilings they report are asserted by the tests themselves
+# (TestLookupAllocCeilings, TestFileReadAllocations).
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 # The whole suite under the race detector, including the concurrent
@@ -253,7 +256,7 @@ trace-smoke:
 	$(GO) test ./internal/core -run 'TestPhaseCoverageDurable|TestBatchTraceCoalescing' -count=1 -v
 
 microbench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Regenerate every figure and table of the paper at laptop scale (~1 min).
 experiments:

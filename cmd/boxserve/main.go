@@ -107,6 +107,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The handler goes in before the "serving" line goes out: whoever waits
+	// for that line may signal the moment it appears, and a TERM must
+	// always find the drain, never the runtime's default kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("serving : %s  store=%s  scheme=%s  labels=%d\n",
 		l.Addr(), *storePath, store.Scheme(), store.Count())
 	if recovered {
@@ -117,8 +122,6 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Printf("drain   : caught %v; finishing in-flight ops (hard deadline %v)\n", sig, *drain)

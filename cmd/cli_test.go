@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -486,5 +487,53 @@ func TestServeCLI(t *testing.T) {
 	out = run(t, "boxinspect", "-lid", "1", "-lid", "3", box)
 	if !strings.Contains(out, "all structural invariants hold") {
 		t.Fatalf("inspect after serve:\n%s", out)
+	}
+}
+
+// TestServeTermOnServingLine signals boxserve the instant it announces
+// itself. The "serving :" line is what scripts wait on, so a TERM sent on
+// seeing it must find the drain handler installed: exit 0 after a clean
+// close, and a store that reopens fsck-clean.
+func TestServeTermOnServingLine(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		box := filepath.Join(t.TempDir(), "served.box")
+		cmd := exec.Command(filepath.Join(binDir, "boxserve"), "-store", box, "-addr", "127.0.0.1:0")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		signalled := false
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			out.WriteString(sc.Text() + "\n")
+			if !signalled && strings.HasPrefix(sc.Text(), "serving : ") {
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+				signalled = true
+			}
+		}
+		waitDone := make(chan error, 1)
+		go func() { waitDone <- cmd.Wait() }()
+		select {
+		case err := <-waitDone:
+			if err != nil {
+				t.Fatalf("round %d: TERM on the serving line killed boxserve undrained: %v\n%s", round, err, out.String())
+			}
+		case <-time.After(15 * time.Second):
+			cmd.Process.Kill()
+			t.Fatalf("round %d: boxserve did not exit after SIGTERM\n%s", round, out.String())
+		}
+		if !signalled || !strings.Contains(out.String(), "closed  : store synced and released") {
+			t.Fatalf("round %d: no clean-close line:\n%s", round, out.String())
+		}
+		if fsck := run(t, "boxfsck", "-v", box); !strings.Contains(fsck, "verdict : clean") {
+			t.Fatalf("round %d: store not fsck-clean after the drain:\n%s", round, fsck)
+		}
 	}
 }

@@ -118,7 +118,7 @@ func (l *Labeler) leafOf(lid order.LID) (*node, int, error) {
 	}
 	idx := leaf.findLID(lid)
 	if idx < 0 {
-		return nil, 0, fmt.Errorf("bbox: LIDF points lid %d at block %d, record missing", lid, leaf.blk)
+		return nil, 0, errRecordMissing(lid, leaf.blk)
 	}
 	return leaf, idx, nil
 }
@@ -146,7 +146,7 @@ func (l *Labeler) pathOf(lid order.LID) ([]pathStep, error) {
 		}
 		ci := p.findChild(child.blk)
 		if ci < 0 {
-			return nil, fmt.Errorf("bbox: node %d not found in parent %d", child.blk, p.blk)
+			return nil, errChildMissing(child.blk, p.blk)
 		}
 		steps = append(steps, pathStep{n: p, pos: ci})
 		child = p
@@ -172,11 +172,7 @@ func (l *Labeler) packSteps(steps []pathStep) (order.Label, error) {
 func (l *Labeler) Lookup(lid order.LID) (_ order.Label, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
-	steps, err := l.pathOf(lid)
-	if err != nil {
-		return 0, err
-	}
-	return l.packSteps(steps)
+	return l.lookup(lid)
 }
 
 // LookupPair reconstructs two labels in one logical operation, so the LIDF
@@ -185,19 +181,10 @@ func (l *Labeler) Lookup(lid order.LID) (_ order.Label, err error) {
 func (l *Labeler) LookupPair(a, b order.LID) (la, lb order.Label, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
-	stepsA, err := l.pathOf(a)
-	if err != nil {
+	if la, err = l.lookup(a); err != nil {
 		return 0, 0, err
 	}
-	la, err = l.packSteps(stepsA)
-	if err != nil {
-		return 0, 0, err
-	}
-	stepsB, err := l.pathOf(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	lb, err = l.packSteps(stepsB)
+	lb, err = l.lookup(b)
 	return la, lb, err
 }
 
@@ -305,17 +292,8 @@ func (l *Labeler) OrdinalLookup(lid order.LID) (_ uint64, err error) {
 	}
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
-	steps, err := l.pathOf(lid)
-	if err != nil {
-		return 0, err
-	}
-	ord := uint64(steps[0].pos)
-	for _, s := range steps[1:] {
-		for j := 0; j < s.pos; j++ {
-			ord += s.n.ents[j].size
-		}
-	}
-	return ord, nil
+	_, ord, _, err := l.climb(lid)
+	return ord, err
 }
 
 // prefixRange computes the packed label interval covered by node n's

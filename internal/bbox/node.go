@@ -77,27 +77,38 @@ func (l *Labeler) readNode(blk pager.BlockID) (*node, error) {
 	return l.decodeNode(blk, buf)
 }
 
+// header decodes and validates the fixed header of a raw block image. Both
+// decoders go through it — decodeNode, which materialises the node, and the
+// in-place walk of view.go — so they reject the same blocks with the same
+// errors.
+func (l *Labeler) header(blk pager.BlockID, buf []byte) (leaf bool, count int, parent pager.BlockID, err error) {
+	count = int(binary.LittleEndian.Uint16(buf[1:3]))
+	parent = pager.BlockID(binary.LittleEndian.Uint64(buf[8:16]))
+	switch typ := buf[0]; {
+	case typ == nodeTypeLeaf && count > l.p.LeafCap:
+		err = fmt.Errorf("bbox: leaf %d holds %d records, cap %d", blk, count, l.p.LeafCap)
+	case typ == nodeTypeInternal && count > l.p.Fanout:
+		err = fmt.Errorf("bbox: node %d holds %d entries, fan-out %d", blk, count, l.p.Fanout)
+	case typ != nodeTypeLeaf && typ != nodeTypeInternal:
+		err = fmt.Errorf("bbox: block %d has unknown node type %d", blk, typ)
+	}
+	return buf[0] == nodeTypeLeaf, count, parent, err
+}
+
 func (l *Labeler) decodeNode(blk pager.BlockID, buf []byte) (*node, error) {
-	typ := buf[0]
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	parent := pager.BlockID(binary.LittleEndian.Uint64(buf[8:16]))
-	n := &node{blk: blk, parent: parent}
+	leaf, count, parent, err := l.header(blk, buf)
+	if err != nil {
+		return nil, err
+	}
+	n := &node{blk: blk, leaf: leaf, parent: parent}
 	off := nodeHeaderSize
-	switch typ {
-	case nodeTypeLeaf:
-		n.leaf = true
-		if count > l.p.LeafCap {
-			return nil, fmt.Errorf("bbox: leaf %d holds %d records, cap %d", blk, count, l.p.LeafCap)
-		}
+	if leaf {
 		n.lids = make([]order.LID, count)
 		for i := 0; i < count; i++ {
 			n.lids[i] = order.LID(binary.LittleEndian.Uint64(buf[off : off+8]))
 			off += 8
 		}
-	case nodeTypeInternal:
-		if count > l.p.Fanout {
-			return nil, fmt.Errorf("bbox: node %d holds %d entries, fan-out %d", blk, count, l.p.Fanout)
-		}
+	} else {
 		n.ents = make([]entry, count)
 		for i := 0; i < count; i++ {
 			n.ents[i].child = pager.BlockID(binary.LittleEndian.Uint64(buf[off : off+8]))
@@ -107,8 +118,6 @@ func (l *Labeler) decodeNode(blk pager.BlockID, buf []byte) (*node, error) {
 				off += 8
 			}
 		}
-	default:
-		return nil, fmt.Errorf("bbox: block %d has unknown node type %d", blk, typ)
 	}
 	return n, nil
 }

@@ -112,6 +112,23 @@ func TestQuickLeafRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// The in-place scan finds what findLID finds on the decoded node:
+		// the first match's index and the back-link, a stranger rejected.
+		raw, err := l.store.Read(n.blk)
+		if err != nil {
+			return false
+		}
+		for _, lid := range append(n.lids, 1<<63+1) {
+			want := got.findLID(lid)
+			pos, parent, err := l.scanLeaf(n.blk, raw, lid)
+			if want < 0 {
+				if !sameErr(err, errRecordMissing(lid, n.blk)) {
+					return false
+				}
+			} else if err != nil || pos != want || parent != got.parent {
+				return false
+			}
+		}
 		if len(n.lids) == 0 {
 			return len(got.lids) == 0
 		}

@@ -77,7 +77,15 @@ func TestSyncStoreConcurrentUse(t *testing.T) {
 // group is still being flushed). Readers assert order invariants that must
 // hold at every batch boundary: spans never invert and an element's start
 // ordinal precedes its end ordinal.
+//
+// The lru-on run repeats it with the pager's LRU enabled: reader views are
+// then the cache's resident frames, which every writer flush replaces.
 func TestSyncStoreConcurrentBatchReaders(t *testing.T) {
+	t.Run("lru-off", func(t *testing.T) { concurrentBatchReaders(t, 0) })
+	t.Run("lru-on", func(t *testing.T) { concurrentBatchReaders(t, 8) })
+}
+
+func concurrentBatchReaders(t *testing.T, cacheBlocks int) {
 	path := filepath.Join(t.TempDir(), "conc.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
 	if err != nil {
@@ -85,7 +93,7 @@ func TestSyncStoreConcurrentBatchReaders(t *testing.T) {
 	}
 	base, err := Open(Options{
 		Scheme: SchemeWBox, Ordinal: true, BlockSize: 512,
-		Backend: fb, Durable: true,
+		Backend: fb, Durable: true, CacheBlocks: cacheBlocks,
 		Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {

@@ -77,6 +77,11 @@ func checkPinned(t *testing.T, sweep, scheme string, got int) {
 	}
 }
 
+// Frame poisoning is on for every sweep of this package: a read path that
+// uses a borrowed frame after releasing it returns garbage, not the stale
+// bytes a recycled frame would usually still hold.
+func init() { pager.HookPoisonFrames = true }
+
 // runtimeOpts are the runtime options every reopen uses: durable commits,
 // the Section 6 reflog cache, and a small block LRU — the harness must
 // prove recovery correct with the caching layers in play, not around them.

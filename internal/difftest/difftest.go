@@ -68,11 +68,16 @@ func Configs() []Config {
 }
 
 // New builds a fresh engine with one in-memory store per scheme.
-func New() (*Engine, error) {
+func New() (*Engine, error) { return newEngine(0) }
+
+// newEngine is New with every store's pager LRU set to cacheBlocks blocks
+// (0 = off, as shipped).
+func newEngine(cacheBlocks int) (*Engine, error) {
 	e := &Engine{}
 	for _, cfg := range Configs() {
 		opts := cfg.Opts
 		opts.BlockSize = blockSize
+		opts.CacheBlocks = cacheBlocks
 		st, err := core.Open(opts)
 		if err != nil {
 			return nil, fmt.Errorf("difftest: open %s: %w", cfg.Name, err)

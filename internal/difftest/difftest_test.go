@@ -1,9 +1,17 @@
 package difftest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"boxes/internal/pager"
 )
+
+// Frame poisoning is on for every test of this package: a lookup that reads
+// a borrowed frame after releasing it diverges from the oracle instead of
+// passing on stale-but-plausible bytes.
+func init() { pager.HookPoisonFrames = true }
 
 // TestDiffSeededScripts is the deterministic property test: pseudo-random
 // scripts of increasing length drive all five schemes and the oracle. Any
@@ -13,18 +21,26 @@ func TestDiffSeededScripts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not short")
 	}
+	// Every seed runs as shipped (LRU off: views are free-list frames) and
+	// with a small LRU (views are resident frames that puts replace).
 	for seed := int64(1); seed <= 12; seed++ {
-		seed := seed
-		t.Run("", func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			n := 32 + rng.Intn(3*maxScriptOps)
-			script := make([]byte, n)
-			rng.Read(script)
-			if err := Exec(script); err != nil {
-				t.Fatalf("seed %d script %q: %v", seed, script, err)
-			}
-		})
+		for _, cacheBlocks := range []int{0, 6} {
+			seed, cacheBlocks := seed, cacheBlocks
+			t.Run(fmt.Sprintf("seed%d-lru%d", seed, cacheBlocks), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(seed))
+				n := 32 + rng.Intn(3*maxScriptOps)
+				script := make([]byte, n)
+				rng.Read(script)
+				e, err := newEngine(cacheBlocks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.run(script); err != nil {
+					t.Fatalf("seed %d lru %d script %q: %v", seed, cacheBlocks, script, err)
+				}
+			})
+		}
 	}
 }
 

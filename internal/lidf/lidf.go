@@ -160,21 +160,35 @@ func (f *File) AllocPair() (start, end order.LID, err error) {
 	return s, e, nil
 }
 
-// Get copies the payload of lid into a fresh slice.
-func (f *File) Get(lid order.LID) ([]byte, error) {
+// view borrows the block holding lid's record (pager.Store.View) and
+// returns it with the record's payload, a sub-slice of it. The record must
+// be live. The caller reads the payload in place and then hands frame back
+// with store.Release.
+func (f *File) view(lid order.LID) (frame, payload []byte, err error) {
 	blk, off, err := f.locate(lid)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	buf, err := f.store.Read(blk)
+	frame, err = f.store.View(blk)
+	if err != nil {
+		return nil, nil, err
+	}
+	if frame[off] != flagLive {
+		f.store.Release(frame)
+		return nil, nil, order.ErrUnknownLID
+	}
+	return frame, frame[off+1 : off+f.recordSize], nil
+}
+
+// Get copies the payload of lid into a fresh slice.
+func (f *File) Get(lid order.LID) ([]byte, error) {
+	frame, p, err := f.view(lid)
 	if err != nil {
 		return nil, err
 	}
-	if buf[off] != flagLive {
-		return nil, order.ErrUnknownLID
-	}
 	out := make([]byte, f.payloadSize)
-	copy(out, buf[off+1:off+f.recordSize])
+	copy(out, p)
+	f.store.Release(frame)
 	return out, nil
 }
 
@@ -212,11 +226,13 @@ func (f *File) SetU64(lid order.LID, v uint64) error {
 
 // GetU64 reads the payload's first 8 bytes as a uint64.
 func (f *File) GetU64(lid order.LID) (uint64, error) {
-	p, err := f.Get(lid)
+	frame, p, err := f.view(lid)
 	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(p[:8]), nil
+	v := binary.LittleEndian.Uint64(p)
+	f.store.Release(frame)
+	return v, nil
 }
 
 // Free releases lid's record for reuse.

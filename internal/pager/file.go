@@ -619,13 +619,18 @@ func crcEntryOffset(id BlockID) int64 {
 	return crcFileHeaderSize + 4*int64(id)
 }
 
-// readCRCEntry fetches a block's stored checksum.
-func (fb *FileBackend) readCRCEntry(id BlockID) (uint32, error) {
-	var buf [4]byte
-	if _, err := fb.crc.ReadAt(buf[:], crcEntryOffset(id)); err != nil {
+// readCRCEntry fetches a block's stored checksum through the head of img,
+// the image about to be verified, restoring the four bytes it displaces: a
+// local array would escape via blockFile, one allocation per verified read.
+func (fb *FileBackend) readCRCEntry(id BlockID, img []byte) (uint32, error) {
+	head := [4]byte(img)
+	_, err := fb.crc.ReadAt(img[:4], crcEntryOffset(id))
+	sum := binary.LittleEndian.Uint32(img)
+	copy(img, head[:])
+	if err != nil {
 		return 0, corruptBlock(id, "checksum entry unreadable: %v", err)
 	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
+	return sum, nil
 }
 
 func (fb *FileBackend) offset(id BlockID) int64 {
@@ -999,7 +1004,7 @@ func (fb *FileBackend) readRaw(id BlockID, buf []byte) error {
 	if _, err := fb.f.ReadAt(buf, fb.offset(id)); err != nil {
 		return err
 	}
-	want, err := fb.readCRCEntry(id)
+	want, err := fb.readCRCEntry(id, buf)
 	if err != nil {
 		fb.obs.Inc(obs.CtrPagerChecksumFailures)
 		return err

@@ -5,10 +5,11 @@ import (
 	"sync"
 )
 
-// lruCache is a fixed-capacity least-recently-used block cache. It stores
-// private copies of block contents keyed by BlockID. All methods are safe
-// for concurrent use: the shared read path hits the cache from many reader
-// goroutines at once.
+// lruCache is a fixed-capacity least-recently-used block cache. It owns its
+// frames and never writes to one: get hands out the resident frame, put
+// replaces it, and a replaced or evicted frame is left to the collector, so
+// a reader still viewing it keeps its bytes. All methods are safe for
+// concurrent use: the shared read path hits the cache from many goroutines.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -29,8 +30,7 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// get copies the cached block into a fresh slice (returning the interior
-// slice would hand concurrent readers a buffer a later put may overwrite).
+// get returns the resident frame, which the caller must not modify.
 func (c *lruCache) get(id BlockID) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -39,26 +39,19 @@ func (c *lruCache) get(id BlockID) ([]byte, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	cp := make([]byte, len(e.data))
-	copy(cp, e.data)
-	return cp, true
+	return el.Value.(*lruEntry).data, true
 }
 
+// put makes data, whose ownership passes to the cache, the resident frame.
 func (c *lruCache) put(id BlockID, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.index[id]; ok {
-		e := el.Value.(*lruEntry)
-		if &e.data[0] != &data[0] {
-			copy(e.data, data)
-		}
+		el.Value.(*lruEntry).data = data
 		c.order.MoveToFront(el)
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	el := c.order.PushFront(&lruEntry{id: id, data: cp})
+	el := c.order.PushFront(&lruEntry{id: id, data: data})
 	c.index[id] = el
 	for c.order.Len() > c.capacity {
 		back := c.order.Back()

@@ -14,6 +14,12 @@
 //   - An optional global LRU cache can be enabled to model cross-operation
 //     caching; it is off by default, matching the paper's experiments.
 //
+// The unit handed out is the block frame, not a copy: View lends a
+// read-only frame — the caller's until Release outside an operation, the
+// pinned frame until EndOp/AbortOp inside one — from a small per-store free
+// list, so a lookup never touches the allocator. Read is the pinned frame
+// inside an operation (the writer's to mutate), a caller-owned copy outside.
+//
 // Two backends are provided: MemBackend (blocks held in memory, used by the
 // benchmarks) and FileBackend (blocks persisted in a single file with a
 // free-list, usable for real storage).
@@ -22,7 +28,7 @@ package pager
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,6 +120,16 @@ type opBlock struct {
 	freed bool
 }
 
+// frameListCap bounds the per-store free list of block frames: enough for
+// an ordinary operation's pins (a lookup 2-4, a splitting insert a few
+// dozen), while a bulk load's thousands leave only this many parked.
+const frameListCap = 64
+
+// HookPoisonFrames makes every released or unpinned frame 0xDB-filled, so a
+// use-after-release reads garbage, not stale-but-plausible bytes. Tests set
+// it from an init function; never set it elsewhere.
+var HookPoisonFrames = false
+
 // Store wraps a Backend with I/O accounting, per-operation pinning, and an
 // optional global LRU cache.
 //
@@ -128,11 +144,13 @@ type Store struct {
 	reads   atomic.Uint64
 	writes  atomic.Uint64
 	cache   *lruCache
+	frames  chan []byte   // free list of block frames (see getFrame)
 	obs     *obs.Registry // optional; nil-safe via obs method receivers
 
 	// Writer-side state: guarded by the caller's exclusive section (the
 	// single-goroutine contract, or a SyncStore write lock).
-	op        map[BlockID]*opBlock
+	op        map[BlockID]opBlock // kept (cleared) across operations
+	flush     []BlockID           // EndOp's dirty-id scratch, likewise kept
 	opDepth   int
 	batchOpen bool          // a TxBackend batch is open (lazily, at first mutation)
 	ticket    *CommitTicket // pending group-commit ticket from the last EndOp
@@ -183,7 +201,7 @@ func WithObserver(r *obs.Registry) Option {
 
 // NewStore creates a Store over backend.
 func NewStore(backend Backend, opts ...Option) *Store {
-	s := &Store{backend: backend}
+	s := &Store{backend: backend, frames: make(chan []byte, frameListCap)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -345,10 +363,56 @@ func (s *Store) BeginOp() {
 	if s.readerOp() {
 		return
 	}
-	if s.opDepth == 0 {
-		s.op = make(map[BlockID]*opBlock, 16)
+	if s.op == nil {
+		s.op = make(map[BlockID]opBlock, 16)
 	}
 	s.opDepth++
+}
+
+// getFrame takes a frame with arbitrary contents off the free list, or
+// allocates one when the list is empty.
+func (s *Store) getFrame() []byte {
+	select {
+	case b := <-s.frames:
+		return b
+	default:
+		return make([]byte, s.backend.BlockSize())
+	}
+}
+
+// frameCopy returns a frame holding a copy of src.
+func (s *Store) frameCopy(src []byte) []byte {
+	b := s.getFrame()
+	copy(b, src)
+	return b
+}
+
+// putFrame returns a frame nobody may touch again to the free list; beyond
+// frameListCap it is left to the garbage collector.
+func (s *Store) putFrame(b []byte) {
+	if HookPoisonFrames {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	select {
+	case s.frames <- b:
+	default:
+	}
+}
+
+// unpin ends every pinned frame's life: views and Read results handed out
+// during the operation are invalid from here on.
+func (s *Store) unpin() {
+	for _, ob := range s.op {
+		if ob.data != nil {
+			s.putFrame(ob.data)
+		}
+	}
+	if len(s.op) > frameListCap {
+		s.op = nil // a bulk operation's map is not worth carrying around
+	}
+	clear(s.op)
 }
 
 // ensureBatch opens the backend batch if an operation is in progress and a
@@ -379,21 +443,16 @@ func (s *Store) EndOp() error {
 	// Flush in ascending BlockID order (Go map iteration is randomized)
 	// so write traces and injected-failure tests are deterministic and
 	// replayable.
-	dirty := 0
-	for _, ob := range s.op {
+	ids := s.flush[:0]
+	for id, ob := range s.op {
 		if !ob.freed && ob.dirty {
-			dirty++
+			ids = append(ids, id)
 		}
 	}
+	s.flush = ids
 	var firstErr error
-	if dirty > 0 {
-		ids := make([]BlockID, 0, dirty)
-		for id, ob := range s.op {
-			if !ob.freed && ob.dirty {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if len(ids) > 0 {
+		slices.Sort(ids)
 		for _, id := range ids {
 			ob := s.op[id]
 			err := s.timedPhase(obs.PhaseBlockWrite, &s.phaseWrite, func() error {
@@ -410,11 +469,12 @@ func (s *Store) EndOp() error {
 			s.countWrite(id)
 			s.liftQuarantine(id)
 			if s.cache != nil {
-				s.cache.put(id, ob.data)
+				s.cache.put(id, ob.data) // now the cache's, not ours to recycle
+				delete(s.op, id)
 			}
 		}
 	}
-	s.op = nil
+	s.unpin()
 	if s.batchOpen {
 		s.batchOpen = false
 		tx := s.backend.(TxBackend)
@@ -458,7 +518,7 @@ func (s *Store) AbortOp() {
 		return
 	}
 	s.opDepth = 0
-	s.op = nil
+	s.unpin()
 	if s.batchOpen {
 		s.batchOpen = false
 		if tx, ok := s.backend.(TxBackend); ok {
@@ -527,7 +587,9 @@ func (s *Store) Allocate() (BlockID, error) {
 		// A freshly allocated block is known-zero; pin it so that the
 		// usual read-modify-write cycle does not charge a read for
 		// contents that never existed.
-		s.op[id] = &opBlock{data: make([]byte, s.backend.BlockSize())}
+		b := s.getFrame()
+		clear(b)
+		s.op[id] = opBlock{data: b}
 	}
 	return id, nil
 }
@@ -540,12 +602,7 @@ func (s *Store) Free(id BlockID) error {
 	}
 	s.ensureBatch()
 	if s.opDepth > 0 {
-		if ob, ok := s.op[id]; ok {
-			ob.freed = true
-			ob.dirty = false
-		} else {
-			s.op[id] = &opBlock{freed: true}
-		}
+		s.op[id] = opBlock{data: s.op[id].data, freed: true}
 	}
 	if s.cache != nil {
 		s.cache.drop(id)
@@ -558,18 +615,20 @@ func (s *Store) Free(id BlockID) error {
 	return nil
 }
 
-// Read returns the contents of a block. Inside an operation the returned
-// slice is the pinned copy: the caller may mutate it and then call Write
-// with the same ID to mark it dirty. Outside an operation a private copy is
-// returned.
-func (s *Store) Read(id BlockID) ([]byte, error) {
+// View lends the caller a read-only image of a block. Outside an operation
+// (the shared reader path included) the frame is the caller's until Release,
+// which it must call before leaving its lock bracket — or, with the LRU on,
+// the resident frame, which is never written, only replaced. Inside an
+// operation it is the pinned frame, valid until the outermost EndOp/AbortOp.
+func (s *Store) View(id BlockID) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
 	if id == NilBlock {
 		return nil, errors.New("pager: read of nil block")
 	}
-	if s.opDepth > 0 {
+	pin := s.opDepth > 0
+	if pin {
 		if ob, ok := s.op[id]; ok {
 			if ob.freed {
 				return nil, fmt.Errorf("pager: read of freed block %d", id)
@@ -579,10 +638,11 @@ func (s *Store) Read(id BlockID) ([]byte, error) {
 	}
 	if s.cache != nil {
 		if data, ok := s.cache.get(id); ok {
-			// get returns a private copy, safe to hand out directly.
 			s.obs.Inc(obs.CtrPagerCacheHits)
-			if s.opDepth > 0 {
-				s.op[id] = &opBlock{data: data}
+			if pin {
+				// A pinned frame is the writer's to mutate: pin a copy.
+				data = s.frameCopy(data)
+				s.op[id] = opBlock{data: data}
 			}
 			return data, nil
 		}
@@ -591,21 +651,43 @@ func (s *Store) Read(id BlockID) ([]byte, error) {
 	if qerr := s.quarantineErr(id); qerr != nil {
 		return nil, qerr
 	}
-	buf := make([]byte, s.backend.BlockSize())
+	buf := s.getFrame()
 	err := s.timedPhase(obs.PhaseBlockRead, &s.phaseRead, func() error {
 		return s.retryBackend(func() error { return s.backend.ReadBlock(id, buf) })
 	})
 	if err != nil {
+		s.putFrame(buf)
 		s.countIOError(err)
 		return nil, err
 	}
 	s.countRead(id)
-	if s.opDepth > 0 {
-		s.op[id] = &opBlock{data: buf}
+	if pin {
+		s.op[id] = opBlock{data: buf}
 	} else if s.cache != nil {
 		s.cache.put(id, buf)
 	}
 	return buf, nil
+}
+
+// Release ends a View: the frame goes back to the free list unless it is
+// the operation's (pinned) or the cache's (resident).
+func (s *Store) Release(buf []byte) {
+	if s.opDepth == 0 && s.cache == nil {
+		s.putFrame(buf)
+	}
+}
+
+// Read returns the contents of a block. Inside an operation the returned
+// slice is the pinned frame: the caller may mutate it and then call Write
+// with the same ID to mark it dirty. Outside one it is a caller-owned copy.
+func (s *Store) Read(id BlockID) ([]byte, error) {
+	buf, err := s.View(id)
+	if err != nil || s.opDepth > 0 {
+		return buf, err
+	}
+	out := slices.Clone(buf)
+	s.Release(buf)
+	return out, nil
 }
 
 // Write stores buf as the contents of the block. Inside an operation the
@@ -630,12 +712,12 @@ func (s *Store) Write(id BlockID, buf []byte) error {
 			if &ob.data[0] != &buf[0] {
 				copy(ob.data, buf)
 			}
-			ob.dirty = true
+			if !ob.dirty {
+				s.op[id] = opBlock{data: ob.data, dirty: true}
+			}
 			return nil
 		}
-		data := make([]byte, len(buf))
-		copy(data, buf)
-		s.op[id] = &opBlock{data: data, dirty: true}
+		s.op[id] = opBlock{data: s.frameCopy(buf), dirty: true}
 		return nil
 	}
 	err := s.timedPhase(obs.PhaseBlockWrite, &s.phaseWrite, func() error {
@@ -649,7 +731,7 @@ func (s *Store) Write(id BlockID, buf []byte) error {
 	s.countWrite(id)
 	s.liftQuarantine(id)
 	if s.cache != nil {
-		s.cache.put(id, buf)
+		s.cache.put(id, s.frameCopy(buf))
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ func (fb *FileBackend) VerifyBlockRaw(id BlockID) error {
 	if _, err := fb.f.ReadAt(scratch, fb.offset(id)); err != nil {
 		return corruptBlock(id, "raw read: %v", err)
 	}
-	want, err := fb.readCRCEntry(id)
+	want, err := fb.readCRCEntry(id, scratch)
 	if err != nil {
 		return err
 	}

@@ -44,36 +44,60 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // it (framing is lost).
 var ErrBadFrame = errors.New("serve: bad frame (corrupt length or checksum)")
 
-// writeFrame appends the frame header to payload and writes both with a
+// writeFrame prepends the frame header to payload and writes both with a
 // single Write call, so a fault injector's per-write decisions map 1:1 to
 // protocol write points.
 func writeFrame(w io.Writer, payload []byte) error {
+	return sendFrame(w, append(startFrame(make([]byte, 0, frameHeaderSize+len(payload))), payload...))
+}
+
+// startFrame resets buf to an empty frame under construction: room for the
+// header, after which the caller appends the payload and calls sendFrame.
+// A connection that keeps buf across frames allocates for none of them.
+func startFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, frameHeaderSize)...)
+}
+
+// sendFrame fills in the header of the frame built in buf since startFrame
+// and writes header and payload with a single Write call.
+func sendFrame(w io.Writer, buf []byte) error {
+	payload := buf[frameHeaderSize:]
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("serve: frame payload %d exceeds max %d", len(payload), MaxFrame)
 	}
-	buf := make([]byte, frameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeaderSize:], payload)
 	_, err := w.Write(buf)
 	return err
 }
 
 // readFrame reads one frame, verifying length bounds and CRC.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame into buf's storage, grown when the frame
+// needs more: the returned payload is valid until buf is used again, and a
+// connection that passes each payload back as the next buf stops
+// allocating once it has seen its largest frame.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, 64)
+	}
+	hdr := buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n, sum := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxFrame {
 		return nil, ErrBadFrame
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.Checksum(payload, crcTable) != sum {
 		return nil, ErrBadFrame
 	}
 	return payload, nil
@@ -298,8 +322,8 @@ func decodeRequest(payload []byte) (*Request, error) {
 	return r, nil
 }
 
-func encodeResponse(r *Response) []byte {
-	buf := make([]byte, 0, 64)
+// appendResponse appends r's encoding to buf.
+func appendResponse(buf []byte, r *Response) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
 	buf = append(buf, r.Status)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Elem.Start))

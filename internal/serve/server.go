@@ -262,8 +262,9 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 	if err := writeServerHello(conn, serverHello{Session: sess.id, Epoch: s.epoch, KnownSeq: known}); err != nil {
 		return
 	}
+	var in, out []byte // this connection's frame buffers, reused by every request
 	for {
-		payload, err := readFrame(conn)
+		in, err = readFrameInto(conn, in)
 		if err != nil {
 			if errors.Is(err, ErrBadFrame) {
 				s.cfg.Metrics.BadFrames.Add(1)
@@ -271,7 +272,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 			}
 			return
 		}
-		req, err := decodeRequest(payload)
+		req, err := decodeRequest(in)
 		if err != nil {
 			s.cfg.Metrics.BadFrames.Add(1)
 			s.logf("serve: session %d: %v", sess.id, err)
@@ -281,7 +282,8 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		st.busy.Store(true)
 		resp := s.dispatch(sess, req)
 		t0 := time.Now()
-		err = writeFrame(conn, encodeResponse(resp))
+		out = appendResponse(startFrame(out), resp)
+		err = sendFrame(conn, out)
 		st.busy.Store(false)
 		if err != nil {
 			// The ack is lost but the op's effect stands; the session's
@@ -377,12 +379,6 @@ func (s *Server) execute(req *Request) *Response {
 		s.cfg.Metrics.Drained.Add(1)
 		return &Response{Seq: req.Seq, Status: StatusDraining, Msg: "server is draining"}
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if req.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
 	switch req.Op {
 	case OpLookup:
 		label, err := s.cfg.Store.Lookup(req.LID)
@@ -397,7 +393,7 @@ func (s *Server) execute(req *Request) *Response {
 		}
 		return &Response{Seq: req.Seq, Status: StatusOK, Cmp: int8(cmp)}
 	case OpInsert, OpInsertFirst, OpDeleteElement, OpDeleteSubtree, OpBatch:
-		return s.executeWrite(ctx, req)
+		return s.executeWrite(req)
 	default:
 		return &Response{Seq: req.Seq, Status: StatusBadRequest, Msg: fmt.Sprintf("unknown opcode %d", req.Op)}
 	}
@@ -440,11 +436,18 @@ func toCoreOps(req *Request) ([]core.Op, error) {
 // executeWrite admits the request to the bounded write queue and waits
 // for the batcher to commit it. A full queue sheds immediately; a server
 // mid-drain rejects; a deadline that expires while queued cancels before
-// any op runs (the batcher re-checks ctx at pickup).
-func (s *Server) executeWrite(ctx context.Context, req *Request) *Response {
+// any op runs (the batcher re-checks ctx at pickup). Only writes carry the
+// request's deadline as a context: reads run inline and never consult one.
+func (s *Server) executeWrite(req *Request) *Response {
 	ops, err := toCoreOps(req)
 	if err != nil {
 		return &Response{Seq: req.Seq, Status: StatusBadRequest, Msg: err.Error()}
+	}
+	ctx := context.Background()
+	if req.DeadlineMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+		defer cancel()
 	}
 	wr := &writeReq{
 		ops:      ops,

@@ -123,20 +123,36 @@ func (l *Labeler) readNode(blk pager.BlockID) (*node, error) {
 	return l.decodeNode(blk, buf)
 }
 
+// header decodes and validates the fixed header of a raw block image. Both
+// decoders go through it — decodeNode, which materialises the node, and the
+// in-place lookups of view.go — so they reject the same blocks with the
+// same errors.
+func (l *Labeler) header(blk pager.BlockID, buf []byte) (count int, level uint16, lo uint64, err error) {
+	count = int(binary.LittleEndian.Uint16(buf[1:3]))
+	level = binary.LittleEndian.Uint16(buf[3:5])
+	lo = binary.LittleEndian.Uint64(buf[8:16])
+	switch typ := buf[0]; {
+	case typ == nodeTypeLeaf && level != 0:
+		err = fmt.Errorf("wbox: leaf block %d at level %d", blk, level)
+	case typ == nodeTypeLeaf && count > l.p.LeafCap:
+		err = fmt.Errorf("wbox: leaf block %d holds %d records, cap %d", blk, count, l.p.LeafCap)
+	case typ == nodeTypeInternal && level == 0:
+		err = fmt.Errorf("wbox: internal block %d at level 0", blk)
+	case typ == nodeTypeInternal && count > l.p.B:
+		err = fmt.Errorf("wbox: internal block %d holds %d entries, fan-out %d", blk, count, l.p.B)
+	case typ != nodeTypeLeaf && typ != nodeTypeInternal:
+		err = fmt.Errorf("wbox: block %d has unknown node type %d", blk, typ)
+	}
+	return count, level, lo, err
+}
+
 func (l *Labeler) decodeNode(blk pager.BlockID, buf []byte) (*node, error) {
-	typ := buf[0]
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	level := binary.LittleEndian.Uint16(buf[3:5])
-	lo := binary.LittleEndian.Uint64(buf[8:16])
+	count, level, lo, err := l.header(blk, buf)
+	if err != nil {
+		return nil, err
+	}
 	n := &node{blk: blk, level: level, lo: lo}
-	switch typ {
-	case nodeTypeLeaf:
-		if level != 0 {
-			return nil, fmt.Errorf("wbox: leaf block %d at level %d", blk, level)
-		}
-		if count > l.p.LeafCap {
-			return nil, fmt.Errorf("wbox: leaf block %d holds %d records, cap %d", blk, count, l.p.LeafCap)
-		}
+	if level == 0 {
 		n.recs = make([]record, count)
 		off := nodeHeaderSize
 		for i := 0; i < count; i++ {
@@ -152,13 +168,7 @@ func (l *Labeler) decodeNode(blk pager.BlockID, buf []byte) (*node, error) {
 			}
 			off += l.p.recSize
 		}
-	case nodeTypeInternal:
-		if level == 0 {
-			return nil, fmt.Errorf("wbox: internal block %d at level 0", blk)
-		}
-		if count > l.p.B {
-			return nil, fmt.Errorf("wbox: internal block %d holds %d entries, fan-out %d", blk, count, l.p.B)
-		}
+	} else {
 		n.ents = make([]entry, count)
 		off := nodeHeaderSize
 		for i := 0; i < count; i++ {
@@ -169,8 +179,6 @@ func (l *Labeler) decodeNode(blk pager.BlockID, buf []byte) (*node, error) {
 			e.slot = binary.LittleEndian.Uint16(buf[off+24 : off+26])
 			off += intEntrySize
 		}
-	default:
-		return nil, fmt.Errorf("wbox: block %d has unknown node type %d", blk, typ)
 	}
 	return n, nil
 }

@@ -116,7 +116,7 @@ func TestQuickLeafRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, v := range lids {
-			r := record{lid: order.LID(v)}
+			r := record{lid: order.LID(v), deleted: v%5 == 0}
 			if i < len(flags) && flags[i] {
 				r.isStart = true
 				r.partnerBlk = pager.BlockID(v + 1)
@@ -131,6 +131,29 @@ func TestQuickLeafRoundTrip(t *testing.T) {
 		got, err := l.readNode(n.blk)
 		if err != nil {
 			return false
+		}
+		// The in-place scan finds what findRec finds on the decoded node:
+		// same index for every stored LID (the first match), a tombstone
+		// and a stranger rejected alike.
+		raw, err := l.store.Read(n.blk)
+		if err != nil {
+			return false
+		}
+		for _, r := range append(n.recs, record{lid: 1<<63 + 1}) {
+			want := got.findRec(r.lid)
+			lo, idx, err := l.scanLeaf(n.blk, raw, r.lid)
+			switch {
+			case want < 0:
+				if !sameErr(err, errRecordMissing(r.lid, n.blk)) {
+					return false
+				}
+			case got.recs[want].deleted:
+				if err != order.ErrUnknownLID {
+					return false
+				}
+			case err != nil || idx != want || lo != got.lo:
+				return false
+			}
 		}
 		if len(n.recs) == 0 {
 			return len(got.recs) == 0

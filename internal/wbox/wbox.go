@@ -1,6 +1,7 @@
 package wbox
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -135,7 +136,7 @@ func (l *Labeler) leafOf(lid order.LID) (*node, int, error) {
 	}
 	idx := leaf.findRec(lid)
 	if idx < 0 {
-		return nil, 0, fmt.Errorf("wbox: LIDF points lid %d at block %d, record missing", lid, leaf.blk)
+		return nil, 0, errRecordMissing(lid, leaf.blk)
 	}
 	if leaf.recs[idx].deleted {
 		return nil, 0, order.ErrUnknownLID
@@ -147,11 +148,12 @@ func (l *Labeler) leafOf(lid order.LID) (*node, int, error) {
 func (l *Labeler) Lookup(lid order.LID) (_ order.Label, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
-	leaf, idx, err := l.leafOf(lid)
+	leaf, lo, idx, err := l.viewLeafOf(lid)
 	if err != nil {
 		return 0, err
 	}
-	return leaf.lo + uint64(idx), nil
+	l.store.Release(leaf)
+	return lo + uint64(idx), nil
 }
 
 // LookupPair returns both labels of the element whose start label is
@@ -161,19 +163,27 @@ func (l *Labeler) Lookup(lid order.LID) (_ order.Label, err error) {
 func (l *Labeler) LookupPair(startLID, endLID order.LID) (start, end order.Label, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
-	leaf, idx, err := l.leafOf(startLID)
+	leaf, lo, idx, err := l.viewLeafOf(startLID)
 	if err != nil {
 		return 0, 0, err
 	}
-	start = leaf.lo + uint64(idx)
-	if l.p.Variant == PairOptimized && leaf.recs[idx].isStart && leaf.recs[idx].partnerBlk != pager.NilBlock {
-		return start, leaf.recs[idx].endCopy, nil
+	start = lo + uint64(idx)
+	paired := false
+	if l.p.Variant == PairOptimized {
+		rec := leaf[nodeHeaderSize+idx*l.p.recSize:]
+		paired = rec[8]&flagIsStart != 0 && binary.LittleEndian.Uint64(rec[9:17]) != uint64(pager.NilBlock)
+		end = binary.LittleEndian.Uint64(rec[25:33])
 	}
-	leafE, idxE, err := l.leafOf(endLID)
+	l.store.Release(leaf)
+	if paired {
+		return start, end, nil
+	}
+	leaf, lo, idx, err = l.viewLeafOf(endLID)
 	if err != nil {
 		return 0, 0, err
 	}
-	return start, leafE.lo + uint64(idxE), nil
+	l.store.Release(leaf)
+	return start, lo + uint64(idx), nil
 }
 
 // descend walks from the root to the leaf whose range contains label,
@@ -416,26 +426,25 @@ func (l *Labeler) OrdinalLookup(lid order.LID) (_ uint64, err error) {
 	}
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
-	leaf, idx, err := l.leafOf(lid)
+	leaf, lo, idx, err := l.viewLeafOf(lid)
 	if err != nil {
 		return 0, err
 	}
-	label := leaf.lo + uint64(idx)
-	path, taken, err := l.descend(label)
-	if err != nil {
-		return 0, err
-	}
+	l.store.Release(leaf)
+	label := lo + uint64(idx)
 	var ord uint64
-	for i, n := range path[:len(path)-1] {
-		for j := 0; j < taken[i]; j++ {
-			ord += n.ents[j].size
+	for blk, done := l.root, false; !done; {
+		buf, err := l.store.View(blk)
+		if err != nil {
+			return 0, err
 		}
-	}
-	tail := path[len(path)-1]
-	for j := 0; j < idx; j++ {
-		if !tail.recs[j].deleted {
-			ord++
+		var left uint64
+		left, blk, done, err = l.ordinalStep(blk, buf, label, idx)
+		l.store.Release(buf)
+		if err != nil {
+			return 0, err
 		}
+		ord += left
 	}
 	return ord, nil
 }

@@ -16,6 +16,10 @@ import (
 	"boxes/internal/xmlgen"
 )
 
+// Frame poisoning is on for every test of this package: a reader that uses
+// a borrowed frame after releasing it sees garbage, deterministically.
+func init() { pager.HookPoisonFrames = true }
+
 // syncDoc adapts a core.SyncStore to workload.View for the single writer
 // goroutine: elems is writer-private state (never shared), and every label
 // read goes through the store's read lock.
@@ -91,10 +95,18 @@ func (d *syncDoc) apply(op workload.Op) error {
 // order.ErrUnknownLID (or ErrLabelOverflow from a tombstoned label slot),
 // and a live element's Compare(start, end) must report start < end no
 // matter how the labels are being rewritten underneath.
+//
+// The lru-on run repeats it with the pager's LRU enabled: reader views are
+// then the cache's resident frames, which every writer flush replaces.
 func TestSyncStoreZipfReadersVsChurnWriter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency soak is not short")
 	}
+	t.Run("lru-off", func(t *testing.T) { zipfReadersVsChurnWriter(t, 0) })
+	t.Run("lru-on", func(t *testing.T) { zipfReadersVsChurnWriter(t, 8) })
+}
+
+func zipfReadersVsChurnWriter(t *testing.T, cacheBlocks int) {
 	path := filepath.Join(t.TempDir(), "zoo.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
 	if err != nil {
@@ -102,7 +114,7 @@ func TestSyncStoreZipfReadersVsChurnWriter(t *testing.T) {
 	}
 	base, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
-		Backend: fb, Durable: true,
+		Backend: fb, Durable: true, CacheBlocks: cacheBlocks,
 		Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {
@@ -215,7 +227,7 @@ func TestSyncStoreZipfReadersVsChurnWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fb2.Close()
-	re, err := core.OpenExisting(fb2, core.Options{Durable: true, Durability: &pager.Durability{Every: 8}})
+	re, err := core.OpenExisting(fb2, core.Options{Durable: true, CacheBlocks: cacheBlocks, Durability: &pager.Durability{Every: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
