@@ -115,8 +115,9 @@ func main() {
 	fmt.Printf("serving : %s  store=%s  scheme=%s  labels=%d\n",
 		l.Addr(), *storePath, store.Scheme(), store.Count())
 	if recovered {
-		ws := fb.WALStats()
-		fmt.Printf("wal     : recovered store; log at %d bytes\n", ws.SizeBytes)
+		ri := fb.RecoveryInfo()
+		fmt.Printf("wal     : recovered store; %d transactions (%d block images) replayed from the log, %d tail bytes discarded; log at %d bytes\n",
+			ri.ReplayedTxns, ri.ReplayedFrames, ri.DiscardedBytes, fb.WALStats().SizeBytes)
 	}
 
 	done := make(chan error, 1)

@@ -27,11 +27,13 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"boxes/internal/obs"
+	"boxes/internal/pager"
 )
 
 // Alternate-screen control sequences (xterm/DEC private modes): 1049h/l
@@ -169,6 +171,7 @@ var gaugePrefixes = []string{
 	"pager_wal_syncs_per_commit",
 	"pager_wal_group_size",
 	"pager_wal_size_bytes",
+	"pager_checkpoints_total",
 	"pager_gc_queue_depth",
 	"pager_gc_overlay_blocks",
 	"serve_queue_depth",
@@ -246,6 +249,12 @@ func render(w io.Writer, target string, d obs.SpansDebug, gauges []string, hd *o
 		fmt.Fprintln(w, "\ndurability:")
 		sort.Strings(gauges)
 		for _, g := range gauges {
+			if v, ok := strings.CutPrefix(g, "pager_wal_size_bytes "); ok {
+				if size, err := strconv.ParseFloat(v, 64); err == nil {
+					g += fmt.Sprintf("  (%.0f%% of the %d-byte checkpoint bound)",
+						100*size/pager.WALCheckpointBytes, pager.WALCheckpointBytes)
+				}
+			}
 			fmt.Fprintf(w, "  %s\n", g)
 		}
 	}

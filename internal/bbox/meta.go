@@ -11,16 +11,15 @@ import (
 // MarshalMeta serializes the B-BOX's root pointer, height, count, and LIDF
 // bookkeeping so the structure can be reopened over a persistent backend.
 func (l *Labeler) MarshalMeta() []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, boolByte(l.p.Ordinal))
-	binary.Write(&buf, binary.LittleEndian, boolByte(l.p.Relaxed))
-	binary.Write(&buf, binary.LittleEndian, uint64(l.root))
-	binary.Write(&buf, binary.LittleEndian, uint32(l.height))
-	binary.Write(&buf, binary.LittleEndian, l.count)
+	le := binary.LittleEndian
 	lm := l.file.MarshalMeta()
-	binary.Write(&buf, binary.LittleEndian, uint32(len(lm)))
-	buf.Write(lm)
-	return buf.Bytes()
+	buf := make([]byte, 0, 26+len(lm))
+	buf = append(buf, boolByte(l.p.Ordinal), boolByte(l.p.Relaxed))
+	buf = le.AppendUint64(buf, uint64(l.root))
+	buf = le.AppendUint32(buf, uint32(l.height))
+	buf = le.AppendUint64(buf, l.count)
+	buf = le.AppendUint32(buf, uint32(len(lm)))
+	return append(buf, lm...)
 }
 
 // RestoreMeta restores state saved by MarshalMeta into a freshly created

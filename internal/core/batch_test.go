@@ -35,7 +35,7 @@ func openDurableBatch(t *testing.T, dur *pager.Durability) (*Store, *pager.FileB
 
 // TestApplyBatchOneTransaction verifies the point of the batch API: N
 // mutations commit as ONE WAL transaction — one commit record, one
-// durability point — instead of N.
+// durability point, and no other fsync or in-place write — instead of N.
 func TestApplyBatchOneTransaction(t *testing.T) {
 	st, fb, root := openDurableBatch(t, nil)
 	defer fb.Close()
@@ -64,6 +64,9 @@ func TestApplyBatchOneTransaction(t *testing.T) {
 	}
 	if got := after.Syncs - before.Syncs; got != 1 {
 		t.Fatalf("batch of %d ops used %d WAL fsyncs, want 1", len(ops), got)
+	}
+	if after.DataSyncs != before.DataSyncs || after.HeaderWrites != before.HeaderWrites || after.DataBytes != before.DataBytes {
+		t.Fatalf("the batch's commit touched the data file (a checkpoint's job): before %+v, after %+v", before, after)
 	}
 	if got, want := st.Count(), uint64(2*5); got != want {
 		t.Fatalf("count = %d, want %d", got, want)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"boxes/internal/bbox"
@@ -117,5 +119,68 @@ func TestOpenExistingBlockSizeMismatch(t *testing.T) {
 	}
 	if st2.Count() != 100 {
 		t.Fatalf("count = %d", st2.Count())
+	}
+}
+
+// metaBlobGolden pins the SHA-256 of the saved metadata blob of a loaded
+// and then edited store of each scheme, as the binary.Write-per-field
+// encoders this package and lidf/wbox/bbox/naive used to have produced it
+// (recorded at the commit before they were replaced): the append-based
+// encoders must render the same bytes.
+var metaBlobGolden = map[string]string{
+	"wbox":    "aa4dc940b169b3ee2eda069ef97a5fba17174438f0f2c09c37f3a35d5d86856e",
+	"wbox-o":  "22f2f9bb816fc696e5e3ad70eb177ce3611f35cfd235a9b731e4d6c93bbcd6b0",
+	"bbox":    "fd3099fb653f1b791ba655f731449f772c31722c3cb62df9047330388ca83695",
+	"bbox-o":  "82066d3026de517602fa5ff5298614c074cd561be51bffc3fd18c1ec287cf52d",
+	"naive-8": "51b29d791145972f9569c740f5a2311ebaee4dd7b77a15a63f766b059056ab0f",
+}
+
+func TestMetaBlobGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"wbox", Options{Scheme: SchemeWBox}},
+		{"wbox-o", Options{Scheme: SchemeWBoxO, Ordinal: true}},
+		{"bbox", Options{Scheme: SchemeBBox}},
+		{"bbox-o", Options{Scheme: SchemeBBox, Ordinal: true}},
+		{"naive-8", Options{Scheme: SchemeNaive, NaiveK: 8}},
+	} {
+		backend := pager.NewMemBackend(512)
+		c.opts.BlockSize, c.opts.Backend = 512, backend
+		st, err := Open(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := st.Load(xmlgen.TwoLevel(400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60; i++ {
+			e, err := st.InsertElementBefore(doc.Elems[(i*37)%len(doc.Elems)].End)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%6 == 0 {
+				if err := st.DeleteElement(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := st.Save(); err != nil {
+			t.Fatal(err)
+		}
+		root, err := backend.MetaRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := pager.NewStore(backend).ReadBlob(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != metaBlobGolden[c.name] {
+			t.Errorf("%s: %d-byte meta blob hashes to %s, golden %s", c.name, len(blob), got, metaBlobGolden[c.name])
+		}
 	}
 }

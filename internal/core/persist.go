@@ -70,15 +70,15 @@ func (s *Store) persistMeta() error {
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	buf.Write(metaMagic[:])
-	binary.Write(&buf, binary.LittleEndian, uint8(s.opts.Scheme))
-	binary.Write(&buf, binary.LittleEndian, uint32(s.opts.BlockSize))
-	binary.Write(&buf, binary.LittleEndian, b2u8(s.opts.Ordinal))
-	binary.Write(&buf, binary.LittleEndian, b2u8(s.opts.RelaxedFanout))
-	binary.Write(&buf, binary.LittleEndian, uint32(s.opts.NaiveK))
-	buf.Write(mm.MarshalMeta())
-	head, err := s.store.WriteBlob(buf.Bytes())
+	meta := mm.MarshalMeta()
+	buf := make([]byte, 0, len(metaMagic)+11+len(meta))
+	buf = append(buf, metaMagic[:]...)
+	buf = append(buf, uint8(s.opts.Scheme))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.opts.BlockSize))
+	buf = append(buf, b2u8(s.opts.Ordinal), b2u8(s.opts.RelaxedFanout))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.opts.NaiveK))
+	buf = append(buf, meta...)
+	head, err := s.store.WriteBlob(buf)
 	if err != nil {
 		return err
 	}

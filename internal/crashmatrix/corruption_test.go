@@ -168,20 +168,21 @@ func TestCorruptionWALTail(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := fb.CommitBatch(); !errors.Is(err, pager.ErrCrashed) {
-			t.Fatalf("commit survived the cut: %v", err)
+		// Write points: frame, frame, commit record — the commit — then the
+		// in-place applies of the checkpoint Close runs.
+		if err := fb.CommitBatch(); (err == nil) != (crashAt > 3) || (err != nil && !errors.Is(err, pager.ErrCrashed)) {
+			t.Fatalf("commit under a cut at write point %d returned %v", crashAt, err)
 		}
+		fb.Close()
 		if !ctrl.Crashed() {
 			t.Fatalf("controller never fired (crashAt=%d, writes=%d)", crashAt, ctrl.Writes())
 		}
-		fb.Close()
 		return path
 	}
 
 	t.Run("committed-frame", func(t *testing.T) {
-		// Write points in CommitBatch: frame, frame, commit record, then
-		// the in-place applies. Crashing at point 4 leaves a fully
-		// committed transaction in the WAL with nothing applied.
+		// Crashing at point 4 leaves a fully committed transaction in the
+		// WAL with nothing applied.
 		path := setup(t, 4)
 		flipByte(t, path+".wal", walHeader+9+50, 0x01) // payload of frame 1
 		_, err := pager.OpenFile(path)

@@ -56,17 +56,18 @@ func matrix() []schemeConfig {
 }
 
 // pinnedPoints is the number of raw write points each sweep's golden run
-// performs, per scheme — and, for the double-crash sweep, the total number
+// performs — its log appends, its mid-script checkpoint, and the checkpoint
+// and log truncation of its Close — per scheme — and, for the double-crash sweep, the total number
 // of redo cuts those points fan out into. The sweeps discover their range
 // dynamically, so a protocol change that added, dropped or merged a write
 // point would otherwise pass by re-discovering a different range; the
 // literal table makes the raw write order part of the contract.
 var pinnedPoints = map[string]map[string]int{
-	"matrix":      {"wbox": 72, "wbox-o": 105, "bbox": 72, "bbox-o": 72, "naive-8": 54},
-	"group":       {"wbox": 48, "wbox-o": 75, "bbox": 48, "bbox-o": 48, "naive-8": 36},
-	"zoo/churn":   {"wbox": 72, "wbox-o": 96, "bbox": 72, "bbox-o": 72, "naive-8": 54},
-	"zoo/bisect":  {"wbox": 72, "wbox-o": 96, "bbox": 72, "bbox-o": 72, "naive-8": 54},
-	"double/redo": {"wbox": 804, "wbox-o": 1698, "bbox": 804, "bbox-o": 804, "naive-8": 456},
+	"matrix":      {"wbox": 41, "wbox-o": 60, "bbox": 41, "bbox-o": 41, "naive-8": 31},
+	"group":       {"wbox": 33, "wbox-o": 52, "bbox": 33, "bbox-o": 33, "naive-8": 25},
+	"zoo/churn":   {"wbox": 41, "wbox-o": 57, "bbox": 41, "bbox-o": 41, "naive-8": 31},
+	"zoo/bisect":  {"wbox": 41, "wbox-o": 57, "bbox": 41, "bbox-o": 41, "naive-8": 31},
+	"double/redo": {"wbox": 1088, "wbox-o": 2396, "bbox": 1088, "bbox-o": 1088, "naive-8": 600},
 }
 
 // checkPinned fails the sweep when its discovered count left the table.
@@ -181,6 +182,29 @@ func scriptOp(w *world, j int) error {
 	return nil
 }
 
+// runScript runs the n ops of a scripted workload, checkpointing (Sync)
+// halfway, and reports how many ops completed before the first error. With
+// the checkpoint in the script — and the sweeps counting write points
+// through Close, which checkpoints again and truncates the log — every
+// sweep built on it cuts not only the log appends but every write of a
+// checkpoint's apply, its header write and its log reset, and the appends
+// that then overwrite the reused log in place. A cut inside a checkpoint
+// leaves done at the acknowledged ops, which recovery must return exactly.
+func runScript(fb *pager.FileBackend, n int, op func(j int) error) (done int, err error) {
+	for j := 0; j < n; j++ {
+		if err := op(j); err != nil {
+			return done, err
+		}
+		done++
+		if done == n/2 {
+			if err := fb.Sync(); err != nil {
+				return done, err
+			}
+		}
+	}
+	return done, nil
+}
+
 // copyStore clones the data file and its WAL/checksum companions.
 func copyStore(t *testing.T, from, to string) {
 	t.Helper()
@@ -215,17 +239,17 @@ func goldenRun(t *testing.T, path string, cfg schemeConfig, baseLIDs []order.LID
 	}
 	w := rebuildWorld(st, baseLIDs, baseElems)
 	snapshots = append(snapshots, append([]order.LID(nil), w.oracle.LIDs()...))
-	for j := 0; j < scriptOps; j++ {
-		if err := scriptOp(w, j); err != nil {
-			t.Fatalf("golden op %d: %v", j, err)
-		}
+	if done, err := runScript(fb, scriptOps, func(j int) error {
+		err := scriptOp(w, j)
 		snapshots = append(snapshots, append([]order.LID(nil), w.oracle.LIDs()...))
+		return err
+	}); err != nil {
+		t.Fatalf("golden run after op %d: %v", done, err)
 	}
-	writePoints = ctrl.Writes()
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return snapshots, writePoints
+	return snapshots, ctrl.Writes()
 }
 
 // checkRecovered opens the crashed file through normal recovery and
@@ -293,7 +317,8 @@ func checkRecovered(t *testing.T, path string, cfg schemeConfig, snapshots [][]o
 }
 
 // TestCrashMatrix is the full sweep: every scheme, every write point of
-// the scripted workload, full cuts and torn writes.
+// the scripted workload, its mid-script checkpoint and its Close, full cuts
+// and torn writes.
 func TestCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix sweep is not short")
@@ -327,23 +352,13 @@ func TestCrashMatrix(t *testing.T) {
 						t.Fatalf("%s: OpenExisting: %v", tag, err)
 					}
 					w := rebuildWorld(st, baseLIDs, baseElems)
-					opsDone := 0
-					for j := 0; j < scriptOps; j++ {
-						if err := scriptOp(w, j); err != nil {
-							if !errors.Is(err, pager.ErrCrashed) {
-								t.Fatalf("%s: op %d failed with a non-crash error: %v", tag, j, err)
-							}
-							break
-						}
-						opsDone++
+					opsDone, err := runScript(fb, scriptOps, func(j int) error { return scriptOp(w, j) })
+					if err != nil && !errors.Is(err, pager.ErrCrashed) {
+						t.Fatalf("%s: script failed after op %d with a non-crash error: %v", tag, opsDone, err)
 					}
 					fb.Close() // errors expected after a cut; descriptors still close
 					if !ctrl.Crashed() {
-						if opsDone != scriptOps {
-							t.Fatalf("%s: no crash but only %d ops", tag, opsDone)
-						}
-						// Point beyond the workload's writes (Close syncs fewer
-						// times than the golden run): state is simply final.
+						t.Fatalf("%s: the cut never fired (%d ops done)", tag, opsDone)
 					}
 					checkRecovered(t, crash, cfg, snapshots, opsDone, tag)
 					os.Remove(crash)

@@ -67,23 +67,24 @@ func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems [
 	}
 	w := rebuildWorld(st, baseLIDs, baseElems)
 	snapshots = append(snapshots, append([]order.LID(nil), w.oracle.LIDs()...))
-	for j := 0; j < batchScriptOps; j++ {
-		if err := batchScriptOp(w, j); err != nil {
-			t.Fatalf("golden batch %d: %v", j, err)
-		}
+	if done, err := runScript(fb, batchScriptOps, func(j int) error {
+		err := batchScriptOp(w, j)
 		snapshots = append(snapshots, append([]order.LID(nil), w.oracle.LIDs()...))
+		return err
+	}); err != nil {
+		t.Fatalf("golden run after batch %d: %v", done, err)
 	}
-	writePoints = ctrl.Writes()
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return snapshots, writePoints
+	return snapshots, ctrl.Writes()
 }
 
 // TestCrashMatrixGroupCommit extends the crash matrix to ApplyBatch under
 // WAL group commit: every scheme, a scripted workload of multi-op batches,
-// power cut at every write point of the committer goroutine, full cuts and
-// torn half-writes. The recovered store must sit at an exact BATCH
+// power cut at every write point of the committer goroutine — and of the
+// checkpoints the writer runs once it has drained, mid-script and at Close
+// — full cuts and torn half-writes. The recovered store must sit at an exact BATCH
 // boundary — all completed batches plus possibly the in-flight one if its
 // commit record was durable — never at a partial batch: a batch's
 // mutations share one WAL transaction, so recovery replays all of it or
@@ -121,19 +122,13 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 						t.Fatalf("%s: OpenExisting: %v", tag, err)
 					}
 					w := rebuildWorld(st, baseLIDs, baseElems)
-					opsDone := 0
-					for j := 0; j < batchScriptOps; j++ {
-						if err := batchScriptOp(w, j); err != nil {
-							if !errors.Is(err, pager.ErrCrashed) {
-								t.Fatalf("%s: batch %d failed with a non-crash error: %v", tag, j, err)
-							}
-							break
-						}
-						opsDone++
+					opsDone, err := runScript(fb, batchScriptOps, func(j int) error { return batchScriptOp(w, j) })
+					if err != nil && !errors.Is(err, pager.ErrCrashed) {
+						t.Fatalf("%s: script failed after batch %d with a non-crash error: %v", tag, opsDone, err)
 					}
 					fb.Close() // errors expected after a cut; descriptors still close
-					if !ctrl.Crashed() && opsDone != batchScriptOps {
-						t.Fatalf("%s: no crash but only %d batches", tag, opsDone)
+					if !ctrl.Crashed() {
+						t.Fatalf("%s: the cut never fired (%d batches done)", tag, opsDone)
 					}
 					checkRecovered(t, crash, cfg, snapshots, opsDone, tag)
 					os.Remove(crash)

@@ -13,14 +13,15 @@ import (
 )
 
 // TestNoSpaceMatrix fails exactly one raw write with ENOSPC at every
-// write point of the scripted workload and checks the full-disk contract
-// (DESIGN.md §13): if the device filled before the commit record became
-// durable, the operation aborts cleanly to the pre-op state — the store
-// is NOT read-only degraded, and retrying the op once space returns
+// write point of the scripted workload — its log appends, its mid-script
+// checkpoint and its Close — and checks the full-disk contract (DESIGN.md
+// §13): if the device filled during a log append, before the commit record
+// became durable, the operation aborts cleanly to the pre-op state — the
+// store is NOT read-only degraded, and retrying the op once space returns
 // succeeds, ending in the exact golden final state. If the device filled
-// after the durability point, the commit path is poisoned and a reopen
-// recovers the transaction from the WAL. Either way the file stays
-// fsck-clean.
+// inside a checkpoint, after every durability point, the backend is
+// poisoned and a reopen recovers every acknowledged transaction from the
+// WAL. Either way the file stays fsck-clean.
 func TestNoSpaceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ENOSPC sweep is not short")
@@ -60,7 +61,25 @@ func TestNoSpaceMatrix(t *testing.T) {
 
 				opsDone := 0
 				poisoned := false
-				for j := 0; j < scriptOps; j++ {
+				// checkpoint mirrors the golden run's mid-script Sync and the
+				// checkpoint its Close ran, so the write points line up. A full
+				// device inside one is past every durability point: typed, and
+				// the backend poisoned.
+				checkpoint := func() {
+					if err := fb.Sync(); err != nil {
+						if !errors.Is(err, pager.ErrNoSpace) || fb.Poisoned() == nil {
+							t.Fatalf("%s: ENOSPC inside a checkpoint surfaced as %v (poison: %v)", tag, err, fb.Poisoned())
+						}
+						poisoned = true
+						poisons++
+					}
+				}
+				for j := 0; j < scriptOps && !poisoned; j++ {
+					if j == scriptOps/2 {
+						if checkpoint(); poisoned {
+							break
+						}
+					}
 					err := scriptOp(w, j)
 					if err == nil {
 						opsDone++
@@ -70,15 +89,10 @@ func TestNoSpaceMatrix(t *testing.T) {
 						t.Fatalf("%s: op %d failed with a non-ENOSPC error: %v", tag, j, err)
 					}
 					if fb.Poisoned() != nil {
-						// The device filled after the commit record was
-						// durable: the backend refuses further commits and
-						// the reopen below must recover the transaction.
-						if !st.Degraded() {
-							t.Fatalf("%s: poisoned backend but store not degraded", tag)
-						}
-						poisoned = true
-						poisons++
-						break
+						// Only a commit that itself ran a checkpoint can fill
+						// the device after its own durability point; the
+						// scripted log never grows that far.
+						t.Fatalf("%s: op %d poisoned the backend: %v", tag, j, err)
 					}
 					// Clean abort: the one full write must not latch
 					// read-only mode, and the op must succeed when retried
@@ -94,6 +108,9 @@ func TestNoSpaceMatrix(t *testing.T) {
 					}
 					aborts++
 					opsDone++
+				}
+				if !poisoned {
+					checkpoint()
 				}
 
 				if poisoned {

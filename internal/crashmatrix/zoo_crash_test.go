@@ -122,6 +122,18 @@ func (z *zooWorld) apply(op workload.Op) error {
 
 const zooOps = 6
 
+// next draws the source's next op and applies it.
+func (z *zooWorld) next(src workload.Source) error {
+	op, err := src.Next(z)
+	if err != nil {
+		return err
+	}
+	if err := z.apply(op); err != nil {
+		return fmt.Errorf("%s op (%s @%d): %w", src.Name(), op.Kind, op.Pos, err)
+	}
+	return nil
+}
+
 // zooSource is one workload column of the sweep. Constructors, not
 // values: every golden and crashed run needs a fresh source replaying the
 // same decisions.
@@ -159,21 +171,17 @@ func zooGoldenRun(t *testing.T, path string, src workload.Source, baseLIDs []ord
 		t.Fatal(err)
 	}
 	snapshots = append(snapshots, append([]order.LID(nil), z.w.oracle.LIDs()...))
-	for j := 0; j < zooOps; j++ {
-		op, err := src.Next(z)
-		if err != nil {
-			t.Fatalf("golden %s op %d: %v", src.Name(), j, err)
-		}
-		if err := z.apply(op); err != nil {
-			t.Fatalf("golden %s op %d (%s @%d): %v", src.Name(), j, op.Kind, op.Pos, err)
-		}
+	if done, err := runScript(fb, zooOps, func(int) error {
+		err := z.next(src)
 		snapshots = append(snapshots, append([]order.LID(nil), z.w.oracle.LIDs()...))
+		return err
+	}); err != nil {
+		t.Fatalf("golden %s run after op %d: %v", src.Name(), done, err)
 	}
-	writePoints = ctrl.Writes()
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return snapshots, writePoints
+	return snapshots, ctrl.Writes()
 }
 
 // TestZooCrashSweep cuts power at every raw write point of the churn and
@@ -218,23 +226,13 @@ func TestZooCrashSweep(t *testing.T) {
 							t.Fatalf("%s: %v", tag, err)
 						}
 						src := zs.mk()
-						opsDone := 0
-						for j := 0; j < zooOps; j++ {
-							op, err := src.Next(z)
-							if err == nil {
-								err = z.apply(op)
-							}
-							if err != nil {
-								if !errors.Is(err, pager.ErrCrashed) {
-									t.Fatalf("%s: op %d failed with a non-crash error: %v", tag, j, err)
-								}
-								break
-							}
-							opsDone++
+						opsDone, err := runScript(fb, zooOps, func(int) error { return z.next(src) })
+						if err != nil && !errors.Is(err, pager.ErrCrashed) {
+							t.Fatalf("%s: script failed after op %d with a non-crash error: %v", tag, opsDone, err)
 						}
 						fb.Close() // errors expected after a cut
-						if !ctrl.Crashed() && opsDone != zooOps {
-							t.Fatalf("%s: no crash but only %d ops", tag, opsDone)
+						if !ctrl.Crashed() {
+							t.Fatalf("%s: the cut never fired (%d ops done)", tag, opsDone)
 						}
 						checkRecovered(t, crash, cfg, snapshots, opsDone, tag)
 						os.Remove(crash)

@@ -13,16 +13,17 @@ import (
 // head, allocation cursor) so the LIDF can be reopened over a persistent
 // backend.
 func (f *File) MarshalMeta() []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, uint32(f.payloadSize))
-	binary.Write(&buf, binary.LittleEndian, uint64(f.next))
-	binary.Write(&buf, binary.LittleEndian, uint64(f.freeHead))
-	binary.Write(&buf, binary.LittleEndian, f.count)
-	binary.Write(&buf, binary.LittleEndian, uint32(len(f.extents)))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 32+8*len(f.extents))
+	buf = le.AppendUint32(buf, uint32(f.payloadSize))
+	buf = le.AppendUint64(buf, uint64(f.next))
+	buf = le.AppendUint64(buf, uint64(f.freeHead))
+	buf = le.AppendUint64(buf, f.count)
+	buf = le.AppendUint32(buf, uint32(len(f.extents)))
 	for _, blk := range f.extents {
-		binary.Write(&buf, binary.LittleEndian, uint64(blk))
+		buf = le.AppendUint64(buf, uint64(blk))
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // RestoreMeta restores bookkeeping saved by MarshalMeta into a freshly

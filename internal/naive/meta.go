@@ -12,18 +12,19 @@ import (
 // bookkeeping, and the in-memory document-order directory (as the LID
 // sequence in document order).
 func (l *Labeler) MarshalMeta() []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, uint32(l.cfg.K))
-	binary.Write(&buf, binary.LittleEndian, uint32(l.cfg.CapacityBits))
-	binary.Write(&buf, binary.LittleEndian, l.relabels)
+	le := binary.LittleEndian
 	lm := l.file.MarshalMeta()
-	binary.Write(&buf, binary.LittleEndian, uint32(len(lm)))
-	buf.Write(lm)
-	binary.Write(&buf, binary.LittleEndian, uint64(len(l.dir)))
+	buf := make([]byte, 0, 28+len(lm)+8*len(l.dir))
+	buf = le.AppendUint32(buf, uint32(l.cfg.K))
+	buf = le.AppendUint32(buf, uint32(l.cfg.CapacityBits))
+	buf = le.AppendUint64(buf, l.relabels)
+	buf = le.AppendUint32(buf, uint32(len(lm)))
+	buf = append(buf, lm...)
+	buf = le.AppendUint64(buf, uint64(len(l.dir)))
 	for lid := l.head; lid != order.NilLID; lid = l.dir[lid].next {
-		binary.Write(&buf, binary.LittleEndian, uint64(lid))
+		buf = le.AppendUint64(buf, uint64(lid))
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // RestoreMeta restores state saved by MarshalMeta into a freshly created

@@ -123,6 +123,9 @@ const (
 	// CtrPagerWALGroups counts commit groups flushed by the group-commit
 	// committer (each covers one or more transactions and one WAL fsync).
 	CtrPagerWALGroups
+	// CtrPagerCheckpoints counts checkpoints: the logged images applied in
+	// place, data and sidecar fsynced, the log reset.
+	CtrPagerCheckpoints
 	// CtrPagerChecksumFailures counts blocks whose CRC32-C did not match
 	// their contents on read — detected corruption.
 	CtrPagerChecksumFailures
@@ -216,6 +219,7 @@ var counterNames = [numCounters]string{
 	CtrPagerWALFrames:        "pager_wal_frames_total",
 	CtrPagerWALSyncs:         "pager_wal_syncs_total",
 	CtrPagerWALGroups:        "pager_wal_groups_total",
+	CtrPagerCheckpoints:      "pager_checkpoints_total",
 	CtrPagerChecksumFailures: "pager_checksum_failures_total",
 	CtrReflogHits:            "reflog_cache_hits_total",
 	CtrReflogRepairs:         "reflog_cache_repairs_total",

@@ -60,7 +60,8 @@ const (
 	// write-through writes).
 	PhaseBlockWrite
 	// PhaseWALCommit is the synchronous commit call at EndOp: the inline
-	// three-phase WAL protocol, or just the enqueue under group commit.
+	// WAL append and fsync (plus the checkpoint it may trigger), or just
+	// the enqueue under group commit.
 	PhaseWALCommit
 	// PhaseMetaPersist is the durable-mode metadata blob rewrite.
 	PhaseMetaPersist
@@ -78,8 +79,11 @@ const (
 	PhaseFrameWrite
 	// PhaseFsync is the WAL fsync itself — the durability point ("wal" row).
 	PhaseFsync
-	// PhaseApply is the post-fsync in-place apply, header write, data/crc
-	// syncs and WAL truncate ("wal" row).
+	// PhaseCheckpoint is one whole checkpoint: the apply below plus the
+	// durable in-place reset of the log ("wal" row).
+	PhaseCheckpoint
+	// PhaseApply is a checkpoint's in-place apply of the logged images,
+	// header write and data/crc syncs ("wal" row, inside checkpoint).
 	PhaseApply
 	// PhaseScrubBatch is one scrubber verification batch ("scrub" row).
 	PhaseScrubBatch
@@ -99,6 +103,7 @@ var phaseNames = [numPhases]string{
 	PhaseQueueWait:     "queue_wait",
 	PhaseFrameWrite:    "frame_write",
 	PhaseFsync:         "fsync",
+	PhaseCheckpoint:    "checkpoint",
 	PhaseApply:         "apply",
 	PhaseScrubBatch:    "scrub_batch",
 }

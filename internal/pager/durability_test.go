@@ -22,9 +22,22 @@ const (
 	scriptBlockSize = 128
 	scriptOps       = 10
 	// scriptWritePoints is the number of raw write points the ten scripted
-	// ops perform on an inline-committing backend (see TestCrashPointSweep).
-	scriptWritePoints = 96
+	// ops perform on an inline-committing backend that checkpoints after
+	// every op (see TestCrashPointSweep): 32 log appends (22 frames, 10
+	// commit records), a block write and a checksum entry per frame, and a
+	// header write and a log reset per checkpoint — the count of the
+	// protocol that applied every commit in place and truncated the log.
+	scriptWritePoints = 32 + 22*2 + 10*2
+	// scriptCheckpointWritePoints is the same script checkpointing after ops
+	// 3 and 7 only (see TestCheckpointCrashSweep): each checkpoint writes the
+	// four or five blocks touched since the last one, once.
+	scriptCheckpointWritePoints = 32 + (4*2 + 2) + (5*2 + 2)
 )
+
+// everyOp and afterOps3And7 are the two checkpoint schedules the sweeps run
+// the script under.
+func everyOp(int) bool         { return true }
+func afterOps3And7(i int) bool { return i == 3 || i == 7 }
 
 // powerCut returns a disk controller that cuts power at the at-th raw
 // write point (0 = never: it only counts, which is how a sweep discovers
@@ -116,6 +129,26 @@ func scriptOp(st *Store, i int) error {
 	return st.EndOp()
 }
 
+// scriptRun applies the ten scripted ops, checkpointing after the ops
+// checkpointAfter selects — so the ops that follow overwrite, in place, a
+// log that still holds the frames of an earlier generation — and reports
+// how many ops returned success before the first error, and whether that
+// error came from a checkpoint rather than an op.
+func scriptRun(st *Store, fb *FileBackend, checkpointAfter func(op int) bool) (done int, inCheckpoint bool, err error) {
+	for i := 1; i <= scriptOps; i++ {
+		if err := scriptOp(st, i); err != nil {
+			return done, false, err
+		}
+		done++
+		if checkpointAfter(i) {
+			if err := fb.Sync(); err != nil {
+				return done, true, err
+			}
+		}
+	}
+	return done, false, nil
+}
+
 // scriptState is the externally observable store state after k ops.
 type scriptState struct {
 	counter uint64
@@ -194,7 +227,7 @@ func goldenStates(t *testing.T, dir string) []scriptState {
 
 // countScriptWrites runs the whole script under a counting controller and
 // reports the number of raw write points.
-func countScriptWrites(t *testing.T, dir string) int {
+func countScriptWrites(t *testing.T, dir string, checkpointAfter func(op int) bool) int {
 	t.Helper()
 	path := filepath.Join(dir, "count.box")
 	scriptSetup(t, path, FileOptions{})
@@ -204,10 +237,8 @@ func countScriptWrites(t *testing.T, dir string) int {
 		t.Fatal(err)
 	}
 	st := NewStore(fb)
-	for i := 1; i <= scriptOps; i++ {
-		if err := scriptOp(st, i); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
+	if done, _, err := scriptRun(st, fb, checkpointAfter); err != nil {
+		t.Fatalf("after op %d: %v", done, err)
 	}
 	writes := ctrl.Writes() // before Close, which writes too
 	if err := st.Close(); err != nil {
@@ -216,21 +247,37 @@ func countScriptWrites(t *testing.T, dir string) int {
 	return writes
 }
 
-// TestCrashPointSweep is the pager-level crash matrix: the scripted
-// workload is killed at every raw write point (full cut and torn write),
-// the store is reopened with plain OpenFile, and the recovered state must
-// match the golden state after k or k+1 ops, where k ops returned success
-// before the cut (k+1 when the dying op's commit record was already
-// durable).
+// TestCrashPointSweep is the pager-level crash matrix with a checkpoint
+// after every op — every commit followed by its apply and a log reset, each
+// later commit overwriting the log of the generation before.
 func TestCrashPointSweep(t *testing.T) {
+	crashPointSweep(t, everyOp, scriptWritePoints)
+}
+
+// TestCheckpointCrashSweep is the same matrix with checkpoints after ops 3
+// and 7 only: cuts between commits that nothing has applied yet, inside
+// checkpoints that cover several commits and apply each block once, and in
+// commits that overwrite a longer stale log.
+func TestCheckpointCrashSweep(t *testing.T) {
+	crashPointSweep(t, afterOps3And7, scriptCheckpointWritePoints)
+}
+
+// crashPointSweep kills the scripted workload at every raw write point
+// (full cut and torn write) — log appends over a fresh and over a reused
+// log, every write of a checkpoint's apply, the header write, the log reset
+// — reopens the store with plain OpenFile, and requires the recovered state
+// to match the golden state after k or k+1 ops, where k ops returned
+// success before the cut (k+1 when the dying op's commit record was already
+// durable; a cut inside a checkpoint must recover to exactly k).
+func crashPointSweep(t *testing.T, checkpointAfter func(op int) bool, pinned int) {
 	dir := t.TempDir()
 	golden := goldenStates(t, dir)
-	writes := countScriptWrites(t, dir)
+	writes := countScriptWrites(t, dir, checkpointAfter)
 	// Pinned: the protocol's raw write order is part of its contract, and a
 	// refactor that adds, drops or merges a write point must show up here,
 	// not pass because the sweep re-discovered its own range.
-	if writes != scriptWritePoints {
-		t.Fatalf("script has %d raw write points, want %d", writes, scriptWritePoints)
+	if writes != pinned {
+		t.Fatalf("script has %d raw write points, want %d", writes, pinned)
 	}
 	for _, torn := range []bool{false, true} {
 		for at := 1; at <= writes; at++ {
@@ -247,15 +294,9 @@ func TestCrashPointSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := NewStore(fb)
-				k := 0
-				for i := 1; i <= scriptOps; i++ {
-					if err := scriptOp(st, i); err != nil {
-						if !errors.Is(err, ErrCrashed) {
-							t.Fatalf("op %d failed with %v, want ErrCrashed", i, err)
-						}
-						break
-					}
-					k++
+				k, inCheckpoint, err := scriptRun(st, fb, checkpointAfter)
+				if !errors.Is(err, ErrCrashed) {
+					t.Fatalf("script stopped after op %d with %v, want ErrCrashed", k, err)
 				}
 				if !ctrl.Crashed() {
 					t.Fatalf("controller never fired (crashAt=%d, %d writes)", at, ctrl.Writes())
@@ -268,9 +309,9 @@ func TestCrashPointSweep(t *testing.T) {
 				}
 				defer rec.Close()
 				got := captureState(t, rec)
-				if !statesEqual(got, golden[k]) && !statesEqual(got, golden[k+1]) {
-					t.Fatalf("recovered state (counter=%d) matches neither golden[%d] nor golden[%d]",
-						got.counter, k, k+1)
+				if !statesEqual(got, golden[k]) && (inCheckpoint || !statesEqual(got, golden[k+1])) {
+					t.Fatalf("recovered state (counter=%d) matches neither golden[%d] nor golden[%d] (cut inside a checkpoint: %v)",
+						got.counter, k, k+1, inCheckpoint)
 				}
 				// Every block — live or free — must verify cleanly.
 				for id := BlockID(1); id < rec.Bound(); id++ {
@@ -308,18 +349,20 @@ func TestRecoveryReplaysCommittedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "replay.box")
 	scriptSetup(t, path, FileOptions{})
 
-	// Find the write point where the op's commit record is durable but the
-	// apply has not begun, by crashing right after the WAL fsync: frames for
-	// the op (root + data block) plus a commit record = 3 WAL writes.
+	// The op's commit is durable once its frames (root + data block) and
+	// commit record = 3 WAL writes are fsynced; the cut comes at the first
+	// write of the checkpoint that would have applied it.
 	ctrl := powerCut(4, false) // 3 WAL appends, then die on first apply
 	fb, err := OpenFileOpts(path, FileOptions{DiskControl: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := NewStore(fb)
-	err = scriptOp(st, 1)
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("op survived: %v", err)
+	if err := scriptOp(st, 1); err != nil {
+		t.Fatalf("acknowledged op: %v", err)
+	}
+	if err := fb.Sync(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("checkpoint survived: %v", err)
 	}
 	st.Close()
 
@@ -522,9 +565,10 @@ func TestWALWriteAmplificationBounded(t *testing.T) {
 	if amp <= 1.0 {
 		t.Fatalf("write amplification %.2f <= 1, stats not plausible: %+v", amp, stats)
 	}
-	// Each block is written twice (WAL + in place) plus per-txn commit and
-	// header records; with tiny test blocks the fixed overhead is larger
-	// than it would be at 8 KB, so the bound here is loose.
+	// Each block is written once to the WAL and at most once more in place
+	// at the checkpoint, plus per-txn commit records; with tiny test blocks
+	// the fixed overhead is larger than it would be at 8 KB, so the bound
+	// here is loose.
 	if amp > 4.0 {
 		t.Fatalf("write amplification %.2f > 4, WAL writing too much: %+v", amp, stats)
 	}

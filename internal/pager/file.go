@@ -1,10 +1,12 @@
 package pager
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -70,12 +72,12 @@ type FileOptions struct {
 var ErrNoSpace = faults.ErrNoSpace
 
 // ErrPoisoned is returned by every commit attempted after a commit
-// failed past a point where the durable state became ambiguous or ran
-// ahead of the apply — a failed fsync (the kernel may have dropped the
-// dirty pages: fsyncgate), or a phase-2/3 failure that left a committed
-// transaction unapplied in the WAL. Accepting further commits in either
-// state could truncate a WAL whose images were never applied, silently
-// corrupting the store; instead the backend fails every later commit
+// failed past a point where the durable state became ambiguous — a
+// failed fsync (the kernel may have dropped the dirty pages: fsyncgate),
+// a failed group flush, or a checkpoint that failed partway through its
+// apply or its log reset. Accepting further commits in such a state could
+// reset a WAL whose images were never applied, silently corrupting the
+// store; instead the backend fails every later commit and checkpoint
 // fast and the path must be reopened, which resolves the ambiguity by
 // redoing (or discarding) the WAL tail.
 var ErrPoisoned = errors.New("pager: backend poisoned by a failed commit; reopen to recover from the WAL")
@@ -89,14 +91,15 @@ type WALStats struct {
 	DataBytes     uint64 // bytes applied in place (blocks + headers)
 	LogicalWrites uint64 // WriteBlock calls (the paper's counted writes)
 	HeaderWrites  uint64 // header rewrites
-	Truncations   uint64 // WAL resets after apply
+	Checkpoints   uint64 // applies of the logged images followed by a log reset
 
-	// Syncs counts WAL fsyncs — the durability points. They are counted
-	// even under NoSync so benchmarks measure the fsync *pattern* (one per
-	// transaction when committing synchronously, one per group otherwise)
-	// without paying a CI runner's fsync latency.
+	// Syncs counts WAL fsyncs — the durability points (one per transaction
+	// when committing synchronously, one per group otherwise) plus one per
+	// checkpoint for its log reset. They are counted even under NoSync so
+	// benchmarks measure the fsync *pattern* without paying a CI runner's
+	// fsync latency.
 	Syncs uint64
-	// DataSyncs counts data/sidecar fsyncs after in-place apply.
+	// DataSyncs counts data/sidecar fsyncs: two per checkpoint.
 	DataSyncs uint64
 	// GroupCommits counts commit groups flushed by the group-commit
 	// committer; GroupedTxns sums their sizes, so GroupedTxns/GroupCommits
@@ -104,10 +107,10 @@ type WALStats struct {
 	GroupCommits uint64
 	GroupedTxns  uint64
 
-	// SizeBytes is the current WAL file size (append offset): a point-in-
-	// time gauge, not a cumulative counter. It grows with every commit and
-	// resets to the header size when the log is truncated after apply, so
-	// operators can watch WAL growth between checkpoints.
+	// SizeBytes is the WAL's append offset — the live part of the log: a
+	// point-in-time gauge, not a cumulative counter. It grows with every
+	// commit and drops to the header size at a checkpoint, so it never
+	// passes WALCheckpointBytes by more than one commit group.
 	SizeBytes uint64
 }
 
@@ -121,8 +124,9 @@ func (w WALStats) MeanGroupSize() float64 {
 }
 
 // WriteAmplification is physical bytes written (WAL + data + checksums)
-// per logical block byte, ~2x by construction when the WAL is on: every
-// block is written once to the log and once in place.
+// per logical block byte: every block is written once to the log and, at
+// the next checkpoint, its newest image once in place — 2x when every
+// commit is checkpointed, approaching 1x for blocks rewritten often.
 func (w WALStats) WriteAmplification(blockSize int) float64 {
 	logical := w.LogicalWrites * uint64(blockSize)
 	if logical == 0 {
@@ -148,9 +152,10 @@ type RecoveryInfo struct {
 // Every block carries a CRC32-C in a sidecar (<path>.crc) verified on
 // each read, and all writes flow through a write-ahead log
 // (<path>.wal): a batch of writes (one Store operation) is staged in
-// memory, logged with a commit record, fsynced, and only then applied in
-// place, so a power cut at any instant leaves the store at a clean
-// operation boundary. OpenFile replays or discards the WAL tail.
+// memory, logged with a commit record and fsynced — the acknowledgement —
+// and applied in place by a later checkpoint, so a power cut at any
+// instant leaves the store at a clean operation boundary. OpenFile
+// replays or discards the WAL tail.
 type FileBackend struct {
 	path      string
 	f         blockFile // data file
@@ -171,6 +176,19 @@ type FileBackend struct {
 	walSize  int64              // current WAL append offset
 	walSizeA atomic.Int64       // mirror of walSize for lock-free WALStats scrapes
 
+	// The log's single appender — the committer goroutine while group
+	// commit runs, the exclusive writer otherwise — owns the rest of the
+	// WAL state: the generation mixed into every record checksum, the
+	// encode buffer, and what the next checkpoint owes the data file (the
+	// newest logged image of each block, the last logged header, the
+	// commits and the highest overlay seq they cover).
+	walGen    uint32
+	enc       []byte
+	unapplied map[BlockID][]byte
+	cpHdr     walHeaderState
+	cpCommits int
+	cpSeq     uint64
+
 	recovery RecoveryInfo
 	statsMu  sync.Mutex // stats are written by the committer goroutine too
 	stats    WALStats
@@ -184,9 +202,9 @@ type FileBackend struct {
 	poisonMu sync.Mutex
 	poison   error
 
-	// applyMu serializes in-place block rewrites (phase 2 of a commit,
+	// applyMu serializes in-place block rewrites (a checkpoint's apply,
 	// scrub repairs) against the scrubber's raw disk reads, which bypass
-	// the staged-image and group-commit overlays (see scrub.go).
+	// the staged-image and committed-image overlays (see scrub.go).
 	applyMu sync.Mutex
 
 	gc groupState // group-commit machinery (see group.go)
@@ -230,7 +248,7 @@ func CreateFileOpts(path string, opts FileOptions) (*FileBackend, error) {
 		fb.closeFiles()
 		return nil, err
 	}
-	if _, err := fb.wal.WriteAt(encodeWALHeader(size), 0); err != nil {
+	if _, err := fb.wal.WriteAt(encodeWALHeader(size, 0), 0); err != nil {
 		fb.closeFiles()
 		return nil, err
 	}
@@ -455,7 +473,7 @@ func (fb *FileBackend) openWAL(dc *DiskController) error {
 	}
 	fb.wal = w
 	if missing {
-		if _, err := fb.wal.WriteAt(encodeWALHeader(fb.blockSize), 0); err != nil {
+		if _, err := fb.wal.WriteAt(encodeWALHeader(fb.blockSize, 0), 0); err != nil {
 			return err
 		}
 	}
@@ -504,8 +522,8 @@ func (fb *FileBackend) recoverHeaderFromWAL(path string, dc *DiskController) err
 }
 
 // recoverWAL scans the log, replays every committed transaction in append
-// order (a group-commit crash leaves several), and discards an uncommitted
-// tail, leaving the WAL empty.
+// order (a crash leaves every commit since the last checkpoint), and
+// discards an uncommitted or stale tail, leaving the WAL empty.
 func (fb *FileBackend) recoverWAL() error {
 	data, err := readAll(fb.wal)
 	if err != nil {
@@ -514,6 +532,9 @@ func (fb *FileBackend) recoverWAL() error {
 	txns, discarded, err := scanWAL(data, fb.blockSize)
 	if err != nil {
 		return err
+	}
+	if len(data) >= walHeaderSize {
+		fb.walGen = binary.LittleEndian.Uint32(data[12:16])
 	}
 	fb.recovery.DiscardedBytes = discarded
 	if len(txns) > 0 {
@@ -539,12 +560,12 @@ func (fb *FileBackend) recoverWAL() error {
 		fb.recovery.ReplayedTxns = len(txns)
 		fb.recovery.ReplayedFrames = len(images)
 	}
-	if len(data) > walHeaderSize {
-		if err := fb.wal.Truncate(walHeaderSize); err != nil {
+	if len(data) != walHeaderSize {
+		if err := fb.resetWAL(); err != nil {
 			return err
 		}
+		return fb.wal.Truncate(walHeaderSize)
 	}
-	fb.setWALSize(walHeaderSize)
 	return nil
 }
 
@@ -588,7 +609,7 @@ func (fb *FileBackend) writeHeader() error {
 // committer persists the last *committed* transaction's header, which may
 // trail the live in-memory fields.
 func (fb *FileBackend) writeHeaderState(st walHeaderState) error {
-	hdr := make([]byte, fileHeaderSize)
+	hdr := fb.encBuf()[:fileHeaderSize]
 	copy(hdr[:8], fileMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(fb.blockSize))
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(st.next))
@@ -605,6 +626,16 @@ func (fb *FileBackend) writeHeaderState(st walHeaderState) error {
 		fb.statsMu.Unlock()
 	}
 	return err
+}
+
+// encBuf is the buffer every WAL record and store header is rendered into
+// before its one raw write; it belongs to the log's single appender, which
+// is also the only goroutine that checkpoints.
+func (fb *FileBackend) encBuf() []byte {
+	if fb.enc == nil {
+		fb.enc = make([]byte, walFrameSize(fb.blockSize))
+	}
+	return fb.enc
 }
 
 // writeCRCEntry records a block's checksum in the sidecar.
@@ -777,7 +808,7 @@ func (fb *FileBackend) AbortBatch() {
 }
 
 // CommitBatch implements TxBackend: the staged images are logged with a
-// commit record, fsynced, applied in place, and the WAL is reset.
+// commit record and fsynced; a later checkpoint applies them in place.
 func (fb *FileBackend) CommitBatch() error {
 	if !fb.inBatch {
 		return nil
@@ -789,13 +820,6 @@ func (fb *FileBackend) CommitBatch() error {
 		return nil // read-only batch: nothing to commit
 	}
 	return fb.commit(stage, fb.snap)
-}
-
-// commitImplicit wraps a single mutation in its own transaction. The
-// caller is responsible for rolling back its header mutation on error
-// (commit only restores to pre, the state passed in).
-func (fb *FileBackend) commitImplicit(stage map[BlockID][]byte) error {
-	return fb.commit(stage, fb.headerState())
 }
 
 // mapNoSpace surfaces an out-of-space write failure as the typed
@@ -815,8 +839,8 @@ func mapNoSpace(err error) error {
 // current header state. On failure before the commit record is durable the
 // header fields roll back to pre — the abort is clean, the store stays
 // usable, and an ENOSPC surfaces as the typed ErrNoSpace. A failed WAL
-// fsync or any failure after the durability point has poisoned the backend
-// by the time commitWAL returns (see ErrPoisoned).
+// fsync or a failed checkpoint has poisoned the backend by the time
+// commitWAL returns (see ErrPoisoned).
 func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) error {
 	if err := fb.Poisoned(); err != nil {
 		fb.restoreHeaderState(pre)
@@ -829,61 +853,58 @@ func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) erro
 		return fb.gcSyncCommit(stage)
 	}
 	txn := walTxn{images: sortedImages(stage), hdr: fb.headerState()}
-	durable, err := fb.commitWAL([]*walTxn{&txn}, nil)
+	durable, err := fb.commitWAL([]*walTxn{&txn}, 0, nil)
 	if !durable {
 		fb.restoreHeaderState(pre)
 	}
 	return err
 }
 
-// commitWAL is the write-ahead protocol, the only place it is written
-// down: every transaction's block frames and its own commit record are
-// appended to the log, one fsync makes them all durable, the newest image
-// of each touched block and the last transaction's header are applied in
-// place, and the log is reset. The inline commit path hands it one
-// transaction, the group committer its whole group. Each transaction's
-// images must be sorted by block ID.
+// commitWAL is the commit half of the write-ahead protocol, the only place
+// it is written down: every transaction's block frames and its own commit
+// record are appended to the log — one raw write each — and one fsync makes
+// them all durable. That fsync is the end of the commit: the images are
+// recorded as owed to the data file and the caller acknowledges. The inline
+// commit path hands it one transaction, the group committer its whole
+// group together with seq, the highest overlay seq in it. Each
+// transaction's images must be sorted by block ID.
 //
 // durable reports whether the WAL fsync — the durability point — was
 // passed. Before it nothing is decided and the failure policy is the
 // caller's (the log tail past walSize is garbage the next append
-// overwrites; an out-of-space append surfaces as the typed ErrNoSpace). A
-// failure after it leaves committed transactions in the WAL that the data
-// file does not hold, so the backend is poisoned here: a later successful
-// commit would truncate the log over them, and only a reopen's redo can
-// complete the apply.
+// overwrites; an out-of-space append surfaces as the typed ErrNoSpace).
+// After it the only thing that can fail is the checkpoint this commit may
+// have triggered by taking the log past WALCheckpointBytes.
 //
 // group is nil for an inline commit, whose "wal"-row phases (frame_write,
-// fsync, apply) nest inside the operation's wal_commit phase and trace as
+// fsync) nest inside the operation's wal_commit phase and trace as
 // writer-lane children of the operation; the committer passes its
 // commit_group span, and the sections trace as committer-lane children of
 // it — several op spans resolving against a single fsync span.
-func (fb *FileBackend) commitWAL(txns []*walTxn, group *obs.Span) (durable bool, err error) {
-	// Phase 1: log. Each frame is one raw write, then the transaction's
-	// commit record; one fsync covers them all.
+func (fb *FileBackend) commitWAL(txns []*walTxn, seq uint64, group *obs.Span) (durable bool, err error) {
 	t0 := time.Now()
 	logged, frames := 0, 0
 	for _, txn := range txns {
 		for _, img := range txn.images {
-			frame := encodeWALFrame(img.id, img.data)
+			frame := encodeWALFrame(fb.encBuf(), img.id, img.data, fb.walGen)
 			if _, err := fb.wal.WriteAt(frame, fb.walSize+int64(logged)); err != nil {
 				return false, mapNoSpace(err)
 			}
 			logged += len(frame)
 		}
 		frames += len(txn.images)
-		rec := encodeWALCommit(len(txn.images), txn.hdr)
+		rec := encodeWALCommit(fb.encBuf(), len(txn.images), txn.hdr, fb.walGen)
 		if _, err := fb.wal.WriteAt(rec, fb.walSize+int64(logged)); err != nil {
 			return false, mapNoSpace(err)
 		}
 		logged += len(rec)
 	}
-	fb.walSection(group, obs.PhaseFrameWrite, t0)
+	fb.walSection(group, obs.PhaseFrameWrite, t0, frames)
 	t0 = time.Now()
 	if err := fb.sync(fb.wal); err != nil {
 		return false, err
 	}
-	fb.walSection(group, obs.PhaseFsync, t0)
+	fb.walSection(group, obs.PhaseFsync, t0, 0)
 	fb.setWALSize(fb.walSize + int64(logged))
 	fb.statsMu.Lock()
 	fb.stats.Commits += uint64(len(txns))
@@ -893,39 +914,85 @@ func (fb *FileBackend) commitWAL(txns []*walTxn, group *obs.Span) (durable bool,
 	fb.obs.Add(obs.CtrPagerWALCommits, uint64(len(txns)))
 	fb.obs.Add(obs.CtrPagerWALFrames, uint64(frames))
 
-	// Phase 2: apply in place, newest image per block. A lone transaction's
-	// images are already that list; a group's are merged and re-sorted.
-	t0 = time.Now()
-	defer func() { fb.walSection(group, obs.PhaseApply, t0) }()
-	images := txns[0].images
-	if len(txns) > 1 {
-		merged := make(map[BlockID][]byte, frames)
-		for _, txn := range txns {
-			for _, img := range txn.images {
-				merged[img.id] = img.data
-			}
+	if fb.unapplied == nil {
+		fb.unapplied = make(map[BlockID][]byte)
+	}
+	for _, txn := range txns {
+		for _, img := range txn.images {
+			fb.unapplied[img.id] = img.data
 		}
-		images = sortedImages(merged)
 	}
-	if err := fb.applyInPlace(images, txns[len(txns)-1].hdr); err != nil {
-		fb.poisonWith(err)
-		return true, err
+	fb.cpHdr = txns[len(txns)-1].hdr
+	fb.cpCommits += len(txns)
+	if group == nil {
+		seq = fb.gcPublish(txns[0].images)
 	}
-
-	// Phase 3: reset the log. If the truncate is lost to a crash the
-	// committed transactions replay at next open — pure redo, idempotent.
-	if err := fb.wal.Truncate(walHeaderSize); err != nil {
-		fb.poisonWith(err)
-		return true, err
+	fb.cpSeq = seq
+	if fb.walSize < WALCheckpointBytes {
+		return true, nil
 	}
-	fb.setWALSize(walHeaderSize)
-	fb.statsMu.Lock()
-	fb.stats.Truncations++
-	fb.statsMu.Unlock()
-	return true, nil
+	return true, fb.checkpoint(group)
 }
 
-// applyInPlace is the in-place half of the protocol, shared by commitWAL
+// checkpoint pays the data file what the log holds: the newest logged image
+// of each block and the last logged header are applied in place and fsynced,
+// the log is reset in place, and the applied images leave the overlay. It
+// runs on the log's appender — after the commit that took the log past
+// WALCheckpointBytes, and at Sync, StopGroupCommit and Close. Any failure
+// poisons the backend: the log still holds every commit, and only a
+// reopen's redo can tell what the data file got.
+func (fb *FileBackend) checkpoint(group *obs.Span) error {
+	if err := fb.Poisoned(); err != nil {
+		return err
+	}
+	if fb.walSize == walHeaderSize {
+		return nil
+	}
+	t0 := time.Now()
+	var parent uint64
+	if group != nil {
+		parent = group.ID()
+	}
+	sp := fb.obs.Tracer().StartLane(obs.LaneCommitter, "checkpoint", parent)
+	images := sortedImages(fb.unapplied)
+	err := fb.applyInPlace(images, fb.cpHdr)
+	fb.walSection(&sp, obs.PhaseApply, t0, len(images))
+	if err == nil {
+		err = fb.resetWAL()
+	}
+	sp.EndCount(fb.cpCommits, err)
+	fb.obs.ObservePhaseWAL(obs.PhaseCheckpoint, time.Since(t0))
+	if err != nil {
+		fb.poisonWith(err)
+		return err
+	}
+	clear(fb.unapplied)
+	fb.cpCommits = 0
+	fb.gcDropApplied(fb.cpSeq)
+	fb.obs.Inc(obs.CtrPagerCheckpoints)
+	return nil
+}
+
+// resetWAL empties the log in place: its header is rewritten with the next
+// generation and fsynced before anything of that generation is appended
+// (wal.go says why), and the append offset returns to the top. The file
+// keeps its length.
+func (fb *FileBackend) resetWAL() error {
+	if _, err := fb.wal.WriteAt(encodeWALHeader(fb.blockSize, fb.walGen+1), 0); err != nil {
+		return err
+	}
+	if err := fb.sync(fb.wal); err != nil {
+		return err
+	}
+	fb.walGen++
+	fb.setWALSize(walHeaderSize)
+	fb.statsMu.Lock()
+	fb.stats.Checkpoints++
+	fb.statsMu.Unlock()
+	return nil
+}
+
+// applyInPlace is the in-place half of the protocol, shared by checkpoint
 // and open-time redo: each image and its checksum entry in the order
 // given, then the header, then the data and sidecar fsyncs. applyMu keeps
 // the scrubber's raw reads off blocks mid-overwrite.
@@ -953,8 +1020,10 @@ func (fb *FileBackend) applyInPlace(images []walImage, hdr walHeaderState) error
 }
 
 // walSection attributes one protocol section to its "wal"-row phase and,
-// when tracing, records it as a span (see commitWAL for the two shapes).
-func (fb *FileBackend) walSection(group *obs.Span, ph obs.Phase, start time.Time) {
+// when tracing, records it as a span carrying the count n: a committer-lane
+// child of parent, or of the writer's operation when parent is nil (see
+// commitWAL for the two shapes).
+func (fb *FileBackend) walSection(parent *obs.Span, ph obs.Phase, start time.Time, n int) {
 	if fb.obs == nil {
 		return
 	}
@@ -964,8 +1033,8 @@ func (fb *FileBackend) walSection(group *obs.Span, ph obs.Phase, start time.Time
 	if !tr.Enabled() {
 		return
 	}
-	if group != nil {
-		tr.RecordSpan(obs.LaneCommitter, ph.String(), group.ID(), start, d, 0, nil)
+	if parent != nil {
+		tr.RecordSpan(obs.LaneCommitter, ph.String(), parent.ID(), start, d, n, nil)
 	} else {
 		tr.RecordAuto(false, ph.String(), start, d)
 	}
@@ -979,18 +1048,14 @@ func sortedImages(stage map[BlockID][]byte) []walImage {
 	for id, data := range stage {
 		images = append(images, walImage{id: id, data: data})
 	}
-	for i := 1; i < len(images); i++ { // insertion sort: batches are small
-		for j := i; j > 0 && images[j].id < images[j-1].id; j-- {
-			images[j], images[j-1] = images[j-1], images[j]
-		}
-	}
+	slices.SortFunc(images, func(a, b walImage) int { return cmp.Compare(a.id, b.id) })
 	return images
 }
 
 // readRaw fetches a block image: the open batch's staged copy first, then
-// the group-commit overlay (transactions committed to the queue but not
-// yet applied in place — consulting it keeps concurrent readers off blocks
-// the committer is mid-overwrite), then the data file.
+// the overlay (transactions committed but not yet checkpointed into the
+// data file — consulting it also keeps concurrent readers off blocks a
+// checkpoint is mid-overwrite), then the data file.
 func (fb *FileBackend) readRaw(id BlockID, buf []byte) error {
 	if fb.inBatch {
 		if img, ok := fb.stage[id]; ok {
@@ -1017,7 +1082,8 @@ func (fb *FileBackend) readRaw(id BlockID, buf []byte) error {
 }
 
 // stageWrite records a block image into the open batch or commits it as a
-// single-write transaction.
+// single-write transaction (commit restores only to the header state passed
+// in, so a caller that already mutated the header rolls that back itself).
 func (fb *FileBackend) stageWrite(id BlockID, data []byte) error {
 	img := make([]byte, len(data))
 	copy(img, data)
@@ -1025,7 +1091,7 @@ func (fb *FileBackend) stageWrite(id BlockID, data []byte) error {
 		fb.stage[id] = img
 		return nil
 	}
-	return fb.commitImplicit(map[BlockID][]byte{id: img})
+	return fb.commit(map[BlockID][]byte{id: img}, fb.headerState())
 }
 
 // Allocate implements Backend.
@@ -1146,8 +1212,9 @@ func (fb *FileBackend) FreeBlocks() ([]BlockID, error) {
 // NumBlocks implements Backend.
 func (fb *FileBackend) NumBlocks() uint64 { return fb.allocated }
 
-// Sync commits the current header state durably, as a (possibly empty)
-// committed transaction so even a torn header write stays recoverable.
+// Sync checkpoints: when it returns, every acknowledged commit is applied
+// in the data file and its sidecar, both are fsynced, and the log is empty.
+// Durability never waits for it — a commit is durable once logged.
 func (fb *FileBackend) Sync() error {
 	if fb.closed {
 		return ErrClosed
@@ -1155,13 +1222,13 @@ func (fb *FileBackend) Sync() error {
 	if fb.inBatch {
 		return errors.New("pager: sync inside an open batch")
 	}
-	if err := fb.commitImplicit(nil); err != nil {
-		return err
-	}
-	return fb.sync(fb.f)
+	fb.gcDrain()
+	return fb.checkpoint(nil)
 }
 
-// Close implements Backend, making the header durable first.
+// Close implements Backend: a final checkpoint, after which the log is
+// truncated back to its header (only here and after open-time recovery
+// does it shrink).
 func (fb *FileBackend) Close() error {
 	if fb.closed {
 		return nil
@@ -1170,8 +1237,11 @@ func (fb *FileBackend) Close() error {
 		fb.AbortBatch()
 	}
 	err := fb.StopGroupCommit() // drains and flushes any queued groups
-	if serr := fb.Sync(); err == nil {
-		err = serr
+	if err == nil {
+		err = fb.checkpoint(nil)
+	}
+	if err == nil {
+		err = fb.wal.Truncate(walHeaderSize)
 	}
 	fb.closed = true
 	if cerr := fb.f.Close(); err == nil {

@@ -16,20 +16,23 @@ import (
 // header snapshot to a dedicated committer goroutine and returns a
 // CommitTicket. The committer drains its queue into one group, runs
 // commitWAL over it — the same protocol an inline commit runs over one
-// transaction, so the group shares one WAL fsync and a block written by
-// several of its transactions is applied once — and resolves every ticket.
+// transaction, so the group shares one WAL fsync — and resolves every
+// ticket.
 //
 // Because each transaction keeps its own commit record, a crash anywhere
 // inside the log phase leaves a clean *prefix* of the group: recovery
 // replays the transactions whose commit records are complete and discards
 // the torn tail. No interleaving can surface a partial transaction.
 //
-// Between enqueue and phase 2 the committed images live in an overlay map
-// consulted by readRaw, so the enqueuing writer immediately reads its own
-// committed state and concurrent shared-path readers never observe a block
+// From enqueue (group commit) or from the WAL fsync (inline commit) until
+// the checkpoint that applies them, committed images live in an overlay map
+// consulted by readRaw, so the writer immediately reads its own committed
+// state and concurrent shared-path readers never observe a block
 // mid-overwrite. Entries are removed — under the same lock — only after
-// the in-place write completes, which orders "file holds the new image"
-// before "readers go to the file".
+// the checkpoint's in-place writes complete, which orders "file holds the
+// new image" before "readers go to the file", and only up to the highest
+// *logged* seq: an image enqueued but not yet logged is never applied and
+// never dropped.
 //
 // Latency policy: a transaction that finds the queue empty and the
 // committer idle is marked solo and commits immediately (the sync
@@ -59,8 +62,8 @@ type CommitTicket struct {
 	err  error
 }
 
-// Wait blocks until the transaction's group is durable and applied, and
-// returns the commit error if the group failed.
+// Wait blocks until the transaction's group is durable, and returns the
+// commit error if the group failed.
 func (t *CommitTicket) Wait() error {
 	if t == nil {
 		return nil
@@ -114,7 +117,7 @@ type AsyncTxBackend interface {
 	GroupCommitEnabled() bool
 	// CommitBatchAsync is CommitBatch minus the inline fsync: the batch is
 	// queued for the committer and the returned ticket resolves when it is
-	// durable and applied. A read-only batch resolves immediately.
+	// durable. A read-only batch resolves immediately.
 	CommitBatchAsync() (*CommitTicket, error)
 }
 
@@ -128,20 +131,22 @@ type groupTxn struct {
 	opSpan uint64    // enqueuing operation's span ID (0 when not tracing)
 }
 
-// overlayEntry is a committed-but-not-yet-applied block image.
+// overlayEntry is a committed block image no checkpoint has applied yet.
 type overlayEntry struct {
 	data []byte
 	seq  uint64
 }
 
-// groupState is the committer's shared state, embedded in FileBackend.
+// groupState is the committer's shared state, embedded in FileBackend. The
+// overlay outlives the committer: inline commits publish into it too.
 type groupState struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	on       atomic.Bool // fast-path check for readRaw and commit routing
+	on       atomic.Bool // commit routing: a committer goroutine is running
 	dur      Durability
 	queue    []*groupTxn
 	overlay  map[BlockID]overlayEntry
+	live     atomic.Int64 // len(overlay), so readRaw skips the lock when it is empty
 	seq      uint64
 	inflight int  // transactions currently being flushed
 	hold     bool // test hook: committer pauses before taking a group
@@ -171,7 +176,6 @@ func (fb *FileBackend) StartGroupCommit(d Durability) error {
 		d.MaxDelay = defaultMaxDelay
 	}
 	gc.dur = d
-	gc.overlay = make(map[BlockID]overlayEntry, 32)
 	gc.stop = false
 	gc.done = make(chan struct{})
 	gc.on.Store(true)
@@ -179,10 +183,10 @@ func (fb *FileBackend) StartGroupCommit(d Durability) error {
 	return nil
 }
 
-// StopGroupCommit drains the queue, flushes a final group if needed, and
-// stops the committer. It returns the error that poisoned the backend, if
-// any (every committer failure does). Afterwards commits run synchronously
-// again.
+// StopGroupCommit drains the queue, flushes a final group if needed, stops
+// the committer and checkpoints. It returns the error that poisoned the
+// backend, if any (every committer failure does). Afterwards commits run
+// synchronously again.
 func (fb *FileBackend) StopGroupCommit() error {
 	gc := &fb.gc
 	gc.mu.Lock()
@@ -196,10 +200,10 @@ func (fb *FileBackend) StopGroupCommit() error {
 	gc.mu.Unlock()
 	<-done
 	gc.mu.Lock()
-	defer gc.mu.Unlock()
 	gc.on.Store(false)
 	gc.stop = false
-	return fb.Poisoned()
+	gc.mu.Unlock()
+	return fb.checkpoint(nil)
 }
 
 // GroupCommitEnabled implements AsyncTxBackend.
@@ -243,24 +247,20 @@ func (fb *FileBackend) gcEnqueue(images []walImage) *CommitTicket {
 	gc := &fb.gc
 	t := &CommitTicket{done: make(chan struct{})}
 	if err := fb.Poisoned(); err != nil {
-		// A poisoned backend must not accept new transactions: flushing
-		// them would truncate a WAL that still holds unapplied images.
+		// A poisoned backend must not accept new transactions: its log can
+		// no longer be trusted to reach the data file.
 		t.err = err
 		close(t.done)
 		return t
 	}
 	gc.mu.Lock()
-	gc.seq++
 	txn := &groupTxn{
 		walTxn: walTxn{images: images, hdr: fb.headerState()},
-		seq:    gc.seq,
+		seq:    gc.publish(images),
 		solo:   len(gc.queue) == 0 && gc.inflight == 0,
 		ticket: t,
 		enq:    time.Now(),
 		opSpan: fb.obs.Tracer().WriterSpanID(),
-	}
-	for _, img := range images {
-		gc.overlay[img.id] = overlayEntry{data: img.data, seq: txn.seq}
 	}
 	gc.queue = append(gc.queue, txn)
 	gc.cond.Broadcast()
@@ -268,22 +268,68 @@ func (fb *FileBackend) gcEnqueue(images []walImage) *CommitTicket {
 	return t
 }
 
+// publish stamps one transaction's images with the next seq and makes them
+// what readers see. gc.mu must be held.
+func (gc *groupState) publish(images []walImage) uint64 {
+	gc.seq++
+	if gc.overlay == nil {
+		gc.overlay = make(map[BlockID]overlayEntry, 32)
+	}
+	for _, img := range images {
+		gc.overlay[img.id] = overlayEntry{data: img.data, seq: gc.seq}
+	}
+	gc.live.Store(int64(len(gc.overlay)))
+	return gc.seq
+}
+
+// gcPublish is publish for an inline commit, whose images become visible
+// once logged.
+func (fb *FileBackend) gcPublish(images []walImage) uint64 {
+	fb.gc.mu.Lock()
+	defer fb.gc.mu.Unlock()
+	return fb.gc.publish(images)
+}
+
+// gcDropApplied removes the overlay entries a checkpoint covering every
+// transaction up to seq has made visible in the file. An entry re-staged
+// by a newer transaction stays: its image is not on disk yet.
+func (fb *FileBackend) gcDropApplied(seq uint64) {
+	gc := &fb.gc
+	gc.mu.Lock()
+	for id, e := range gc.overlay {
+		if e.seq <= seq {
+			delete(gc.overlay, id)
+		}
+	}
+	gc.live.Store(int64(len(gc.overlay)))
+	gc.mu.Unlock()
+}
+
+// gcDrain waits until the committer holds no transaction, queued or in
+// flight: the exclusive writer calling it is then the log's only appender
+// until its next enqueue.
+func (fb *FileBackend) gcDrain() {
+	gc := &fb.gc
+	gc.mu.Lock()
+	for gc.on.Load() && len(gc.queue)+gc.inflight > 0 {
+		gc.cond.Wait()
+	}
+	gc.mu.Unlock()
+}
+
 // GroupQueueStats is a point-in-time view of the group committer's backlog.
 type GroupQueueStats struct {
 	// QueueDepth counts transactions enqueued or currently being flushed.
 	QueueDepth int
 	// OverlayBlocks counts committed-but-unapplied block images held in the
-	// overlay map (memory pinned until the in-place apply).
+	// overlay map (memory pinned until the next checkpoint).
 	OverlayBlocks int
 }
 
-// GroupQueueStats snapshots the committer's backlog (zeros when group
-// commit is off).
+// GroupQueueStats snapshots the committer's backlog (an empty queue when
+// group commit is off) and the overlay.
 func (fb *FileBackend) GroupQueueStats() GroupQueueStats {
 	gc := &fb.gc
-	if !gc.on.Load() {
-		return GroupQueueStats{}
-	}
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
 	return GroupQueueStats{QueueDepth: len(gc.queue) + gc.inflight, OverlayBlocks: len(gc.overlay)}
@@ -293,7 +339,7 @@ func (fb *FileBackend) GroupQueueStats() GroupQueueStats {
 // reporting whether one exists. Safe from concurrent reader goroutines.
 func (fb *FileBackend) gcReadOverlay(id BlockID, buf []byte) bool {
 	gc := &fb.gc
-	if !gc.on.Load() {
+	if gc.live.Load() == 0 {
 		return false
 	}
 	gc.mu.Lock()
@@ -305,7 +351,7 @@ func (fb *FileBackend) gcReadOverlay(id BlockID, buf []byte) bool {
 	return ok
 }
 
-// gcSyncCommit routes a synchronous commit request (Sync, SetMetaRoot or a
+// gcSyncCommit routes a synchronous commit request (SetMetaRoot or a
 // single out-of-batch write) through the committer and waits for it, so
 // the WAL has exactly one appender while group commit runs.
 func (fb *FileBackend) gcSyncCommit(stage map[BlockID][]byte) error {
@@ -381,25 +427,12 @@ func (fb *FileBackend) committer() {
 			for _, txn := range group {
 				txns = append(txns, &txn.walTxn)
 			}
-			if err = fb.flushGroup(txns); err != nil {
+			if err = fb.flushGroup(txns, group[len(group)-1].seq); err != nil {
 				fb.poisonWith(err)
 			}
 		}
 
 		gc.mu.Lock()
-		if err == nil {
-			// Drop overlay entries the apply made visible in the file.
-			// An entry re-staged by a *newer* transaction (higher seq)
-			// stays: its image is not on disk yet.
-			maxSeq := group[len(group)-1].seq
-			for _, txn := range group {
-				for _, img := range txn.images {
-					if e, ok := gc.overlay[img.id]; ok && e.seq <= maxSeq {
-						delete(gc.overlay, img.id)
-					}
-				}
-			}
-		}
 		gc.inflight = 0
 		gc.cond.Broadcast()
 		gc.mu.Unlock()
@@ -415,13 +448,13 @@ func (fb *FileBackend) committer() {
 // commit_group span and charges the group accounting once the group's
 // shared durability point is passed. Runs only on the committer goroutine
 // — the sole WAL appender while group commit is on.
-func (fb *FileBackend) flushGroup(txns []*walTxn) (err error) {
+func (fb *FileBackend) flushGroup(txns []*walTxn, seq uint64) (err error) {
 	var gsp obs.Span
 	if tr := fb.obs.Tracer(); tr.Enabled() {
 		gsp = tr.StartLane(obs.LaneCommitter, "commit_group", 0)
 		defer func() { gsp.EndCount(len(txns), err) }()
 	}
-	durable, err := fb.commitWAL(txns, &gsp)
+	durable, err := fb.commitWAL(txns, seq, &gsp)
 	if durable {
 		fb.statsMu.Lock()
 		fb.stats.GroupCommits++

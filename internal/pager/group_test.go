@@ -308,8 +308,10 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 }
 
 // TestGroupCommitCrashPrefix sweeps a simulated power cut over every raw
-// write point of one group flush: recovery must land on a clean prefix of
-// the group — never a partial transaction, never txn i+1 without txn i.
+// write point of one group flush and of the checkpoint and log truncation
+// Close follows it with: recovery must land on a clean prefix of the group
+// — never a partial transaction, never txn i+1 without txn i — and on the
+// whole group once its tickets resolved.
 func TestGroupCommitCrashPrefix(t *testing.T) {
 	const txCount = 4
 
@@ -349,15 +351,8 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 				crashed = true
 			}
 		}
-		if countdown > 0 && !crashed && ctrl.Crashed() {
-			// The cut landed after the group's WAL fsync: every ticket
-			// legitimately resolved clean even though later raw writes died.
-			// (commit errors past the durability point surface as sticky
-			// committer errors, checked via Close below)
-			_ = crashed
-		}
+		fb.Close() // drains and checkpoints; errors expected after a crash
 		steps = ctrl.Writes()
-		fb.Close() // drains; errors expected after a crash
 
 		rec, err := OpenFile(path)
 		if err != nil {
@@ -382,6 +377,9 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 			default:
 				t.Fatalf("countdown %d (torn=%v): block %d holds a partial image", countdown, torn, i)
 			}
+		}
+		if !crashed && applied != txCount {
+			t.Fatalf("countdown %d (torn=%v): every ticket resolved but only %d of %d transactions survived", countdown, torn, applied, txCount)
 		}
 		return applied, steps
 	}

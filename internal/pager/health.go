@@ -30,16 +30,16 @@ func (s *Store) CollectGauges() []obs.GaugeValue {
 			obs.G("pager_wal_commits", "Write-ahead log transactions committed.", float64(st.Commits)),
 			obs.G("pager_wal_frames", "Block images appended to the write-ahead log.", float64(st.Frames)),
 			obs.G("pager_wal_bytes", "Bytes appended to the write-ahead log.", float64(st.WALBytes)),
-			obs.G("pager_wal_data_bytes", "Bytes applied in place after commit.", float64(st.DataBytes)),
+			obs.G("pager_wal_data_bytes", "Bytes applied in place by checkpoints.", float64(st.DataBytes)),
 			obs.G("pager_wal_write_amplification",
 				"Physical bytes written (WAL + data + header) per logical block byte.",
 				st.WriteAmplification(s.backend.BlockSize())),
-			obs.G("pager_wal_syncs", "Write-ahead log fsyncs (durability points).", float64(st.Syncs)),
-			obs.G("pager_wal_data_syncs", "Data/sidecar fsyncs after in-place apply.", float64(st.DataSyncs)),
+			obs.G("pager_wal_syncs", "Write-ahead log fsyncs (one per durability point, one per checkpoint's log reset).", float64(st.Syncs)),
+			obs.G("pager_wal_data_syncs", "Data/sidecar fsyncs (two per checkpoint).", float64(st.DataSyncs)),
 			obs.G("pager_wal_group_commits", "Commit groups flushed by the group committer.", float64(st.GroupCommits)),
 			obs.G("pager_wal_group_size", "Mean transactions per flushed commit group.", st.MeanGroupSize()),
 			obs.G("pager_wal_size_bytes",
-				"Current write-ahead log file size in bytes (grows between truncations).",
+				"Live bytes of the write-ahead log (grows between checkpoints, bounded by pager.WALCheckpointBytes plus one commit group).",
 				float64(st.SizeBytes)),
 		)
 		if st.Commits > 0 {
@@ -52,14 +52,14 @@ func (s *Store) CollectGauges() []obs.GaugeValue {
 		q := qs.GroupQueueStats()
 		gs = append(gs,
 			obs.G("pager_gc_queue_depth", "Transactions queued or in flight at the group committer.", float64(q.QueueDepth)),
-			obs.G("pager_gc_overlay_blocks", "Committed-but-unapplied block images in the group-commit overlay.", float64(q.OverlayBlocks)),
+			obs.G("pager_gc_overlay_blocks", "Committed block images held in the overlay until the next checkpoint.", float64(q.OverlayBlocks)),
 		)
 	}
 	return gs
 }
 
-// GroupQueueStatser is implemented by backends running a group committer
-// (FileBackend). Store surfaces the backlog as pager_gc_* gauges.
+// GroupQueueStatser is implemented by backends with a commit queue and an
+// overlay (FileBackend). Store surfaces them as pager_gc_* gauges.
 type GroupQueueStatser interface {
 	GroupQueueStats() GroupQueueStats
 }

@@ -3,6 +3,7 @@ package pager
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,14 +13,21 @@ import (
 // TestWALStatsPinned runs the ten scripted ops once committing inline and
 // once through the group committer (each op a solo group) and pins the
 // physical I/O the protocol performs. Both paths run commitWAL, so apart
-// from the group accounting the two rows must be the same numbers — and
-// the numbers are the ones recorded before the protocol was unified.
+// from the group accounting the two rows must be the same numbers: ten
+// commits cost ten WAL fsyncs and nothing else — no data or sidecar fsync,
+// no header write, no byte applied in place — until the checkpoint, which
+// applies each of the five touched blocks once plus the header, fsyncs data
+// and sidecar, and spends one more WAL fsync on the log reset.
 func TestWALStatsPinned(t *testing.T) {
-	want := WALStats{
-		Commits: 10, Frames: 22, WALBytes: 3552, DataBytes: 3336,
-		LogicalWrites: 21, HeaderWrites: 10, Truncations: 10,
-		Syncs: 10, DataSyncs: 20,
+	logged := WALStats{
+		Commits: 10, Frames: 22, WALBytes: 3552, LogicalWrites: 21,
+		Syncs: 10, SizeBytes: walHeaderSize + 3552,
 	}
+	checkpointed := logged
+	checkpointed.DataBytes = 5*scriptBlockSize + fileHeaderSize
+	checkpointed.HeaderWrites, checkpointed.Checkpoints = 1, 1
+	checkpointed.Syncs, checkpointed.DataSyncs = 11, 2
+	checkpointed.SizeBytes = walHeaderSize
 	for _, group := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "pin.box")
 		scriptSetup(t, path, FileOptions{})
@@ -41,19 +49,38 @@ func TestWALStatsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := fb.WALStats()
+		atLog := fb.WALStats()
+		if err := fb.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		atCheckpoint := fb.WALStats()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		w := want
-		w.SizeBytes = walHeaderSize
-		if group {
-			w.GroupCommits, w.GroupedTxns = scriptOps, scriptOps
+		for _, c := range []struct {
+			when      string
+			got, want WALStats
+		}{{"logged", atLog, logged}, {"checkpointed", atCheckpoint, checkpointed}} {
+			if group {
+				c.want.GroupCommits, c.want.GroupedTxns = scriptOps, scriptOps
+			}
+			if c.got != c.want {
+				t.Fatalf("group=%v, %s: WAL stats\n got %+v\nwant %+v", group, c.when, c.got, c.want)
+			}
 		}
-		if got != w {
-			t.Fatalf("group=%v: WAL stats\n got %+v\nwant %+v", group, got, w)
+		if size := fileLen(t, path+".wal"); size != walHeaderSize {
+			t.Fatalf("group=%v: Close left a %d-byte log, want the %d-byte header", group, size, walHeaderSize)
 		}
 	}
+}
+
+func fileLen(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // committerFaultRun forms one deterministic group of n scripted ops behind

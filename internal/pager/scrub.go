@@ -11,8 +11,8 @@ import (
 
 // RawVerifier is the backend surface the online scrubber needs: checksum
 // verification of the on-disk image (bypassing any in-memory overlay) and
-// best-effort repair from still-available redundancy (the group-commit
-// overlay or the committed WAL tail). FileBackend implements it.
+// best-effort repair from still-available redundancy (the overlay of
+// committed images awaiting a checkpoint). FileBackend implements it.
 type RawVerifier interface {
 	VerifyBlockRaw(id BlockID) error
 	RepairBlock(id BlockID) (bool, error)
@@ -20,10 +20,10 @@ type RawVerifier interface {
 }
 
 // VerifyBlockRaw verifies the on-disk image of id against its sidecar
-// checksum, bypassing the open-batch stage and the group-commit overlay.
-// A block whose newest committed image still sits in the overlay is
-// reported clean: its disk bytes are stale by design and will be
-// overwritten when the committer applies the group.
+// checksum, bypassing the open-batch stage and the overlay. A block whose
+// newest committed image still sits in the overlay is reported clean: its
+// disk bytes are stale by design and will be overwritten by the next
+// checkpoint.
 func (fb *FileBackend) VerifyBlockRaw(id BlockID) error {
 	if fb.closed {
 		return ErrClosed
@@ -51,12 +51,11 @@ func (fb *FileBackend) VerifyBlockRaw(id BlockID) error {
 	return nil
 }
 
-// RepairBlock tries to reconstruct the on-disk image of id from still-live
-// redundancy: the group-commit overlay first (committed images awaiting
-// their in-place apply), then the newest committed image in the WAL tail.
-// It reports whether a source was found and the block rewritten; (false,
-// nil) means the corruption is unrecoverable online and the block should
-// stay quarantined.
+// RepairBlock tries to reconstruct the on-disk image of id from the only
+// redundancy that exists online: the overlay, which holds every committed
+// image the log still carries. It reports whether a source was found and
+// the block rewritten; (false, nil) means the corruption is unrecoverable
+// online and the block should stay quarantined.
 func (fb *FileBackend) RepairBlock(id BlockID) (bool, error) {
 	if fb.closed {
 		return false, ErrClosed
@@ -65,31 +64,10 @@ func (fb *FileBackend) RepairBlock(id BlockID) (bool, error) {
 		return false, fmt.Errorf("pager: repair of invalid block %d", id)
 	}
 	img := make([]byte, fb.blockSize)
-	if fb.gcReadOverlay(id, img) {
-		return true, fb.rewriteRaw(id, img)
-	}
-	data, err := readAll(fb.wal)
-	if err != nil {
-		return false, err
-	}
-	// A torn tail (the committer appending concurrently) scans as an
-	// uncommitted suffix and is ignored; only fsynced commits repair.
-	txns, _, err := scanWAL(data, fb.blockSize)
-	if err != nil {
+	if !fb.gcReadOverlay(id, img) {
 		return false, nil
 	}
-	var found []byte
-	for _, txn := range txns {
-		for _, w := range txn.images {
-			if w.id == id {
-				found = w.data
-			}
-		}
-	}
-	if found == nil {
-		return false, nil
-	}
-	return true, fb.rewriteRaw(id, found)
+	return true, fb.rewriteRaw(id, img)
 }
 
 // rewriteRaw durably rewrites one block image and its checksum in place,
@@ -116,8 +94,8 @@ type ScrubConfig struct {
 	// Interval is the pause between batches (default 50ms). The pause
 	// bounds the scrubber's steady-state I/O share.
 	Interval time.Duration
-	// Repair enables reconstruction of corrupt blocks from the overlay or
-	// the WAL tail; without it corrupt blocks are only quarantined.
+	// Repair enables reconstruction of corrupt blocks from the overlay;
+	// without it corrupt blocks are only quarantined.
 	Repair bool
 	// Guard, when set, brackets each batch — a SyncStore wires its read
 	// lock here so batches never race label mutations. Nil runs batches
@@ -151,8 +129,8 @@ type ScrubProgress struct {
 // Scrubber walks a store's blocks in the background, verifying on-disk
 // checksums at a configurable pace. Corrupt blocks are quarantined (reads
 // fail fast with a typed *CorruptError instead of re-reading rot) and,
-// when enabled, repaired from the group-commit overlay or the committed
-// WAL tail — the only redundancy that exists while the store is online.
+// when enabled, repaired from the overlay of committed images awaiting a
+// checkpoint — the only redundancy that exists while the store is online.
 type Scrubber struct {
 	st  *Store
 	rv  RawVerifier

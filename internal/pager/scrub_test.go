@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,8 @@ import (
 
 const scrubBS = 256
 
-// scrubStore builds a file-backed store with a handful of written blocks
+// scrubStore builds a file-backed store with a handful of written blocks,
+// checkpointed so the data file — what the scrubber verifies — holds them,
 // and returns the store, the backend, and the block ids.
 func scrubStore(t *testing.T, n int) (*Store, *FileBackend, []BlockID) {
 	t.Helper()
@@ -36,6 +38,9 @@ func scrubStore(t *testing.T, n int) (*Store, *FileBackend, []BlockID) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+	}
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	return st, fb, ids
 }
@@ -104,26 +109,33 @@ func TestScrubDetectsAndQuarantines(t *testing.T) {
 	}
 }
 
-// A corrupt block whose last committed image still sits in the WAL tail is
-// repaired in place: scrub detects, reconstructs from the log, re-verifies,
-// and lifts the quarantine — the read path never sees the rot.
-func TestScrubRepairsFromWALTail(t *testing.T) {
+// commitOnFailure is a RawVerifier whose first failed verification is
+// followed by a commit of the block's good image: the one order of events —
+// detect, then find the image in the overlay — in which the scrubber's
+// repair has a source, since a block already in the overlay is never
+// verified on disk.
+type commitOnFailure struct {
+	*FileBackend
+	good []walImage
+}
+
+func (c *commitOnFailure) VerifyBlockRaw(id BlockID) error {
+	err := c.FileBackend.VerifyBlockRaw(id)
+	if err != nil && c.good != nil {
+		c.gcPublish(c.good)
+		c.good = nil
+	}
+	return err
+}
+
+// A corrupt block whose committed image sits in the overlay by the time the
+// repair looks for it is repaired in place: scrub detects, reconstructs from
+// the overlay, and lifts the quarantine — the read path never sees the rot.
+func TestScrubRepairsFromOverlay(t *testing.T) {
 	st, fb, ids := scrubStore(t, 4)
 	victim := ids[2]
 	good, err := st.Read(victim)
 	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stage the committed image in the WAL by hand, simulating the window
-	// where a commit fsynced its frames but the truncate has not happened
-	// (the exact window online repair exists for).
-	frame := encodeWALFrame(victim, good)
-	commit := encodeWALCommit(1, fb.headerState())
-	if _, err := fb.wal.WriteAt(frame, walHeaderSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fb.wal.WriteAt(commit, walHeaderSize+int64(len(frame))); err != nil {
 		t.Fatal(err)
 	}
 	rot(t, fb, victim)
@@ -132,31 +144,29 @@ func TestScrubRepairsFromWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.rv = &commitOnFailure{FileBackend: fb, good: []walImage{{id: victim, data: good}}}
 	if n, _ := sc.RunPass(); n != 0 {
-		t.Fatalf("%d blocks stayed quarantined; WAL repair should have healed", n)
+		t.Fatalf("%d blocks stayed quarantined; overlay repair should have healed", n)
 	}
 	p := sc.Progress()
 	if p.Corrupt != 1 || p.Repaired != 1 {
 		t.Fatalf("progress = %+v, want corrupt=1 repaired=1", p)
 	}
-	data, err := st.Read(victim)
-	if err != nil {
-		t.Fatalf("read after repair: %v", err)
+	buf := make([]byte, scrubBS)
+	if _, err := fb.f.ReadAt(buf, fb.offset(victim)); err != nil {
+		t.Fatal(err)
 	}
-	for i := range data {
-		if data[i] != good[i] {
-			t.Fatalf("repaired image differs at byte %d", i)
-		}
+	if !bytes.Equal(buf, good) {
+		t.Fatal("repaired on-disk image differs from the committed one")
 	}
 	if st.Observer().Counter(obs.CtrPagerScrubRepairs) != 1 {
 		t.Fatalf("pager_scrub_repairs_total = %d, want 1", st.Observer().Counter(obs.CtrPagerScrubRepairs))
 	}
 }
 
-// While a committed transaction waits in the group-commit overlay, its
-// disk image is stale by design: raw verify treats the block as clean, and
-// RepairBlock can rewrite the disk image from the overlay ahead of the
-// committer's own apply.
+// While a committed transaction waits in the overlay, its disk image is
+// stale by design: raw verify treats the block as clean, and RepairBlock
+// can rewrite the disk image from the overlay ahead of the checkpoint.
 func TestScrubOverlayMasksAndRepairs(t *testing.T) {
 	_, fb, ids := scrubStore(t, 3)
 	if err := fb.StartGroupCommit(Durability{Every: 4}); err != nil {
@@ -204,8 +214,8 @@ func TestScrubOverlayMasksAndRepairs(t *testing.T) {
 	}
 }
 
-// Unrecoverable rot (no overlay image, no WAL tail) stays quarantined even
-// with repair enabled.
+// Unrecoverable rot (no overlay image) stays quarantined even with repair
+// enabled.
 func TestScrubUnrepairableStaysQuarantined(t *testing.T) {
 	st, fb, ids := scrubStore(t, 3)
 	rot(t, fb, ids[0])

@@ -6,35 +6,59 @@ import (
 )
 
 // The write-ahead log makes every pager batch (one logical Store operation)
-// all-or-nothing across power cuts. The protocol per commit (this file is
-// the log's format; FileBackend.commitWAL is the protocol's one
-// implementation):
+// all-or-nothing across power cuts. This file is the log's format;
+// FileBackend.commitWAL and FileBackend.checkpoint are the protocol's one
+// implementation.
+//
+// Commit — what an acknowledged write pays for:
 //
 //  1. Append one block frame per staged image to <path>.wal, then a commit
-//     frame carrying the frame count and the complete header state.
-//  2. fsync the WAL. The operation is now durable.
-//  3. Apply the images in place in the data file, update the checksum
-//     sidecar, write the header, fsync data and sidecar.
-//  4. Truncate the WAL back to its header.
+//     record carrying the frame count and the complete header state.
+//  2. fsync the WAL. The operation is durable and is acknowledged; its
+//     images are served to readers from the overlay (group.go) and are owed
+//     to the data file.
 //
-// Recovery at open scans the WAL: every complete committed transaction is
-// replayed in order (step 3 may have been interrupted anywhere — replay is
-// pure physical redo and idempotent), an incomplete tail is discarded (the
-// cut came before the commit fsync, so the operation never happened). A
-// frame whose checksum fails inside a *committed* transaction is real
-// corruption and surfaces as ErrCorrupt rather than being silently dropped.
+// Checkpoint — when the log passes WALCheckpointBytes, and at Sync,
+// StopGroupCommit and Close:
+//
+//  3. Apply the newest logged image of each block in place, update the
+//     checksum sidecar, write the last logged header, fsync data and sidecar.
+//  4. Reset the log in place: rewrite its header with generation + 1 and
+//     fsync it. The file keeps its length; the next commit overwrites the
+//     old frames from the top. Only Close truncates it back to its header.
+//
+// Every frame and commit-record checksum has the log's generation mixed in,
+// so whatever an earlier generation left beyond the live tail fails its
+// checksum and scans exactly as a torn tail does. The reset must be durable
+// before the first frame of the new generation is appended: were a crash to
+// keep the old header over a partly overwritten log, an old-generation
+// prefix would replay over a data file that already holds later images.
+// Generation 0 with nothing mixed in is the format of logs written before
+// the generation existed.
+//
+// Recovery at open scans the WAL: every complete committed transaction of
+// the header's generation is replayed in order (a checkpoint may have been
+// interrupted anywhere — replay is pure physical redo and idempotent), an
+// incomplete tail is discarded (the cut came before the commit fsync, so the
+// operation never happened). A frame whose checksum fails inside a
+// *committed* transaction is real corruption and surfaces as ErrCorrupt
+// rather than being silently dropped.
 //
 // Group commit (see group.go) appends several transactions — each with its
-// own commit record — before a single fsync, and defers the truncate, so
-// the log legitimately holds a sequence of committed transactions. A crash
-// anywhere inside the group leaves exactly the committed prefix: scanWAL
-// returns the transactions in append order and recovery replays them all.
+// own commit record — before a single fsync. A crash anywhere inside the
+// group leaves exactly the committed prefix.
 
 // walMagic identifies a FileBackend write-ahead log file.
 var walMagic = [8]byte{'B', 'O', 'X', 'W', 'A', 'L', '0', '1'}
 
-// walHeaderSize is magic (8) + block size (4) + reserved (4).
+// walHeaderSize is magic (8) + block size (4) + generation (4).
 const walHeaderSize = 16
+
+// WALCheckpointBytes is the log size past which the goroutine that just
+// appended runs a checkpoint: some 80 commits of five 8 KB blocks, so the
+// checkpoint's three fsyncs stay out of the write tail latency, and a bound
+// on both the redo at open and the memory the unapplied images pin.
+const WALCheckpointBytes = 4 << 20
 
 const (
 	walKindBlock  = 1
@@ -71,26 +95,29 @@ type walTxn struct {
 }
 
 // encodeWALHeader renders the WAL file header.
-func encodeWALHeader(blockSize int) []byte {
+func encodeWALHeader(blockSize int, gen uint32) []byte {
 	buf := make([]byte, walHeaderSize)
 	copy(buf[:8], walMagic[:])
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(blockSize))
+	binary.LittleEndian.PutUint32(buf[12:16], gen)
 	return buf
 }
 
-// encodeWALFrame renders one block frame.
-func encodeWALFrame(id BlockID, data []byte) []byte {
-	buf := make([]byte, walFrameSize(len(data)))
+// encodeWALFrame renders one block frame of generation gen into buf, which
+// must hold walFrameSize(len(data)) bytes, and returns the frame.
+func encodeWALFrame(buf []byte, id BlockID, data []byte, gen uint32) []byte {
+	buf = buf[:walFrameSize(len(data))]
 	buf[0] = walKindBlock
 	binary.LittleEndian.PutUint64(buf[1:9], uint64(id))
 	copy(buf[9:], data)
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], checksum(buf[:len(buf)-4]))
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], checksum(buf[:len(buf)-4])^gen)
 	return buf
 }
 
-// encodeWALCommit renders a commit frame.
-func encodeWALCommit(count int, hdr walHeaderState) []byte {
-	buf := make([]byte, walCommitSize)
+// encodeWALCommit renders a commit record of generation gen into buf, which
+// must hold walCommitSize bytes, and returns the record.
+func encodeWALCommit(buf []byte, count int, hdr walHeaderState, gen uint32) []byte {
+	buf = buf[:walCommitSize]
 	buf[0] = walKindCommit
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(count))
 	binary.LittleEndian.PutUint64(buf[5:13], uint64(hdr.next))
@@ -98,7 +125,7 @@ func encodeWALCommit(count int, hdr walHeaderState) []byte {
 	binary.LittleEndian.PutUint64(buf[21:29], hdr.allocated)
 	binary.LittleEndian.PutUint64(buf[29:37], uint64(hdr.metaRoot))
 	binary.LittleEndian.PutUint32(buf[37:41], hdr.flags)
-	binary.LittleEndian.PutUint32(buf[41:45], checksum(buf[:41]))
+	binary.LittleEndian.PutUint32(buf[41:45], checksum(buf[:41])^gen)
 	return buf
 }
 
@@ -125,12 +152,12 @@ func readAll(f blockFile) ([]byte, error) {
 }
 
 // scanWAL parses a WAL file's contents (header included). It returns every
-// complete committed transaction in append order (nil if none), the number
-// of trailing bytes belonging to an uncommitted tail, and an error when a
-// committed transaction is unreadable (bit rot inside fsynced frames) or
-// the WAL header itself is invalid. With group commit the log routinely
-// holds several committed transactions; replaying them in order — pure
-// idempotent physical redo — reconstructs exactly the committed prefix.
+// complete committed transaction of the header's generation in append order
+// (nil if none), the number of trailing bytes belonging to an uncommitted or
+// stale tail, and an error when a committed transaction is unreadable (bit
+// rot inside fsynced frames) or the WAL header itself is invalid. The log
+// routinely holds many committed transactions; replaying them in order —
+// pure idempotent physical redo — reconstructs exactly the committed prefix.
 func scanWAL(data []byte, blockSize int) (txns []*walTxn, discarded int64, err error) {
 	if len(data) < walHeaderSize {
 		// Truncated below its own header: treat as empty (a crash during
@@ -145,6 +172,7 @@ func scanWAL(data []byte, blockSize int) (txns []*walTxn, discarded int64, err e
 	if bs := int(binary.LittleEndian.Uint32(data[8:12])); bs != blockSize {
 		return nil, 0, corruptRegion("wal", "block size %d, store uses %d", bs, blockSize)
 	}
+	gen := binary.LittleEndian.Uint32(data[12:16])
 
 	frameSize := walFrameSize(blockSize)
 	pos := walHeaderSize
@@ -158,7 +186,7 @@ func scanWAL(data []byte, blockSize int) (txns []*walTxn, discarded int64, err e
 				return txns, int64(len(data) - lastCommitEnd), nil // torn tail
 			}
 			frame := data[pos : pos+frameSize]
-			if checksum(frame[:frameSize-4]) != binary.LittleEndian.Uint32(frame[frameSize-4:]) {
+			if checksum(frame[:frameSize-4])^gen != binary.LittleEndian.Uint32(frame[frameSize-4:]) {
 				// Frame size is fixed, so keep scanning: if a valid commit
 				// follows, this is corruption inside a committed
 				// transaction; if not, it is an ordinary torn tail.
@@ -176,7 +204,7 @@ func scanWAL(data []byte, blockSize int) (txns []*walTxn, discarded int64, err e
 				return txns, int64(len(data) - lastCommitEnd), nil // torn tail
 			}
 			frame := data[pos : pos+walCommitSize]
-			if checksum(frame[:41]) != binary.LittleEndian.Uint32(frame[41:45]) {
+			if checksum(frame[:41])^gen != binary.LittleEndian.Uint32(frame[41:45]) {
 				return txns, int64(len(data) - lastCommitEnd), nil // torn commit
 			}
 			count := int(binary.LittleEndian.Uint32(frame[1:5]))

@@ -12,17 +12,16 @@ import (
 // LIDF bookkeeping so the structure can be reopened over a persistent
 // backend.
 func (l *Labeler) MarshalMeta() []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, uint8(l.p.Variant))
-	binary.Write(&buf, binary.LittleEndian, boolByte(l.p.Ordinal))
-	binary.Write(&buf, binary.LittleEndian, uint64(l.root))
-	binary.Write(&buf, binary.LittleEndian, uint32(l.height))
-	binary.Write(&buf, binary.LittleEndian, l.live)
-	binary.Write(&buf, binary.LittleEndian, l.dead)
+	le := binary.LittleEndian
 	lm := l.file.MarshalMeta()
-	binary.Write(&buf, binary.LittleEndian, uint32(len(lm)))
-	buf.Write(lm)
-	return buf.Bytes()
+	buf := make([]byte, 0, 34+len(lm))
+	buf = append(buf, uint8(l.p.Variant), boolByte(l.p.Ordinal))
+	buf = le.AppendUint64(buf, uint64(l.root))
+	buf = le.AppendUint32(buf, uint32(l.height))
+	buf = le.AppendUint64(buf, l.live)
+	buf = le.AppendUint64(buf, l.dead)
+	buf = le.AppendUint32(buf, uint32(len(lm)))
+	return append(buf, lm...)
 }
 
 // RestoreMeta restores state saved by MarshalMeta into a freshly created
