@@ -6,7 +6,7 @@ GO ?= go
 # parameters.
 BENCH_FLAGS := -base 2000 -inserts 500 -xmark 1000 -xprime 200
 
-.PHONY: all build test race lint bench bench-diff bench-baseline microbench check crash-matrix scrub-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke serve-baseline zoo experiments experiments-paper-scale clean
+.PHONY: all build test race lint bench bench-diff bench-baseline microbench check crash-matrix scrub-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
 
 all: build test
 
@@ -55,10 +55,17 @@ fuzz-smoke:
 # known-bug regression (the re-introduced tombstone-stranded W-BOX tree
 # must be found, minimized and replayed byte-identically) and the
 # seed-replay determinism tests. Failures drop replayable artifacts
-# under boxsim-out/.
+# under boxsim-out/. The 30 execution digests of the battery are pinned in
+# internal/sim/testdata/smoke.digests: a refactor that claims "every digest
+# bit-identical" fails here when one moved. Re-pin (old -> new in
+# CHANGES.md) only with a change that means to alter what is written.
 sim-smoke:
 	$(GO) test ./internal/sim -count=1 -v
-	$(GO) run ./cmd/boxsim -smoke -out boxsim-out
+	mkdir -p boxsim-out
+	$(GO) run ./cmd/boxsim -smoke -out boxsim-out > boxsim-out/smoke.log || { cat boxsim-out/smoke.log; exit 1; }
+	awk '/^boxsim: seed=/ {h = $$2 " " $$3 " " $$4} / digest=/ {print h, $$NF}' boxsim-out/smoke.log \
+		| diff -u internal/sim/testdata/smoke.digests -
+	@echo "sim-smoke: 30 histories ok, every digest as pinned"
 
 # Randomized-seed soak: fresh base seed each run (the clock), every
 # scheme, every mix. boxsim prints each seed BEFORE running it, so a
@@ -206,9 +213,9 @@ heat-smoke:
 	grep -q '"name":"inserts"' heat-scattered.json
 	@echo "heat-smoke: conservation ok; snapshot in heat-scattered.json"
 
-# Workload for the served-load snapshot and its committed baseline;
-# benchdiff refuses to compare snapshots with different parameters, so
-# serve-smoke and serve-baseline must agree on these.
+# Workload for the served-load snapshot; benchdiff refuses to compare
+# snapshots with different parameters, so these must stay what
+# results/baseline-serve.json was recorded with.
 SERVE_LOAD_FLAGS := -conns 4 -ops 2000 -seed 1
 
 # Network-service smoke: start boxserve, run the benchdiff-gated zipf
@@ -238,20 +245,6 @@ serve-smoke:
 	$(GO) run ./cmd/benchdiff -min 'zipf:serve_acked=1900' \
 		results/baseline-serve.json BENCH_serve.json
 	@echo "serve-smoke: faults absorbed, drain clean, store fsck-clean"
-
-# Regenerate the committed served-load baseline after an intentional
-# change to the serve layer (fault-free run; review the diff).
-serve-baseline:
-	$(GO) build -o /tmp/boxserve-smoke ./cmd/boxserve
-	$(GO) build -o /tmp/boxclient-smoke ./cmd/boxclient
-	-@kill $$(cat /tmp/boxes-serve-base.pid 2>/dev/null) 2>/dev/null; sleep 1
-	rm -f /tmp/boxes-serve-base.box /tmp/boxes-serve-base.log
-	/tmp/boxserve-smoke -store /tmp/boxes-serve-base.box -addr 127.0.0.1:9422 \
-		> /tmp/boxes-serve-base.log 2>&1 & echo $$! > /tmp/boxes-serve-base.pid
-	@for i in $$(seq 1 60); do grep -q serving /tmp/boxes-serve-base.log && break; sleep 1; done
-	/tmp/boxclient-smoke -addr 127.0.0.1:9422 -load -source zipf $(SERVE_LOAD_FLAGS) -json results
-	kill -TERM $$(cat /tmp/boxes-serve-base.pid)
-	mv results/BENCH_serve.json results/baseline-serve.json
 
 # Span-tracing smoke: the group-commit experiment with the Chrome trace
 # exporter on (the artifact CI uploads; load it in Perfetto — the

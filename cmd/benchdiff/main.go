@@ -1,14 +1,14 @@
 // Command benchdiff compares two BENCH_*.json snapshots written by
 // boxbench -exp snap and fails when the current run regressed past a
-// threshold. By default only the deterministic I/O metrics are compared
-// (avg/p99/max/total I/Os per op — which in the paper's cost model *is*
-// throughput), so a committed baseline stays valid on any machine; -wall
-// adds the wall-clock columns for same-hardware comparisons.
+// threshold. Only the deterministic I/O metrics are compared (avg/p99/max/
+// total I/Os per op — which in the paper's cost model *is* throughput) plus
+// the gated gauge families, so a committed baseline stays valid on any
+// machine; wall time is the served-request benchmark's job (benchmark/).
 //
 // Usage:
 //
 //	benchdiff results/baseline.json BENCH_concentrated.json
-//	benchdiff -threshold 0.10 -wall old.json new.json
+//	benchdiff -threshold 0.10 old.json new.json
 //	benchdiff -max 'group-8:pager_wal_syncs_per_op=0.25' base.json cur.json
 //	benchdiff -min 'group-8:phase_share_commit_wait=0.2' base.json cur.json
 //
@@ -90,7 +90,6 @@ func checkBound(current bench.SnapshotFile, a boundAssert, floor bool) error {
 
 func main() {
 	threshold := flag.Float64("threshold", 0.25, "relative regression tolerance (0.25 = fail when 25% worse)")
-	wall := flag.Bool("wall", false, "also compare wall-clock metrics (ops/sec, p99 latency); same-machine snapshots only")
 	var maxes, mins boundFlags
 	flag.Var(&maxes, "max", "absolute gauge ceiling on the current snapshot, scheme:gauge=value (repeatable)")
 	flag.Var(&mins, "min", "absolute gauge floor on the current snapshot, scheme:gauge=value (repeatable)")
@@ -108,7 +107,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	regs, err := bench.Diff(baseline, current, *threshold, *wall)
+	regs, err := bench.Diff(baseline, current, *threshold)
 	if err != nil {
 		fatal(err)
 	}

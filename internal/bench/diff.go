@@ -33,7 +33,7 @@ type Regression struct {
 	Metric string  // which metric
 	Old    float64 // baseline value
 	New    float64 // current value
-	Ratio  float64 // new/old for cost metrics, old/new for throughput
+	Ratio  float64 // new/old
 }
 
 func (r Regression) String() string {
@@ -43,17 +43,17 @@ func (r Regression) String() string {
 // Diff compares a current snapshot against a baseline and returns every
 // metric that regressed by more than threshold (0.25 = 25% worse).
 //
-// The default comparison covers the deterministic I/O metrics — avg_io,
-// p99_io, max_io, total_io — which are reproducible across machines: in
-// the paper's cost model I/Os per op *is* throughput, so a committed
-// baseline stays meaningful on any CI runner. With wallClock set, the
-// machine-dependent ops/sec and p99 latency are compared too; only do that
-// when both snapshots come from the same hardware.
+// The comparison covers the deterministic I/O metrics — avg_io, p99_io,
+// max_io, total_io — which are reproducible across machines: in the
+// paper's cost model I/Os per op *is* throughput, so a committed baseline
+// stays meaningful on any CI runner. The machine-dependent ops/sec and
+// latency columns a snapshot also carries are never compared; wall time is
+// judged by the served-request benchmark (benchmark/), not here.
 //
 // Schemes present in only one snapshot are ignored (the matrix may grow),
 // but mismatched workload parameters are an error: those numbers are not
 // comparable at any threshold.
-func Diff(baseline, current SnapshotFile, threshold float64, wallClock bool) ([]Regression, error) {
+func Diff(baseline, current SnapshotFile, threshold float64) ([]Regression, error) {
 	if baseline.Experiment != current.Experiment {
 		return nil, fmt.Errorf("bench: diffing different experiments: %q vs %q", baseline.Experiment, current.Experiment)
 	}
@@ -79,22 +79,11 @@ func Diff(baseline, current SnapshotFile, threshold float64, wallClock bool) ([]
 			{"max_io", float64(old.MaxIO), float64(cur.MaxIO)},
 			{"total_io", float64(old.TotalIO), float64(cur.TotalIO)},
 		}
-		if wallClock {
-			costs = append(costs,
-				struct {
-					metric   string
-					old, new float64
-				}{"latency_p99_ns", float64(old.LatencyP99Ns), float64(cur.LatencyP99Ns)})
-		}
 		for _, c := range costs {
 			// Higher is worse; a zero baseline can only regress to non-zero.
 			if c.old > 0 && c.new > c.old*(1+threshold) {
 				regs = append(regs, Regression{Scheme: cur.Scheme, Metric: c.metric, Old: c.old, New: c.new, Ratio: c.new / c.old})
 			}
-		}
-		if wallClock && old.OpsPerSec > 0 && cur.OpsPerSec < old.OpsPerSec/(1+threshold) {
-			// Lower is worse for throughput.
-			regs = append(regs, Regression{Scheme: cur.Scheme, Metric: "ops_per_sec", Old: old.OpsPerSec, New: cur.OpsPerSec, Ratio: old.OpsPerSec / cur.OpsPerSec})
 		}
 		for key, oldVal := range old.Gauges {
 			if !gaugeGated(key) || oldVal <= 0 {

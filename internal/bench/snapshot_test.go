@@ -47,7 +47,7 @@ func TestDiffFlagsSyntheticRegression(t *testing.T) {
 	baseline := testSnapshot(4)
 	current := testSnapshot(8) // 2x the I/O cost
 	current.Schemes[0].P99IO = 30
-	regs, err := Diff(baseline, current, 0.25, false)
+	regs, err := Diff(baseline, current, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDiffFlagsSyntheticRegression(t *testing.T) {
 func TestDiffWithinThresholdPasses(t *testing.T) {
 	baseline := testSnapshot(4)
 	current := testSnapshot(4.5) // 12.5% worse, threshold 25%
-	regs, err := Diff(baseline, current, 0.25, false)
+	regs, err := Diff(baseline, current, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,48 +85,22 @@ func TestDiffWithinThresholdPasses(t *testing.T) {
 	}
 }
 
-func TestDiffWallClockOnlyOnRequest(t *testing.T) {
-	baseline := testSnapshot(4)
-	current := testSnapshot(4)
-	current.Schemes[0].OpsPerSec = 100 // 10x slower wall clock, same I/O
-	current.Schemes[0].LatencyP99Ns = 9000
-
-	regs, err := Diff(baseline, current, 0.25, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("wall-clock metrics compared without -wall: %v", regs)
-	}
-	regs, err = Diff(baseline, current, 0.25, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := map[string]bool{}
-	for _, r := range regs {
-		metrics[r.Metric] = true
-	}
-	if !metrics["ops_per_sec"] || !metrics["latency_p99_ns"] {
-		t.Errorf("wall-clock regressions not flagged: %v", regs)
-	}
-}
-
 func TestDiffRejectsIncomparableSnapshots(t *testing.T) {
 	baseline := testSnapshot(4)
 	current := testSnapshot(4)
 	current.Params.Seed = 99
-	if _, err := Diff(baseline, current, 0.25, false); err == nil {
+	if _, err := Diff(baseline, current, 0.25); err == nil {
 		t.Error("parameter mismatch not rejected")
 	}
 	current = testSnapshot(4)
 	current.Experiment = "scattered"
-	if _, err := Diff(baseline, current, 0.25, false); err == nil {
+	if _, err := Diff(baseline, current, 0.25); err == nil {
 		t.Error("experiment mismatch not rejected")
 	}
 	// A scheme present on only one side is fine: the matrix may grow.
 	current = testSnapshot(4)
 	current.Schemes = current.Schemes[:1]
-	if _, err := Diff(baseline, current, 0.25, false); err != nil {
+	if _, err := Diff(baseline, current, 0.25); err != nil {
 		t.Errorf("shrunk scheme matrix rejected: %v", err)
 	}
 }
@@ -171,7 +145,7 @@ func TestWriteBenchSnapshots(t *testing.T) {
 				}
 			}
 		}
-		if regs, err := Diff(s, s, 0.25, true); err != nil || len(regs) != 0 {
+		if regs, err := Diff(s, s, 0.25); err != nil || len(regs) != 0 {
 			t.Errorf("%s: self-diff: regs=%v err=%v", path, regs, err)
 		}
 	}

@@ -99,11 +99,12 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // one commit record, one durability point — instead of one per mutation.
 // Results are positional (results[i] answers ops[i]).
 //
-// The batch is atomic on disk: if any op fails, the pager operation is
-// aborted and no write of the batch reaches the backend. The in-memory
-// structures may retain partial effects of the failed prefix, matching the
-// existing single-op failure semantics; durable callers recover the exact
-// pre-batch state by reopening from the backend.
+// The batch is atomic: if any op fails on a durable store, the pager
+// operation is aborted, no write of the batch reaches the backend, and the
+// in-memory structures roll back to the committed metadata — the same
+// bracket (transact) every single-op mutator runs in. A non-durable store
+// has no committed state to return to and may retain partial effects of the
+// failed prefix.
 func (s *Store) ApplyBatch(ops []Op) ([]OpResult, error) {
 	return s.ApplyBatchCtx(context.Background(), ops)
 }
@@ -122,12 +123,18 @@ func (s *Store) ApplyBatchCtx(ctx context.Context, ops []Op) ([]OpResult, error)
 	}
 	c := s.begin(obs.OpBatch)
 	results := make([]OpResult, len(ops))
-	err := s.durableBatch(func() error {
+	err := s.transact(s.opts.Durable, func() error {
 		for i := range ops {
 			if cerr := ctx.Err(); cerr != nil {
 				return fmt.Errorf("core: batch aborted before op %d/%d: %w", i, len(ops), cerr)
 			}
-			if err := s.applyOne(&ops[i], &results[i]); err != nil {
+			// With span recording on, each positional op is a child span
+			// of the batch, so a trace shows the individual inserts that
+			// later coalesce under one fsync.
+			sp := s.reg.Tracer().StartAuto(false, ops[i].Kind.String())
+			err := s.applyOne(&ops[i], &results[i])
+			sp.End(err)
+			if err != nil {
 				return &BatchError{Index: i, Kind: ops[i].Kind, Err: err}
 			}
 		}
@@ -140,52 +147,10 @@ func (s *Store) ApplyBatchCtx(ctx context.Context, ops []Op) ([]OpResult, error)
 	return results, nil
 }
 
-// durableBatch is durable() with abort-on-error: a failed batch must not
-// commit its prefix.
-func (s *Store) durableBatch(fn func() error) error {
-	if err := s.readOnlyErr(); err != nil {
-		return err
-	}
-	if !s.opts.Durable {
-		err := fn()
-		s.noteFaults(err)
-		return err
-	}
-	s.store.BeginOp()
-	err := fn()
-	if err == nil {
-		err = s.persistMeta()
-	}
-	if err != nil {
-		s.store.AbortOp()
-		s.noteFaults(err)
-		return err
-	}
-	if e := s.store.EndOp(); e != nil {
-		s.noteFaults(e)
-		return e
-	}
-	if t := s.store.TakeTicket(); t != nil {
-		if s.deferred {
-			s.ticket = t
-		} else if werr := t.Wait(); werr != nil {
-			s.noteFaults(werr)
-			return werr
-		}
-	}
-	s.noteFaults(nil)
-	return nil
-}
-
-// applyOne dispatches one batch op against the labeler. It runs inside the
-// batch's pager operation, so reads see the batch's prior writes. When span
-// recording is on, each positional op becomes a child span of the batch, so
-// a trace shows the individual inserts that later coalesce under one fsync.
-func (s *Store) applyOne(op *Op, res *OpResult) (err error) {
-	if tr := s.reg.Tracer(); tr.Enabled() {
-		sp := tr.StartAuto(false, op.Kind.String())
-		defer func() { sp.End(err) }()
-	}
+// applyOne is the one dispatch of an Op onto the labeler, for single-op
+// mutators and batch members alike. It runs inside the transaction's pager
+// operation, so a batch's reads see the batch's prior writes.
+func (s *Store) applyOne(op *Op, res *OpResult) error {
 	switch op.Kind {
 	case OpInsertBefore:
 		e, err := s.labeler.InsertElementBefore(op.LID)

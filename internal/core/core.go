@@ -166,10 +166,9 @@ type Store struct {
 	// resolves; the caller collects it with TakeTicket (SyncStore waits
 	// after releasing its write lock, so concurrent writers coalesce).
 	deferred bool
-	ticket   *pager.CommitTicket
 
 	// Phase-attribution state, guarded by the exclusive writer section:
-	// extraNs accumulates durable()'s instrumented sections (meta_persist,
+	// extraNs accumulates transact()'s instrumented sections (meta_persist,
 	// fsync_wait) so end() can subtract them from the residual structure
 	// phase; pendingLockWait is the write-lock acquisition wait SyncStore
 	// parked for the next begin() to attribute; lastOp is the most recent
@@ -310,23 +309,6 @@ func (s *Store) Labeler() order.Labeler { return s.labeler }
 // Cache returns the caching layer, or nil when caching is off.
 func (s *Store) Cache() *reflog.Cache { return s.cache }
 
-// EnableOrdinalCache attaches a caching+logging layer to the store's
-// ordinal labels (requires Ordinal support) with a logK-entry modification
-// log, and returns it. Ordinal effects are exact for every operation —
-// including bulk subtree insert/delete — so replay hit rates are typically
-// even higher than for regular labels.
-func (s *Store) EnableOrdinalCache(logK int) (*reflog.Cache, error) {
-	if !s.opts.Ordinal {
-		return nil, order.ErrNoOrdinal
-	}
-	if logK < 0 {
-		logK = 0
-	}
-	c := reflog.NewOrdinalCache(s.labeler, reflog.NewLog(logK))
-	c.SetObserver(s.reg)
-	return c, nil
-}
-
 // FlightRecorder returns the flight recorder installed via
 // Options.CrashDir, or nil when crash dumping is off.
 func (s *Store) FlightRecorder() *obs.FlightRecorder { return s.flight }
@@ -387,6 +369,7 @@ func (s *Store) begin(op obs.Op) opMeasure {
 	m := opMeasure{op: op, excl: op != obs.OpLookup || !s.store.Shared()}
 	if m.excl {
 		s.reg.SetWriterCell(s.schemeIdx, op)
+		s.extraNs = 0 // sections timed outside a measured op (Save) are not this op's
 		if w := s.pendingLockWait; w != 0 {
 			s.pendingLockWait = 0
 			s.reg.ObservePhase(op, obs.PhaseLockWaitWrite, time.Duration(w))
@@ -415,7 +398,6 @@ func (s *Store) end(m opMeasure, err error) {
 	var extra int64
 	if m.excl {
 		extra = s.extraNs
-		s.extraNs = 0
 		s.lastOp = m.op
 		s.reg.ClearWriterOp()
 	}
@@ -427,7 +409,7 @@ func (s *Store) end(m opMeasure, err error) {
 	m.sp.End(err)
 }
 
-// notePhase attributes one instrumented section inside durable() to the
+// notePhase attributes one instrumented section inside transact() to the
 // current writer op's phase histograms, and accumulates it into extraNs so
 // end() can subtract it from the residual structure phase.
 func (s *Store) notePhase(ph obs.Phase, start time.Time) {
@@ -439,16 +421,20 @@ func (s *Store) notePhase(ph obs.Phase, start time.Time) {
 	}
 }
 
-// durable runs one mutating operation. With Options.Durable it opens an
-// outer pager operation, runs fn, re-persists the metadata blob, and ends
-// the operation — so the structural writes, the metadata, and the meta
-// root all land in one atomic backend transaction. Without Durable it
-// just runs fn.
-func (s *Store) durable(fn func() error) error {
+// transact is the one bracket around a mutation. With persist set it opens
+// an outer pager operation, runs fn, and re-persists the metadata blob, so
+// the structural writes, the metadata, and the meta root land in one atomic
+// backend transaction — or, when fn or the metadata rewrite fails, in none:
+// the operation is aborted, nothing of it reaches the backend, and
+// noteFaults rolls the labeler back to the committed metadata. The commit
+// ticket of a group-committing backend stays parked in the pager for
+// TakeTicket when durability is deferred; otherwise it is waited for here.
+// Without persist (a non-durable store's mutators) it just runs fn.
+func (s *Store) transact(persist bool, fn func() error) error {
 	if err := s.readOnlyErr(); err != nil {
 		return err
 	}
-	if !s.opts.Durable {
+	if !persist {
 		err := fn()
 		s.noteFaults(err)
 		return err
@@ -460,23 +446,27 @@ func (s *Store) durable(fn func() error) error {
 		err = s.persistMeta()
 		s.notePhase(obs.PhaseMetaPersist, t0)
 	}
-	if e := s.store.EndOp(); err == nil {
-		err = e
-	}
-	if t := s.store.TakeTicket(); t != nil {
-		if s.deferred {
-			s.ticket = t
-		} else {
+	if err != nil {
+		s.store.AbortOp()
+	} else if err = s.store.EndOp(); err == nil && !s.deferred {
+		if t := s.store.TakeTicket(); t != nil {
 			t0 := time.Now()
-			werr := t.Wait()
+			err = t.Wait()
 			s.notePhase(obs.PhaseFsyncWait, t0)
-			if err == nil {
-				err = werr
-			}
 		}
 	}
 	s.noteFaults(err)
 	return err
+}
+
+// mutate runs one element-level mutation as its own transaction, measured
+// under the obs.Op kind the calling mutator reports as.
+func (s *Store) mutate(kind obs.Op, op Op) (OpResult, error) {
+	c := s.begin(kind)
+	var res OpResult
+	err := s.transact(s.opts.Durable, func() error { return s.applyOne(&op, &res) })
+	s.end(c, err)
+	return res, err
 }
 
 // SetDeferredDurability controls when mutators wait for their group-commit
@@ -489,11 +479,7 @@ func (s *Store) SetDeferredDurability(on bool) { s.deferred = on }
 
 // TakeTicket returns (and clears) the commit ticket of the most recent
 // deferred mutation, or nil. Nil tickets Wait as immediate success.
-func (s *Store) TakeTicket() *pager.CommitTicket {
-	t := s.ticket
-	s.ticket = nil
-	return t
-}
+func (s *Store) TakeTicket() *pager.CommitTicket { return s.store.TakeTicket() }
 
 // Stats returns the block I/O counters accumulated so far.
 func (s *Store) Stats() pager.IOStats { return s.store.Stats() }
@@ -558,73 +544,40 @@ func (s *Store) lookupSpan(e order.ElemLIDs) (query.Span, error) {
 // identified by lidOld (previous sibling if lidOld is a start label, last
 // child if it is an end label).
 func (s *Store) InsertElementBefore(lidOld order.LID) (order.ElemLIDs, error) {
-	c := s.begin(obs.OpInsert)
-	var e order.ElemLIDs
-	err := s.durable(func() (err error) {
-		e, err = s.labeler.InsertElementBefore(lidOld)
-		return err
-	})
-	s.end(c, err)
-	return e, err
+	res, err := s.mutate(obs.OpInsert, Op{Kind: OpInsertBefore, LID: lidOld})
+	return res.Elem, err
 }
 
 // InsertFirstElement bootstraps an empty document.
 func (s *Store) InsertFirstElement() (order.ElemLIDs, error) {
-	c := s.begin(obs.OpInsert)
-	var e order.ElemLIDs
-	err := s.durable(func() (err error) {
-		e, err = s.labeler.InsertFirstElement()
-		return err
-	})
-	s.end(c, err)
-	return e, err
+	res, err := s.mutate(obs.OpInsert, Op{Kind: OpInsertFirst})
+	return res.Elem, err
 }
 
 // Delete removes one label.
 func (s *Store) Delete(lid order.LID) error {
-	c := s.begin(obs.OpDelete)
-	err := s.durable(func() error {
-		return s.labeler.Delete(lid)
-	})
-	s.end(c, err)
+	_, err := s.mutate(obs.OpDelete, Op{Kind: OpDelete, LID: lid})
 	return err
 }
 
 // DeleteElement removes both labels of an element (its children become
 // children of its parent).
 func (s *Store) DeleteElement(e order.ElemLIDs) error {
-	c := s.begin(obs.OpDelete)
-	err := s.durable(func() error {
-		if err := s.labeler.Delete(e.Start); err != nil {
-			return err
-		}
-		return s.labeler.Delete(e.End)
-	})
-	s.end(c, err)
+	_, err := s.mutate(obs.OpDelete, Op{Kind: OpDeleteElement, Elem: e})
 	return err
 }
 
 // DeleteSubtree removes an element and all its descendants.
 func (s *Store) DeleteSubtree(e order.ElemLIDs) error {
-	c := s.begin(obs.OpSubtreeDelete)
-	err := s.durable(func() error {
-		return s.labeler.DeleteSubtree(e.Start, e.End)
-	})
-	s.end(c, err)
+	_, err := s.mutate(obs.OpSubtreeDelete, Op{Kind: OpDeleteSubtree, Elem: e})
 	return err
 }
 
 // InsertSubtreeBefore bulk-inserts a whole XML subtree immediately before
 // the tag identified by lidOld.
 func (s *Store) InsertSubtreeBefore(lidOld order.LID, tree *xmlgen.Tree) ([]order.ElemLIDs, error) {
-	c := s.begin(obs.OpSubtreeInsert)
-	var elems []order.ElemLIDs
-	err := s.durable(func() (err error) {
-		elems, err = s.labeler.InsertSubtreeBefore(lidOld, tree.TagStream())
-		return err
-	})
-	s.end(c, err)
-	return elems, err
+	res, err := s.mutate(obs.OpSubtreeInsert, Op{Kind: OpInsertSubtree, LID: lidOld, Tree: tree})
+	return res.Elems, err
 }
 
 // Compare orders two tags by document position, returning -1, 0 or +1.
@@ -692,7 +645,7 @@ func (s *Store) Load(tree *xmlgen.Tree) (*Document, error) {
 	}
 	c := s.begin(obs.OpBulkLoad)
 	var elems []order.ElemLIDs
-	err := s.durable(func() (err error) {
+	err := s.transact(s.opts.Durable, func() (err error) {
 		elems, err = s.labeler.BulkLoad(tree.TagStream())
 		return err
 	})

@@ -32,20 +32,14 @@ var ErrNoSavedStore = errors.New("core: backend holds no saved store")
 // synced. With Options.Durable every mutating operation already persists
 // metadata, so explicit Saves are only needed for non-durable stores.
 func (s *Store) Save() error {
-	if err := s.readOnlyErr(); err != nil {
-		return err
-	}
-	s.store.BeginOp()
-	err := s.persistMeta()
-	if e := s.store.EndOp(); err == nil {
-		err = e
-	}
+	err := s.transact(true, func() error { return nil })
 	if err == nil {
 		if fb, ok := s.store.Backend().(*pager.FileBackend); ok {
-			err = fb.Sync()
+			if err = fb.Sync(); err != nil {
+				s.noteFaults(err)
+			}
 		}
 	}
-	s.noteFaults(err)
 	return err
 }
 
@@ -109,76 +103,26 @@ func OpenExisting(backend pager.Backend, runtime Options) (*Store, error) {
 }
 
 func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
-	mr, ok := backend.(pager.MetaRooter)
-	if !ok {
-		return nil, errors.New("core: backend cannot persist metadata")
-	}
-	head, err := mr.MetaRoot()
+	opts, rest, err := readMeta(pager.NewStore(backend))
 	if err != nil {
 		return nil, err
 	}
-	if head == pager.NilBlock {
-		return nil, ErrNoSavedStore
+	if opts.BlockSize != backend.BlockSize() {
+		return nil, fmt.Errorf("core: saved block size %d, backend has %d", opts.BlockSize, backend.BlockSize())
 	}
-	probe := pager.NewStore(backend)
-	blob, err := probe.ReadBlob(head)
-	if err != nil {
-		return nil, err
-	}
-	r := bytes.NewReader(blob)
-	var magic [8]byte
-	if _, err := r.Read(magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != metaMagic {
-		return nil, errors.New("core: saved metadata is corrupt (bad magic)")
-	}
-	var scheme uint8
-	var blockSize uint32
-	var ordinal, relaxed uint8
-	var naiveK uint32
-	if err := binary.Read(r, binary.LittleEndian, &scheme); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &blockSize); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &ordinal); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &relaxed); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &naiveK); err != nil {
-		return nil, err
-	}
-	if int(blockSize) != backend.BlockSize() {
-		return nil, fmt.Errorf("core: saved block size %d, backend has %d", blockSize, backend.BlockSize())
-	}
-	opts := Options{
-		Scheme:        Scheme(scheme),
-		BlockSize:     int(blockSize),
-		Ordinal:       ordinal == 1,
-		RelaxedFanout: relaxed == 1,
-		NaiveK:        int(naiveK),
-		Caching:       runtime.Caching,
-		LogK:          runtime.LogK,
-		CacheBlocks:   runtime.CacheBlocks,
-		Backend:       backend,
-		Durable:       runtime.Durable,
-		Durability:    runtime.Durability,
-		Retry:         runtime.Retry,
-		Metrics:       runtime.Metrics,
-		TraceHooks:    runtime.TraceHooks,
-		CrashDir:      runtime.CrashDir,
-		CrashRing:     runtime.CrashRing,
-	}
+	opts.Caching = runtime.Caching
+	opts.LogK = runtime.LogK
+	opts.CacheBlocks = runtime.CacheBlocks
+	opts.Backend = backend
+	opts.Durable = runtime.Durable
+	opts.Durability = runtime.Durability
+	opts.Retry = runtime.Retry
+	opts.Metrics = runtime.Metrics
+	opts.TraceHooks = runtime.TraceHooks
+	opts.CrashDir = runtime.CrashDir
+	opts.CrashRing = runtime.CrashRing
 	st, err := Open(opts)
 	if err != nil {
-		return nil, err
-	}
-	rest := make([]byte, r.Len())
-	if _, err := r.Read(rest); err != nil {
 		return nil, err
 	}
 	mm, ok := st.labeler.(metaMarshaler)
@@ -189,6 +133,42 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 		return nil, err
 	}
 	return st, nil
+}
+
+// metaHeaderLen is the fixed prefix persistMeta writes before the scheme's
+// own metadata: magic (8) + scheme (1) + block size (4) + ordinal (1) +
+// relaxed fan-out (1) + naive k (4).
+const metaHeaderLen = 19
+
+// readMeta reads the committed metadata blob through store and splits it
+// into the structural options of its header and the scheme's own metadata.
+// It returns ErrNoSavedStore when the backend has no meta root.
+func readMeta(store *pager.Store) (Options, []byte, error) {
+	mr, ok := store.Backend().(pager.MetaRooter)
+	if !ok {
+		return Options{}, nil, errors.New("core: backend cannot persist metadata")
+	}
+	head, err := mr.MetaRoot()
+	if err != nil {
+		return Options{}, nil, err
+	}
+	if head == pager.NilBlock {
+		return Options{}, nil, ErrNoSavedStore
+	}
+	blob, err := store.ReadBlob(head)
+	if err != nil {
+		return Options{}, nil, err
+	}
+	if len(blob) < metaHeaderLen || !bytes.Equal(blob[:8], metaMagic[:]) {
+		return Options{}, nil, errors.New("core: saved metadata is corrupt (bad magic)")
+	}
+	return Options{
+		Scheme:        Scheme(blob[8]),
+		BlockSize:     int(binary.LittleEndian.Uint32(blob[9:])),
+		Ordinal:       blob[13] == 1,
+		RelaxedFanout: blob[14] == 1,
+		NaiveK:        int(binary.LittleEndian.Uint32(blob[15:])),
+	}, blob[metaHeaderLen:], nil
 }
 
 func b2u8(b bool) uint8 {

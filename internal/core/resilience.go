@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -15,11 +14,6 @@ import (
 // durable. Lookups keep serving from the committed state. Use errors.Is to
 // test for it; DegradedCause reports the underlying fault.
 var ErrReadOnly = errors.New("core: store is in read-only degraded mode")
-
-// metaHeaderLen is the fixed prefix persistMeta writes before the scheme's
-// own metadata: magic (8) + scheme (1) + block size (4) + ordinal (1) +
-// relaxed fan-out (1) + naive k (4).
-const metaHeaderLen = 19
 
 type degradedInfo struct {
 	cause error
@@ -157,29 +151,15 @@ func (s *Store) enterDegraded(cause error) {
 // restores the labeler from it, discarding in-memory effects of operations
 // whose commit never became durable.
 func (s *Store) restoreCommittedMeta() error {
-	mr, ok := s.store.Backend().(pager.MetaRooter)
-	if !ok {
-		return errors.New("backend cannot persist metadata")
-	}
 	mm, ok := s.labeler.(metaMarshaler)
 	if !ok {
 		return fmt.Errorf("scheme %v cannot restore metadata", s.opts.Scheme)
 	}
-	head, err := mr.MetaRoot()
+	_, meta, err := readMeta(s.store)
 	if err != nil {
 		return err
 	}
-	if head == pager.NilBlock {
-		return errors.New("no committed metadata")
-	}
-	blob, err := s.store.ReadBlob(head)
-	if err != nil {
-		return err
-	}
-	if len(blob) < metaHeaderLen || !bytes.Equal(blob[:8], metaMagic[:]) {
-		return errors.New("committed metadata is corrupt")
-	}
-	return mm.RestoreMeta(blob[metaHeaderLen:])
+	return mm.RestoreMeta(meta)
 }
 
 // unwrapBackend peels fault-injection wrappers off a backend, reaching the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"boxes/internal/obs"
+	"boxes/internal/order"
 	"boxes/internal/pager"
 	"boxes/internal/xmlgen"
 )
@@ -22,9 +24,11 @@ import (
 // TestPhaseCoverageDurable is the attribution-accounting test: on a durable
 // file-backed store, the per-op phase histograms (structure residual plus
 // the instrumented pager/WAL sections) must account for at least 90% of the
-// measured op wall time, for both inserts and lookups. The phases recorded
-// outside the op window (lock waits) or overlapping other phases
-// (retry_backoff) are excluded from the sum by design.
+// measured op wall time, for inserts, lookups and batches alike — the batch
+// row is every served write, and runs in the same transaction bracket as a
+// single insert. The phases recorded outside the op window (lock waits) or
+// overlapping other phases (retry_backoff) are excluded from the sum by
+// design.
 func TestPhaseCoverageDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cover.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
@@ -50,9 +54,20 @@ func TestPhaseCoverageDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const batches = 100
+	for i := 0; i < batches; i++ {
+		at := doc.Elems[i%200].End
+		if _, err := st.ApplyBatch([]Op{{Kind: OpInsertBefore, LID: at}, {Kind: OpLookup, LID: at}, {Kind: OpInsertBefore, LID: at}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A batch that fails commits nothing and persists no metadata.
+	if _, err := st.ApplyBatch([]Op{{Kind: OpInsertBefore, LID: doc.Elems[0].End}, {Kind: OpDelete, LID: 1 << 40}}); !errors.Is(err, order.ErrUnknownLID) {
+		t.Fatalf("batch with an unknown LID: %v", err)
+	}
 
 	snap := st.Metrics()
-	for _, op := range []string{"insert", "lookup"} {
+	for _, op := range []string{"insert", "lookup", "batch"} {
 		latNs := snap.Ops[op].Latency.Sum
 		if latNs == 0 {
 			t.Fatalf("%s: no latency recorded", op)
@@ -81,6 +96,13 @@ func TestPhaseCoverageDurable(t *testing.T) {
 	}
 	if snap.Phases["insert"]["meta_persist"].Total() == 0 {
 		t.Error("insert row has no meta_persist phase")
+	}
+	// One metadata rewrite and one commit per committed batch, attributed
+	// to the batch; the failed one contributes neither.
+	for _, ph := range []string{"meta_persist", "wal_commit"} {
+		if got := snap.Phases["batch"][ph].Total(); got != batches {
+			t.Errorf("batch row has %d %s observations, want %d (one per committed batch)", got, ph, batches)
+		}
 	}
 }
 

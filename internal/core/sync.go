@@ -25,8 +25,8 @@ import (
 // commit ticket AFTER releasing the write lock, so concurrently queued
 // transactions coalesce into a single WAL fsync while the next writer
 // proceeds. A mutator returns nil only once its transaction is durable.
-// Lock acquisition waits are recorded in the registry's
-// boxes_lock_wait_seconds histograms.
+// Lock acquisition waits are recorded as the lock_wait_read /
+// lock_wait_write phase of the op that paid for them.
 type SyncStore struct {
 	mu sync.RWMutex
 	st *Store
@@ -45,14 +45,12 @@ func NewSyncStore(st *Store) *SyncStore {
 // operations while using it.
 func (s *SyncStore) Unwrap() *Store { return s.st }
 
-// rlock acquires the read lock, recording the wait both in the legacy
-// lock-wait histogram and as the lookup row's lock_wait_read phase.
+// rlock acquires the read lock, recording the wait as the lookup row's
+// lock_wait_read phase.
 func (s *SyncStore) rlock() {
 	start := time.Now()
 	s.mu.RLock()
-	d := time.Since(start)
-	s.st.reg.ObserveLockWait(obs.LockRead, d)
-	s.st.reg.ObservePhase(obs.OpLookup, obs.PhaseLockWaitRead, d)
+	s.st.reg.ObservePhase(obs.OpLookup, obs.PhaseLockWaitRead, time.Since(start))
 }
 
 // write runs fn under the write lock with the pager's writer bracket, then
@@ -63,9 +61,7 @@ func (s *SyncStore) rlock() {
 func (s *SyncStore) write(fn func() error) error {
 	start := time.Now()
 	s.mu.Lock()
-	wait := time.Since(start)
-	s.st.reg.ObserveLockWait(obs.LockWrite, wait)
-	s.st.pendingLockWait = int64(wait)
+	s.st.pendingLockWait = int64(time.Since(start))
 	s.st.store.BeginWrite()
 	err := fn()
 	s.st.store.EndWrite()

@@ -28,6 +28,11 @@ const blockSize = 512
 // the after-every-op O(n) oracle sweep affordable under fuzzing.
 const maxScriptOps = 64
 
+// staleSlot is the first of the eight kind bytes that select the stale-LID
+// operation instead of kind%7. The corpus committed before the slot existed
+// holds no byte this high, so those scripts decode exactly as they did.
+const staleSlot = 0xF8
+
 // world is one scheme under test with its private oracle mirror. Scripts
 // are positional (they name element indices, not LIDs), so every world
 // performs the same logical operation even though LID values may differ.
@@ -36,6 +41,7 @@ type world struct {
 	st      *core.Store
 	oracle  *order.Oracle
 	elems   []order.ElemLIDs
+	dead    []order.LID // LIDs of deleted tags (the LIDF may have reissued some)
 	ordinal bool
 }
 
@@ -129,7 +135,7 @@ func (e *Engine) run(data []byte) error {
 			return err
 		}
 		if err := e.verify(); err != nil {
-			return fmt.Errorf("after op %d (kind %d): %w", e.ops, kind%7, err)
+			return fmt.Errorf("after op %d (kind %#x): %w", e.ops, kind, err)
 		}
 		e.ops++
 	}
@@ -142,6 +148,9 @@ func (e *Engine) step(kind byte, s *script) error {
 	if len(w0.elems) == 0 {
 		// Only bootstrap is meaningful on an empty document.
 		return e.insertFirst()
+	}
+	if kind >= staleSlot {
+		return e.staleOp(kind-staleSlot, s)
 	}
 	switch kind % 7 {
 	case 0:
@@ -262,6 +271,7 @@ func (e *Engine) deleteElementAt(idx int) error {
 		if err := w.oracle.Delete(elem.End); err != nil {
 			return fmt.Errorf("%s: oracle delete end: %w", w.name, err)
 		}
+		w.dead = append(w.dead, elem.Start, elem.End)
 		w.elems = append(w.elems[:idx], w.elems[idx+1:]...)
 	}
 	return nil
@@ -286,9 +296,64 @@ func (e *Engine) deleteSubtreeAt(idx int) error {
 		for _, el := range w.elems {
 			if w.oracle.Position(el.Start) >= 0 {
 				live = append(live, el)
+			} else {
+				w.dead = append(w.dead, el.Start, el.End)
 			}
 		}
 		w.elems = live
+	}
+	return nil
+}
+
+// staleLID returns a LID that names no live label: the most recently
+// deleted tag whose LID the LIDF has not reissued since, else one far past
+// anything ever allocated.
+func (w *world) staleLID() order.LID {
+	for i := len(w.dead) - 1; i >= 0; i-- {
+		if w.oracle.Position(w.dead[i]) < 0 {
+			return w.dead[i]
+		}
+	}
+	return order.LID(1) << 40
+}
+
+// staleOp aims one operation at a stale LID. The oracle rejects it (the LID
+// has no position, which is what every oracle mutator checks first), so
+// every world must reject it too, with the typed error, and — checked by
+// the verify that follows every step — without moving a label. The shapes
+// are deletes and reads, which fail before their first structural change in
+// every scheme; an insert at a stale anchor allocates its LIDs first, and
+// the engine's non-durable stores have no committed state to roll that back
+// to (the durable case is TestFailedMutatorCommitsNothing's).
+func (e *Engine) staleOp(shape byte, s *script) error {
+	idx, end := e.target(s)
+	for _, w := range e.worlds {
+		stale, live := w.staleLID(), w.tagAt(idx, end)
+		var err error
+		switch shape {
+		case 0:
+			err = w.st.Delete(stale)
+		case 1:
+			err = w.st.DeleteElement(order.ElemLIDs{Start: stale, End: live})
+		case 2:
+			err = w.st.DeleteSubtree(order.ElemLIDs{Start: stale, End: live})
+		case 3:
+			_, err = w.st.Lookup(stale)
+		case 4:
+			_, err = w.st.LookupSpan(order.ElemLIDs{Start: stale, End: live})
+		case 5:
+			_, err = w.st.Compare(stale, live)
+		case 6:
+			_, err = w.st.Compare(live, stale)
+		default:
+			_, err = w.st.ApplyBatch([]core.Op{
+				{Kind: core.OpLookup, LID: live},
+				{Kind: core.OpDelete, LID: stale},
+			})
+		}
+		if !errors.Is(err, order.ErrUnknownLID) {
+			return fmt.Errorf("%s: stale-LID op %d on LID %d: got %v, want %v", w.name, shape, stale, err, order.ErrUnknownLID)
+		}
 	}
 	return nil
 }

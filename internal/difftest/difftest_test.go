@@ -54,6 +54,13 @@ func TestDiffDirectedScripts(t *testing.T) {
 		"subtree-churn":  {0, 1, 0, 0, 2, 1, 1, 1, 1, 3, 0, 0, 1, 2, 2, 4, 0, 1, 2},
 		"batch-heavy":    {0, 5, 9, 0, 0, 1, 3, 2, 7, 5, 3, 0, 1, 0, 1, 1, 2, 5, 1, 4, 4, 2},
 		"reads-mixed":    {0, 4, 1, 0, 2, 1, 4, 3, 1, 0, 0, 4, 4, 5, 6, 4, 2, 0},
+		// Every stale-LID shape (kinds 0xf8..0xff) after a delete, again
+		// after an insert reissued the freed LIDs, and after a subtree
+		// delete; also committed as testdata/fuzz/FuzzOps/stale-lid-ops.
+		"stale-lid": {0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0,
+			0xf8, 0, 1, 0xf9, 0, 1, 0xfa, 0, 1, 0xfb, 0, 1, 0xfc, 0, 1, 0xfd, 0, 1, 0xfe, 0, 1, 0xff, 0, 1,
+			0, 0, 1, 0xf8, 1, 0, 0xf9, 1, 0, 0xfb, 1, 0, 0xff, 1, 0,
+			1, 0, 1, 2, 3, 1, 0, 0xfa, 0, 0, 0xfc, 0, 0, 0xfd, 0, 0, 0xfe, 0, 0, 0xff, 0, 0, 5, 1, 0, 0, 1},
 	}
 	for name, script := range cases {
 		name, script := name, script

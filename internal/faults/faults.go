@@ -200,9 +200,6 @@ func NewRetrier(p RetryPolicy) *Retrier {
 	return &Retrier{policy: p, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Policy returns the normalized policy the retrier runs under.
-func (r *Retrier) Policy() RetryPolicy { return r.policy }
-
 // Do runs fn until it succeeds, fails permanently, or the attempt budget
 // runs out. It returns the number of retries performed (0 when the first
 // attempt settled it) and the outcome: nil, the permanent error verbatim,

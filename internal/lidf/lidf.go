@@ -62,12 +62,6 @@ func New(store *pager.Store, payloadSize int) (*File, error) {
 	}, nil
 }
 
-// PayloadSize reports the per-record payload size in bytes.
-func (f *File) PayloadSize() int { return f.payloadSize }
-
-// RecordsPerBlock reports how many LIDF records fit in one block.
-func (f *File) RecordsPerBlock() int { return f.perBlock }
-
 // Count reports the number of live records.
 func (f *File) Count() uint64 { return f.count }
 

@@ -98,9 +98,6 @@ type Snapshot struct {
 	Schemes  []string
 	Ops      map[string]OpSnapshot
 	Counters map[string]uint64
-	// LockWaits holds the SyncStore lock acquisition wait histograms
-	// (nanoseconds), keyed by lock kind ("read", "write").
-	LockWaits map[string]HistSnapshot
 	// Phases holds the phase-latency histograms (nanoseconds), keyed by
 	// row ("insert", "lookup", ..., "wal", "scrub") then phase name. Only
 	// rows and phases with at least one observation appear.
@@ -146,10 +143,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for c := Counter(0); c < numCounters; c++ {
 		s.Counters[c.String()] = r.counters[c].Load()
-	}
-	s.LockWaits = make(map[string]HistSnapshot, numLockKinds)
-	for k := LockKind(0); k < numLockKinds; k++ {
-		s.LockWaits[k.String()] = snapHist(&r.lockWaits[k])
 	}
 	s.Phases = make(map[string]map[string]HistSnapshot)
 	for row := 0; row < numPhaseRows; row++ {
@@ -270,20 +263,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		func(s *opSeries) *hist { return &s.reads }, r)
 	writeOpHist(cw, "boxes_op_writes", "Block writes charged per operation.", "",
 		func(s *opSeries) *hist { return &s.writes }, r)
-
-	cw.printf("# HELP boxes_lock_wait_seconds SyncStore lock acquisition wait, by lock kind.\n# TYPE boxes_lock_wait_seconds histogram\n")
-	for k := LockKind(0); k < numLockKinds; k++ {
-		h := &r.lockWaits[k]
-		var cum uint64
-		for i, b := range h.bounds {
-			cum += h.counts[i].Load()
-			cw.printf("boxes_lock_wait_seconds_bucket{lock=\"%s\",le=\"%s\"} %d\n", escapeLabel(k.String()), secs(b), cum)
-		}
-		cum += h.counts[len(h.bounds)].Load()
-		cw.printf("boxes_lock_wait_seconds_bucket{lock=\"%s\",le=\"+Inf\"} %d\n", escapeLabel(k.String()), cum)
-		cw.printf("boxes_lock_wait_seconds_sum{lock=\"%s\"} %s\n", escapeLabel(k.String()), secs(h.sum.Load()))
-		cw.printf("boxes_lock_wait_seconds_count{lock=\"%s\"} %d\n", escapeLabel(k.String()), cum)
-	}
 
 	// Phase-latency histograms: where each operation's wall time went. Only
 	// series with observations are emitted (the full op x phase matrix is

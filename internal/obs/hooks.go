@@ -39,15 +39,6 @@ type SlogHook struct {
 	LogStarts bool
 }
 
-// NewSlogHook creates a hook logging completed operations at LevelDebug.
-// A nil logger uses slog.Default().
-func NewSlogHook(l *slog.Logger) *SlogHook {
-	if l == nil {
-		l = slog.Default()
-	}
-	return &SlogHook{Logger: l, Level: slog.LevelDebug}
-}
-
 // OpStart implements TraceHook.
 func (h *SlogHook) OpStart(scheme string, op Op) {
 	if !h.LogStarts || !h.Logger.Enabled(context.Background(), h.Level) {

@@ -93,15 +93,6 @@ func (k CostKind) String() string {
 	return "unknown"
 }
 
-// CostKinds returns every cost kind, in exposition order.
-func CostKinds() []CostKind {
-	out := make([]CostKind, numCostKinds)
-	for i := range out {
-		out[i] = CostKind(i)
-	}
-	return out
-}
-
 // counterCost maps each structural counter to the cost kind it feeds, or
 // -1 for counters that are deliberately unattributed: WAL, scrubber, and
 // retry counters are incremented by background goroutines that hold no

@@ -303,41 +303,16 @@ type opSeries struct {
 	writes  hist
 }
 
-// LockKind distinguishes the SyncStore lock paths whose acquisition waits
-// are recorded via ObserveLockWait.
-type LockKind uint8
-
-const (
-	// LockRead is the shared path (lookups under the read lock).
-	LockRead LockKind = iota
-	// LockWrite is the exclusive path (mutations under the write lock).
-	LockWrite
-	numLockKinds
-)
-
-var lockKindNames = [numLockKinds]string{
-	LockRead:  "read",
-	LockWrite: "write",
-}
-
-func (k LockKind) String() string {
-	if int(k) < len(lockKindNames) {
-		return lockKindNames[k]
-	}
-	return "unknown"
-}
-
 // Registry is the metrics hub one store (or a whole benchmark run) reports
 // into. All methods are safe for concurrent use and nil-receiver-safe, so
 // uninstrumented configurations cost a single predicted branch.
 type Registry struct {
-	counters  [numCounters]atomic.Uint64
-	ops       [numOps]opSeries
-	lockWaits [numLockKinds]hist
-	phases    [numPhaseRows][numPhases]hist
-	writerOp  atomic.Int32 // packed current exclusive-section cell; see SetWriterCell
-	tracer    *Tracer
-	hooks     atomic.Pointer[[]TraceHook]
+	counters [numCounters]atomic.Uint64
+	ops      [numOps]opSeries
+	phases   [numPhaseRows][numPhases]hist
+	writerOp atomic.Int32 // packed current exclusive-section cell; see SetWriterCell
+	tracer   *Tracer
+	hooks    atomic.Pointer[[]TraceHook]
 
 	// Amortized-cost ledger (ledger.go): per-(scheme, op, kind) attribution
 	// cells, per-kind global totals, per-(scheme, op) completed-op counts,
@@ -373,9 +348,6 @@ func NewRegistry() *Registry {
 		r.ops[i].reads.bounds = ioBounds
 		r.ops[i].writes.bounds = ioBounds
 	}
-	for i := range r.lockWaits {
-		r.lockWaits[i].bounds = latencyBounds
-	}
 	for row := range r.phases {
 		for ph := range r.phases[row] {
 			r.phases[row][ph].bounds = latencyBounds
@@ -391,20 +363,6 @@ func NewRegistry() *Registry {
 		return out
 	}))
 	return r
-}
-
-// ObserveLockWait records how long one SyncStore lock acquisition waited.
-// The shared read path should spend its time in the structure, not the
-// lock; these histograms make reader starvation and writer convoying
-// visible.
-func (r *Registry) ObserveLockWait(k LockKind, d time.Duration) {
-	if r == nil || k >= numLockKinds {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	r.lockWaits[k].observe(uint64(d))
 }
 
 // SetScheme records that a store using the named scheme reports into this

@@ -18,7 +18,7 @@
 //     allocations.
 //
 // Attribution without context threading: the registry keeps a single
-// "current writer op" slot (SetWriterOp/ClearWriterOp), valid because every
+// "current writer op" slot (SetWriterCell/ClearWriterOp), valid because every
 // non-lookup core operation runs in an exclusive writer section (the
 // single-goroutine contract, or a SyncStore write lock), while concurrent
 // shared-mode readers are statically lookups. Deep layers (the pager, the
@@ -181,7 +181,7 @@ func (r *Registry) ObservePhaseScrub(d time.Duration) {
 
 // ObservePhaseAuto records a phase against the current operation: the
 // lookup row when the caller runs on the shared read path, else the writer
-// op installed by SetWriterOp. Deep layers (the pager) use this so phase
+// op installed by SetWriterCell. Deep layers (the pager) use this so phase
 // attribution needs no per-call op threading.
 func (r *Registry) ObservePhaseAuto(reader bool, ph Phase, d time.Duration) {
 	if reader {
@@ -207,11 +207,7 @@ func (r *Registry) SetWriterCell(scheme int, op Op) {
 	r.writerOp.Store(int32(scheme)<<8 | (int32(op) + 1))
 }
 
-// SetWriterOp installs op on scheme row 0 — the single-store registry
-// shorthand (the store's own scheme claims row 0 at SetScheme time).
-func (r *Registry) SetWriterOp(op Op) { r.SetWriterCell(0, op) }
-
-// ClearWriterOp clears the slot installed by SetWriterCell/SetWriterOp.
+// ClearWriterOp clears the slot installed by SetWriterCell.
 func (r *Registry) ClearWriterOp() {
 	if r == nil {
 		return

@@ -14,7 +14,7 @@ func TestPhaseHistogramRows(t *testing.T) {
 	r.ObservePhase(OpInsert, PhaseBlockWrite, 2*time.Millisecond)
 	r.ObservePhaseWAL(PhaseFsync, 5*time.Millisecond)
 	r.ObservePhaseScrub(1 * time.Millisecond)
-	r.SetWriterOp(OpDelete)
+	r.SetWriterCell(0, OpDelete)
 	r.ObservePhaseAuto(false, PhaseBlockRead, time.Millisecond)
 	r.ObservePhaseAuto(true, PhaseBlockRead, time.Millisecond)
 	r.ClearWriterOp()

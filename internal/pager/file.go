@@ -807,17 +807,23 @@ func (fb *FileBackend) AbortBatch() {
 	fb.restoreHeaderState(fb.snap)
 }
 
+// takeBatch closes the open batch and hands over its staged images; ok is
+// false when there is nothing to commit (no batch open, or a read-only one).
+func (fb *FileBackend) takeBatch() (stage map[BlockID][]byte, ok bool) {
+	if !fb.inBatch {
+		return nil, false
+	}
+	fb.inBatch = false
+	stage, fb.stage = fb.stage, nil
+	return stage, len(stage) > 0 || fb.headerState() != fb.snap
+}
+
 // CommitBatch implements TxBackend: the staged images are logged with a
 // commit record and fsynced; a later checkpoint applies them in place.
 func (fb *FileBackend) CommitBatch() error {
-	if !fb.inBatch {
+	stage, ok := fb.takeBatch()
+	if !ok {
 		return nil
-	}
-	fb.inBatch = false
-	stage := fb.stage
-	fb.stage = nil
-	if len(stage) == 0 && fb.headerState() == fb.snap {
-		return nil // read-only batch: nothing to commit
 	}
 	return fb.commit(stage, fb.snap)
 }

@@ -1,7 +1,6 @@
 package pager
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -69,35 +68,6 @@ func (t *CommitTicket) Wait() error {
 		return nil
 	}
 	<-t.done
-	return t.err
-}
-
-// WaitCtx is Wait with a bail-out: it returns ctx.Err() if the context
-// expires first. The commit itself is NOT cancelled — the group committer
-// owns the transaction and will flush it regardless; the caller merely
-// stops waiting for the outcome. Server deadline paths use this to give
-// up on a slow flush without ever aborting one mid-commit.
-func (t *CommitTicket) WaitCtx(ctx context.Context) error {
-	if t == nil {
-		return nil
-	}
-	select {
-	case <-t.done:
-		return t.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Done returns a channel closed when the ticket resolves (select-friendly
-// form of Wait). Err is valid only after Done is closed.
-func (t *CommitTicket) Done() <-chan struct{} { return t.done }
-
-// Err returns the commit error; call only after Wait or Done.
-func (t *CommitTicket) Err() error {
-	if t == nil {
-		return nil
-	}
 	return t.err
 }
 
@@ -225,18 +195,13 @@ func (fb *FileBackend) HoldGroupCommit(hold bool) {
 // CommitBatchAsync implements AsyncTxBackend. Without a running committer
 // it degenerates to CommitBatch and returns a resolved ticket.
 func (fb *FileBackend) CommitBatchAsync() (*CommitTicket, error) {
-	if !fb.inBatch {
-		return resolvedTicket(nil), nil
-	}
 	if !fb.gc.on.Load() {
 		err := fb.CommitBatch()
 		return resolvedTicket(err), err
 	}
-	fb.inBatch = false
-	stage := fb.stage
-	fb.stage = nil
-	if len(stage) == 0 && fb.headerState() == fb.snap {
-		return resolvedTicket(nil), nil // read-only batch: nothing to commit
+	stage, ok := fb.takeBatch()
+	if !ok {
+		return resolvedTicket(nil), nil
 	}
 	return fb.gcEnqueue(sortedImages(stage)), nil
 }

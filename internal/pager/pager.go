@@ -483,13 +483,17 @@ func (s *Store) EndOp() error {
 			// Blocks flushed (and cached) before the failure carry images
 			// the abort just rolled back on disk.
 			s.InvalidateCache()
-		} else if atx, ok := tx.(AsyncTxBackend); ok && atx.GroupCommitEnabled() {
-			var t *CommitTicket
-			err := s.timedPhase(obs.PhaseWALCommit, &s.phaseCommit, func() (e error) {
-				t, e = atx.CommitBatchAsync()
-				return e
-			})
-			if err != nil {
+		} else {
+			// A group-committing backend queues the batch and parks its
+			// ticket for TakeTicket; otherwise the commit runs inline.
+			commit := tx.CommitBatch
+			if atx, ok := tx.(AsyncTxBackend); ok && atx.GroupCommitEnabled() {
+				commit = func() (e error) {
+					s.ticket, e = atx.CommitBatchAsync()
+					return e
+				}
+			}
+			if err := s.timedPhase(obs.PhaseWALCommit, &s.phaseCommit, commit); err != nil {
 				s.countIOError(err)
 				s.NoteWriteFault(err)
 				firstErr = err
@@ -498,12 +502,6 @@ func (s *Store) EndOp() error {
 				// those entries are phantoms.
 				s.InvalidateCache()
 			}
-			s.ticket = t
-		} else if err := s.timedPhase(obs.PhaseWALCommit, &s.phaseCommit, tx.CommitBatch); err != nil {
-			s.countIOError(err)
-			s.NoteWriteFault(err)
-			firstErr = err
-			s.InvalidateCache()
 		}
 	}
 	return firstErr
@@ -565,9 +563,6 @@ func (s *Store) EndOpInto(err *error) {
 		*err = e
 	}
 }
-
-// InOp reports whether a logical operation is currently open.
-func (s *Store) InOp() bool { return s.opDepth > 0 }
 
 // Allocate reserves a new zeroed block. Allocation itself performs no
 // counted I/O; the block is charged when first written.

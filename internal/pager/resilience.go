@@ -46,9 +46,6 @@ func WithRetry(p faults.RetryPolicy) Option {
 	}
 }
 
-// RetryEnabled reports whether a retry policy is attached.
-func (s *Store) RetryEnabled() bool { return s.retry != nil }
-
 // retryBackend runs one raw backend call under the store's retry policy
 // (or directly when none is attached), recording retry metrics.
 func (s *Store) retryBackend(fn func() error) error {

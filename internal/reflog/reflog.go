@@ -56,13 +56,6 @@ func (g *Log) Now() uint64 { return g.clock }
 // LastModified returns the time of the last label-changing modification.
 func (g *Log) LastModified() uint64 { return g.lastMod }
 
-// Tick advances logical time without recording a modification; callers use
-// it to order reads between writes if they need distinct timestamps.
-func (g *Log) Tick() uint64 {
-	g.clock++
-	return g.clock
-}
-
 func (g *Log) push(e Entry) {
 	g.clock++
 	e.Ts = g.clock

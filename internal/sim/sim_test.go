@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"boxes/internal/difftest"
@@ -13,8 +16,15 @@ import (
 var smokeSeeds = []int64{1, 2, 3}
 
 // TestSimSmoke is the required CI gate: every scheme, the balanced and
-// the delete-heavy mixes, fixed seeds, faults on.
+// the delete-heavy mixes, fixed seeds, faults on. Each history's execution
+// digest must be the one pinned in testdata/smoke.digests (the lines `make
+// sim-smoke` diffs boxsim's output against): a refactor moves none of them.
 func TestSimSmoke(t *testing.T) {
+	pinned, err := os.ReadFile("testdata/smoke.digests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
 	for _, dcfg := range difftest.Configs() {
 		for _, mix := range []string{MixMixed, MixChurn} {
 			for _, seed := range smokeSeeds {
@@ -26,8 +36,12 @@ func TestSimSmoke(t *testing.T) {
 				if rep.Failure != nil {
 					t.Errorf("%s/%s seed %d: %v", dcfg.Name, mix, seed, rep.Failure)
 				}
+				fmt.Fprintf(&got, "seed=%d scheme=%s mix=%s digest=%.16s\n", seed, dcfg.Name, mix, rep.ExecDigest)
 			}
 		}
+	}
+	if !t.Failed() && got.String() != string(pinned) {
+		t.Errorf("execution digests moved; got:\n%swant (testdata/smoke.digests):\n%s", got.String(), pinned)
 	}
 }
 
