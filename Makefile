@@ -1,12 +1,6 @@
 GO ?= go
 
-# Workload for the machine-readable bench snapshots and the committed
-# baselines under results/. The numbers must stay in sync with the
-# baselines: benchdiff refuses to compare snapshots with different
-# parameters.
-BENCH_FLAGS := -base 2000 -inserts 500 -xmark 1000 -xprime 200
-
-.PHONY: all build test race lint bench bench-diff bench-baseline microbench check crash-matrix scrub-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
+.PHONY: all build test race lint microbench check crash-matrix scrub-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
 
 all: build test
 
@@ -23,6 +17,9 @@ lint:
 
 # Everything the CI check job runs: vet, build, the full test suite (the
 # race and crash-matrix jobs run separately; see those targets). The
+# suite includes the paper's cost gates (internal/bench TestPaperCostGates:
+# every Fig. 5-9 and adversarial row's block I/Os pinned exactly, plus the
+# amortized relabel bounds of the paper and of the BKS lower bound). The
 # benchmark is a module of its own that imports boxes/internal/...; the
 # root ./... patterns do not compile it, so it is vetted and tested here
 # by name. The benchmarks under internal/ run once each so they cannot rot;
@@ -133,67 +130,6 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# Machine-readable snapshots: BENCH_<experiment>.json in the working
-# directory, one per update experiment (ops, I/Os per op, latency
-# percentiles, final structural gauges per scheme).
-bench:
-	$(GO) run ./cmd/boxbench -exp snap $(BENCH_FLAGS) -json .
-
-# Fresh snapshots compared against the committed baselines; fails when any
-# scheme's I/O cost regressed by more than 25%. The group run additionally
-# gates the phase-attribution contract: in per-op mode the commit path
-# (wal_commit + fsync_wait) must still account for the bulk of durable
-# insert latency (floor 0.4; measured 0.81–0.89 now that a commit is one
-# WAL fsync — it was ~0.93 against a floor of 0.5 while every commit also
-# applied in place behind two more fsyncs, the cost the floor used to
-# assert; a collapse still means the phase plumbing stopped attributing the
-# fsync), while at batch 8 group commit must keep that share off the
-# critical path (ceiling 0.05; measured 0.01–0.03).
-#
-# The scattered run additionally gates the paper's amortized bounds via the
-# cost ledger: W-BOX must keep its amortized relabeled-records-per-insert
-# constant (measured 8 — one leaf rewrite per insert; ceiling 16), while
-# naive-1 must still exhibit the unbounded whole-document sweeps the
-# Bulánek–Koucký–Saks lower bound forces (measured ~4500 at this workload
-# size; floor 1000 — a collapse of THIS number means the ledger stopped
-# attributing relabeling, not that naive got fast).
-# The adv run gates the lower-bound headline: under the BKS bisection
-# adversary naive-8's amortized relabeled records per insert collapses to
-# whole-document sweeps (measured ~554 at this size, linear in N; floor
-# 300), while W-BOX stays a small constant (measured ~3.8 from empty;
-# ceiling 8 = 2x its uniform-scattered baseline value) and B-BOX relabels
-# nothing at all (ceiling 0.5) — the paper's "any insertion sequence"
-# claim as an absolute CI gate.
-bench-diff: bench
-	$(GO) run ./cmd/benchdiff -threshold 0.25 results/baseline.json BENCH_concentrated.json
-	$(GO) run ./cmd/benchdiff -threshold 0.25 \
-		-max 'W-BOX:boxes_amortized_relabels_per_insert=16' \
-		-min 'naive-1:boxes_amortized_relabels_per_insert=1000' \
-		results/baseline-scattered.json BENCH_scattered.json
-	$(GO) run ./cmd/benchdiff -threshold 0.25 results/baseline-xmark.json BENCH_xmark.json
-	$(GO) run ./cmd/benchdiff -threshold 0.25 results/baseline-durable.json BENCH_durable.json
-	$(GO) run ./cmd/benchdiff -threshold 0.25 \
-		-max 'group-8:pager_wal_syncs_per_op=0.25' \
-		-max 'group-8:phase_share_commit_wait=0.05' \
-		-min 'per-op:phase_share_commit_wait=0.4' \
-		results/baseline-group.json BENCH_group.json
-	$(GO) run ./cmd/benchdiff -threshold 0.25 \
-		-min 'naive-8:boxes_amortized_relabels_per_insert=300' \
-		-max 'W-BOX:boxes_amortized_relabels_per_insert=8' \
-		-max 'B-BOX:boxes_amortized_relabels_per_insert=0.5' \
-		results/baseline-adv.json BENCH_adv.json
-
-# Regenerate the committed baselines after an intentional performance
-# change (review the diff before committing).
-bench-baseline:
-	$(GO) run ./cmd/boxbench -exp snap $(BENCH_FLAGS) -json results
-	mv results/BENCH_concentrated.json results/baseline.json
-	mv results/BENCH_scattered.json results/baseline-scattered.json
-	mv results/BENCH_xmark.json results/baseline-xmark.json
-	mv results/BENCH_durable.json results/baseline-durable.json
-	mv results/BENCH_group.json results/baseline-group.json
-	mv results/BENCH_adv.json results/baseline-adv.json
-
 # Heat-map smoke: run the scattered-insertion experiment (the workload the
 # amortized gates watch) with the metrics endpoint up, snapshot /debug/heat
 # into heat-scattered.json (the artifact CI uploads), and assert the live
@@ -213,18 +149,15 @@ heat-smoke:
 	grep -q '"name":"inserts"' heat-scattered.json
 	@echo "heat-smoke: conservation ok; snapshot in heat-scattered.json"
 
-# Workload for the served-load snapshot; benchdiff refuses to compare
-# snapshots with different parameters, so these must stay what
-# results/baseline-serve.json was recorded with.
 SERVE_LOAD_FLAGS := -conns 4 -ops 2000 -seed 1
 
-# Network-service smoke: start boxserve, run the benchdiff-gated zipf
-# load, then a churn load while the server injects connection faults
-# (every 7th response write kills the connection — clients must retry
-# and the session dedup must keep every op exactly-once), SIGTERM a
-# graceful drain, and verify the store offline with boxfsck. The gate
-# floors acked ops (a collapse means retry/dedup broke) and compares the
-# snapshot against the committed baseline in results/.
+# Network-service smoke: start boxserve with connection faults injected
+# (every 7th response write kills the connection — clients must retry and
+# the session dedup must keep every op exactly-once), run a zipf and a
+# churn load through boxclient, SIGTERM a graceful drain, and verify the
+# store offline with boxfsck. boxclient -load exits 1 when any op failed
+# after its retries, so each load is its own gate; TestRunLoadUnderConnFaults
+# holds the same claim, plus exactly-once label counts, inside go test.
 serve-smoke:
 	$(GO) build -o /tmp/boxserve-smoke ./cmd/boxserve
 	$(GO) build -o /tmp/boxclient-smoke ./cmd/boxclient
@@ -235,24 +168,25 @@ serve-smoke:
 		> /tmp/boxes-serve.log 2>&1 & echo $$! > /tmp/boxes-serve.pid
 	@for i in $$(seq 1 60); do grep -q serving /tmp/boxes-serve.log && break; sleep 1; done; \
 		grep -q serving /tmp/boxes-serve.log || { echo "boxserve never came up:"; cat /tmp/boxes-serve.log; exit 1; }
-	/tmp/boxclient-smoke -addr 127.0.0.1:9420 -load -source zipf $(SERVE_LOAD_FLAGS) -json .
-	/tmp/boxclient-smoke -addr 127.0.0.1:9420 -load -source churn $(SERVE_LOAD_FLAGS)
+	/tmp/boxclient-smoke -addr 127.0.0.1:9420 -load -source zipf $(SERVE_LOAD_FLAGS) || { kill $$(cat /tmp/boxes-serve.pid); exit 1; }
+	/tmp/boxclient-smoke -addr 127.0.0.1:9420 -load -source churn $(SERVE_LOAD_FLAGS) || { kill $$(cat /tmp/boxes-serve.pid); exit 1; }
 	curl -fsS http://127.0.0.1:9421/metrics | grep -E '^serve_requests_total|^serve_sessions|^pager_wal_size_bytes'
 	kill -TERM $$(cat /tmp/boxes-serve.pid)
 	@for i in $$(seq 1 60); do grep -q 'closed' /tmp/boxes-serve.log && break; sleep 1; done; \
 		grep -q 'closed' /tmp/boxes-serve.log || { echo "drain did not complete:"; cat /tmp/boxes-serve.log; exit 1; }
 	$(GO) run ./cmd/boxfsck -v /tmp/boxes-serve.box
-	$(GO) run ./cmd/benchdiff -min 'zipf:serve_acked=1900' \
-		results/baseline-serve.json BENCH_serve.json
-	@echo "serve-smoke: faults absorbed, drain clean, store fsck-clean"
+	@echo "serve-smoke: faults absorbed, no op failed, drain clean, store fsck-clean"
 
-# Span-tracing smoke: the group-commit experiment with the Chrome trace
-# exporter on (the artifact CI uploads; load it in Perfetto — the
-# group-8x4 mode shows several batch spans resolved by one fsync span),
-# plus the null-span guarantee that disabled tracing costs zero
-# allocations on the op path.
+# Span-tracing smoke: a durable element-wise load in ApplyBatch
+# transactions of 8 under group commit of 8, with the Chrome trace exporter
+# on (the artifact CI uploads; load it in Perfetto — each fsync span
+# resolves a group of batch spans), plus the null-span guarantee that
+# disabled tracing costs zero allocations on the op path.
 trace-smoke:
-	$(GO) run ./cmd/boxbench -exp tgroup -trace trace-tgroup.json
+	$(GO) run ./cmd/boxgen -elements 2000 -seed 1 > /tmp/boxes-trace.xml
+	rm -f /tmp/boxes-trace.box /tmp/boxes-trace.box.*
+	$(GO) run ./cmd/boxload -scheme bbox -save /tmp/boxes-trace.box -durable -group-commit 8 -batch 8 \
+		-trace trace-group-commit.json /tmp/boxes-trace.xml
 	$(GO) test ./internal/obs -run 'TestTracerDisabledIsNullAndAllocFree' -count=1 -v
 	$(GO) test ./internal/core -run 'TestPhaseCoverageDurable|TestBatchTraceCoalescing' -count=1 -v
 

@@ -7,10 +7,10 @@
 //	boxbench -exp fig5            # one experiment
 //	boxbench -exp all -scale 10   # everything, at 10x the default size
 //
-// Experiments: fig5 fig6 fig7 fig8 fig9 tquery tbulk tbits tcache all,
-// plus snap, which writes machine-readable BENCH_<experiment>.json
-// snapshots (see -json) for benchdiff to compare against a baseline.
-// The paper's own sizes correspond to -scale 100.
+// Experiments: fig5 fig6 fig7 fig8 fig9 tquery tbulk tbits tcache tfan
+// tblock adv all. The paper's own sizes correspond to -scale 100. The I/O
+// counts these tables print at -base 2000 -inserts 500 -xmark 1000
+// -xprime 200 are pinned exactly by internal/bench TestPaperCostGates.
 package main
 
 import (
@@ -28,8 +28,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id: fig5 fig6 fig7 fig8 fig9 tquery tbulk tbits tcache tfan tblock tdurable tgroup adv snap all")
-		jsonDir   = flag.String("json", ".", "directory BENCH_*.json snapshots are written to by -exp snap")
+		exp       = flag.String("exp", "all", "experiment id: fig5 fig6 fig7 fig8 fig9 tquery tbulk tbits tcache tfan tblock adv all")
 		scale     = flag.Int("scale", 1, "workload scale factor (100 = the paper's sizes)")
 		blockSize = flag.Int("block", 8192, "block size in bytes")
 		seed      = flag.Int64("seed", 1, "XMark generator seed")
@@ -108,21 +107,11 @@ func main() {
 		{"tcache", bench.CachingLogging},
 		{"tfan", bench.RelaxedFanout},
 		{"tblock", bench.BlockSizeSweep},
-		{"tdurable", bench.Durable},
-		{"tgroup", bench.Group},
 		{"adv", bench.Adv},
-		{"snap", func(w io.Writer, cfg bench.Config) error {
-			paths, err := bench.WriteBenchSnapshots(*jsonDir, cfg)
-			for _, p := range paths {
-				fmt.Fprintf(w, "wrote   : %s\n", p)
-			}
-			return err
-		}},
 	}
-	// Experiments open and close their stores internally, so each one is a
+	// Each experiment builds and drops its own stores, so each one is a
 	// clean shutdown boundary: a SIGINT/SIGTERM finishes the experiment in
-	// flight (its store closes normally, group commits drain) and skips the
-	// rest instead of killing the process mid-transaction.
+	// flight and skips the rest.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	interrupted := func() bool {
@@ -138,10 +127,6 @@ func main() {
 	ran := false
 	for _, e := range all {
 		if *exp != "all" && *exp != e.id {
-			continue
-		}
-		if e.id == "snap" && *exp != "snap" {
-			// Snapshots rerun the update workloads; only on explicit request.
 			continue
 		}
 		if interrupted() {

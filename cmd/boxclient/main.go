@@ -1,7 +1,8 @@
 // Command boxclient talks to a boxserve instance: single ordered-label
 // operations for scripting, or a closed-loop load generator (-load) that
-// drives the positional workload sources over N connections and reports
-// client-observed latency quantiles and throughput.
+// drives the positional workload sources over N connections and counts
+// acked, failed and skipped operations. Timing served requests is the
+// benchmark's job (benchmark/run.sh), not this tool's.
 //
 // Usage:
 //
@@ -10,11 +11,11 @@
 //	boxclient -addr :4280 lookup 1
 //	boxclient -addr :4280 compare 1 3
 //	boxclient -addr :4280 delete 3 4          # start and end LID
-//	boxclient -addr :4280 -load -source zipf -conns 8 -ops 20000 -json results/
+//	boxclient -addr :4280 -load -source zipf -conns 8 -ops 20000
 //
 // Every operation carries a session-scoped sequence number, so retries
-// after lost acks are exactly-once within a server lifetime; -json writes
-// a BENCH_serve.json snapshot that benchdiff can gate in CI.
+// after lost acks are exactly-once within a server lifetime. -load exits 1
+// when any operation failed after its retries, so a script can gate on it.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"strconv"
 	"time"
 
-	"boxes/internal/bench"
 	"boxes/internal/order"
 	"boxes/internal/serve"
 )
@@ -41,12 +41,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "load: workload seed")
 		skew    = flag.Float64("skew", 1.1, "load: zipf skew")
 		churn   = flag.Int("churn-target", 64, "load: churn steady-state size per connection")
-		jsonDir = flag.String("json", "", "load: write a BENCH_serve.json snapshot into this directory")
 	)
 	flag.Parse()
 
 	if *load {
-		runLoad(*addr, *timeout, *source, *conns, *ops, *seed, *skew, *churn, *jsonDir)
+		runLoad(*addr, *timeout, *source, *conns, *ops, *seed, *skew, *churn)
 		return
 	}
 	if flag.NArg() == 0 {
@@ -107,7 +106,7 @@ func main() {
 	}
 }
 
-func runLoad(addr string, timeout time.Duration, source string, conns, ops int, seed int64, skew float64, churn int, jsonDir string) {
+func runLoad(addr string, timeout time.Duration, source string, conns, ops int, seed int64, skew float64, churn int) {
 	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
 		Addr:        addr,
 		Conns:       conns,
@@ -124,33 +123,8 @@ func runLoad(addr string, timeout time.Duration, source string, conns, ops int, 
 	fmt.Printf("load    : %s over %d conns\n", rep.Source, rep.Conns)
 	fmt.Printf("ops     : %d attempted, %d acked, %d failed, %d skipped in %v\n",
 		rep.Attempted, rep.Acked, rep.Failed, rep.Skipped, rep.Duration.Round(time.Millisecond))
-	fmt.Printf("latency : p50 %v  p99 %v\n", rep.P50.Round(time.Microsecond), rep.P99.Round(time.Microsecond))
-	fmt.Printf("thruput : %.0f acked ops/sec\n", rep.OpsPerSec)
-
-	if jsonDir != "" {
-		snap := bench.SnapshotFile{
-			Version:    1,
-			Experiment: "serve",
-			Params:     bench.SnapshotParams{InsertElems: ops, Seed: seed},
-			Schemes: []bench.SchemeSnapshot{{
-				Scheme:       rep.Source,
-				Ops:          int(rep.Attempted),
-				OpsPerSec:    rep.OpsPerSec,
-				LatencyP50Ns: rep.P50.Nanoseconds(),
-				LatencyP99Ns: rep.P99.Nanoseconds(),
-				Gauges: map[string]float64{
-					"serve_acked":       float64(rep.Acked),
-					"serve_failed":      float64(rep.Failed),
-					"serve_skipped":     float64(rep.Skipped),
-					"serve_ops_per_sec": rep.OpsPerSec,
-				},
-			}},
-		}
-		path, err := bench.WriteSnapshotFile(jsonDir, snap)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("snapshot: wrote %s\n", path)
+	if rep.Failed > 0 {
+		fatal(fmt.Errorf("%d operations failed", rep.Failed))
 	}
 }
 

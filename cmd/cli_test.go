@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"boxes/internal/bench"
 	"boxes/internal/obs"
 )
 
@@ -29,7 +28,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"boxgen", "boxload", "boxinspect", "boxbench", "benchdiff", "boxfsck", "boxserve", "boxclient"} {
+	for _, tool := range []string{"boxgen", "boxload", "boxinspect", "boxbench", "boxfsck", "boxserve", "boxclient"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "boxes/cmd/"+tool)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -235,70 +234,6 @@ func TestFsckCLI(t *testing.T) {
 	}
 }
 
-// TestBenchdiffCLI drives the comparator over synthetic snapshots: clean
-// pass, a 2x regression (exit 1), and incomparable parameters (exit 2).
-func TestBenchdiffCLI(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, avgIO float64, seed int64) string {
-		s := bench.SnapshotFile{
-			Version:    1,
-			Experiment: "concentrated",
-			Params:     bench.SnapshotParams{BlockSize: 512, BaseElems: 100, InsertElems: 50, Seed: seed},
-			Schemes: []bench.SchemeSnapshot{{
-				Scheme: "W-BOX", Ops: 50, AvgIO: avgIO, TotalIO: uint64(avgIO * 50), MaxIO: 20, P99IO: 10,
-			}},
-		}
-		sub := filepath.Join(dir, name)
-		path, err := bench.WriteSnapshotFile(sub, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	baseline := write("base", 4, 1)
-	same := write("same", 4, 1)
-	worse := write("worse", 8, 1)
-	otherParams := write("params", 4, 99)
-
-	out := run(t, "benchdiff", baseline, same)
-	if !strings.Contains(out, "no regressions") {
-		t.Errorf("clean diff output:\n%s", out)
-	}
-
-	cmd := exec.Command(filepath.Join(binDir, "benchdiff"), baseline, worse)
-	outB, err := cmd.CombinedOutput()
-	if code := cmd.ProcessState.ExitCode(); code != 1 {
-		t.Errorf("2x regression: exit %d (err %v), want 1:\n%s", code, err, outB)
-	}
-	if !strings.Contains(string(outB), "avg_io_per_op") || !strings.Contains(string(outB), "2.00x worse") {
-		t.Errorf("regression not described:\n%s", outB)
-	}
-
-	cmd = exec.Command(filepath.Join(binDir, "benchdiff"), baseline, otherParams)
-	outB, _ = cmd.CombinedOutput()
-	if code := cmd.ProcessState.ExitCode(); code != 2 {
-		t.Errorf("params mismatch: exit %d, want 2:\n%s", code, outB)
-	}
-}
-
-// TestBenchSnapshotCLI runs boxbench -exp snap on a tiny workload and
-// diffs the emitted snapshot against itself.
-func TestBenchSnapshotCLI(t *testing.T) {
-	dir := t.TempDir()
-	out := run(t, "boxbench", "-exp", "snap", "-base", "300", "-inserts", "60",
-		"-xmark", "200", "-xprime", "50", "-json", dir)
-	if !strings.Contains(out, "BENCH_concentrated.json") {
-		t.Errorf("snap output:\n%s", out)
-	}
-	for _, exp := range []string{"concentrated", "scattered", "xmark"} {
-		path := filepath.Join(dir, "BENCH_"+exp+".json")
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("snapshot not written: %v", err)
-		}
-		run(t, "benchdiff", path, path)
-	}
-}
-
 func TestBenchCLISmoke(t *testing.T) {
 	out := run(t, "boxbench", "-exp", "tquery", "-base", "500", "-inserts", "100")
 	if !strings.Contains(out, "Query performance") || !strings.Contains(out, "W-BOX") {
@@ -463,8 +398,10 @@ func TestServeCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	killed = true
+	// Wait closes the stdout pipe, so it must not run before the reader has
+	// seen EOF: the clean-close line would be lost.
 	waitDone := make(chan error, 1)
-	go func() { waitDone <- cmd.Wait() }()
+	go func() { <-drained; waitDone <- cmd.Wait() }()
 	select {
 	case err := <-waitDone:
 		if err != nil {
@@ -474,7 +411,6 @@ func TestServeCLI(t *testing.T) {
 		cmd.Process.Kill()
 		t.Fatal("boxserve did not exit after SIGTERM")
 	}
-	<-drained
 	if !strings.Contains(serveOut.String(), "closed  : store synced and released") {
 		t.Fatalf("no clean-close line:\n%s", serveOut.String())
 	}

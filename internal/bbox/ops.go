@@ -15,6 +15,9 @@ import (
 func (l *Labeler) InsertBefore(lidOld order.LID) (_ order.LID, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
+	if err := l.resolve(lidOld); err != nil {
+		return order.NilLID, err
+	}
 	lidNew, err := l.file.Alloc()
 	if err != nil {
 		return order.NilLID, err
@@ -207,6 +210,9 @@ func (l *Labeler) relinkChildren(v *node) error {
 func (l *Labeler) InsertElementBefore(lidOld order.LID) (_ order.ElemLIDs, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
+	if err := l.resolve(lidOld); err != nil {
+		return order.ElemLIDs{}, err
+	}
 	start, end, err := l.file.AllocPair()
 	if err != nil {
 		return order.ElemLIDs{}, err

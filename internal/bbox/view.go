@@ -66,6 +66,24 @@ func (l *Labeler) scanInternal(blk pager.BlockID, buf []byte, child pager.BlockI
 	return 0, 0, 0, errChildMissing(child, blk)
 }
 
+// resolve checks in place that lid names a live record. Inserts call it
+// before allocating LIDs, so a stale anchor takes no LIDF record; the
+// blocks it reads stay pinned, so the insert re-reads them uncounted.
+func (l *Labeler) resolve(lid order.LID) error {
+	blkU, err := l.file.GetU64(lid)
+	if err != nil {
+		return err
+	}
+	blk := pager.BlockID(blkU)
+	buf, err := l.store.View(blk)
+	if err != nil {
+		return err
+	}
+	_, _, err = l.scanLeaf(blk, buf, lid)
+	l.store.Release(buf)
+	return err
+}
+
 // climb is pathOf in place: it walks lid's bottom-up path holding one
 // borrowed frame at a time and returns the positions packed as packSteps
 // packs them (valid while depth <= maxPackedHeight), the ordinal position

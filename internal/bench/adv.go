@@ -15,13 +15,13 @@ import (
 // seeded uniform-insert control. Each variant grows the document from
 // empty by element inserts only — the amortized regime of the paper's
 // bounds and of the lower-bound constructions — so the cost-ledger
-// relabels-per-insert gauges of the three variants are directly
-// comparable: same op class, same op count, no bulk-load costs mixed in.
-// benchdiff gates the headline result of the lower-bound papers on the
-// snapshot: under the bisection adversary naive-k's relabeling collapses
-// to whole-document sweeps (absolute floor), while W-BOX and B-BOX stay
-// within a constant factor of their uniform-control numbers (absolute
-// ceilings) — the paper's "any insertion sequence" claim, made a CI gate.
+// relabels-per-insert of the three variants are directly comparable: same
+// op class, same op count, no bulk-load costs mixed in. TestPaperCostGates
+// holds the headline result of the lower-bound papers to absolute bounds:
+// under the bisection adversary naive-k's relabeling collapses to
+// whole-document sweeps (a floor), while W-BOX and B-BOX stay within a
+// constant factor of their uniform-control numbers (ceilings) — the
+// paper's "any insertion sequence" claim, made a tier-1 test.
 
 // advNaiveK is the fixed-gap baseline the adversary attacks, matching the
 // naive-8 world of the differential harness.
@@ -45,52 +45,30 @@ func advVariants() []advVariant {
 // advInserts is the document size an adv variant grows to from empty.
 func advInserts(cfg Config) int { return cfg.BaseElems + cfg.InsertElems }
 
-// advWorkload grows a document from empty under src: every op is an
+// RunAdversary executes the adversarial workloads over the scheme matrix.
+func RunAdversary(cfg Config) ([]SchemeRun, error) { return runRows(cfg, advRows(cfg)) }
+
+// advRows grows a document from empty under each variant's source — a
+// fresh one per row, since the adaptive sources keep state: every op is an
 // element insert whose position the source picks from the labeler's
 // current labels, and every op is metered.
-func advWorkload(cfg Config, src workload.Source) func(order.Labeler, *Recorder) error {
-	return func(l order.Labeler, rec *Recorder) error {
-		d := workload.NewDoc(l)
-		return workload.Run(d, src, advInserts(cfg), func(op workload.Op, apply func() error) error {
-			return rec.Do(apply)
-		})
-	}
-}
-
-// RunAdversary executes the adversarial workloads over the scheme matrix.
-func RunAdversary(cfg Config) ([]SchemeRun, error) {
+func advRows(cfg Config) []row {
 	specs := []SchemeSpec{WBoxSpec(), WBoxOSpec(), BBoxSpec(), BBoxOSpec(), NaiveSpec(advNaiveK)}
-	var out []SchemeRun
+	var rows []row
 	for _, vt := range advVariants() {
-		runs, err := RunUpdateWorkload(cfg, specs, func(l order.Labeler, rec *Recorder) error {
-			return advWorkload(cfg, vt.src(cfg))(l, rec)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("adv%s: %w", vt.suffix, err)
-		}
-		for _, r := range runs {
-			r.Scheme += vt.suffix
-			out = append(out, r)
-		}
+		rows = append(rows, rowsOf(specs, vt.suffix, func(l order.Labeler, rec *Recorder) error {
+			return workload.Run(workload.NewDoc(l), vt.src(cfg), advInserts(cfg), func(_ workload.Op, apply func() error) error {
+				return rec.Do(apply)
+			})
+		})...)
 	}
-	return out, nil
-}
-
-// relabelsPerInsert digs the amortized relabels-per-insert gauge out of a
-// run's gauges (-1 when absent).
-func relabelsPerInsert(r SchemeRun) float64 {
-	for _, g := range r.Gauges {
-		if strings.HasPrefix(g.Key(), "boxes_amortized_relabels_per_insert") {
-			return g.Value
-		}
-	}
-	return -1
+	return rows
 }
 
 // Adv prints the adversarial-workload experiment: the usual I/O table
 // plus the collapse table — amortized relabels/insert per scheme under
-// each adversary, with the bisect/uniform ratio that the benchdiff gates
-// pin down.
+// each adversary, with the bisect/uniform ratio that TestPaperCostGates
+// bounds.
 func Adv(w io.Writer, cfg Config) error {
 	runs, err := RunAdversary(cfg)
 	if err != nil {
@@ -101,7 +79,7 @@ func Adv(w io.Writer, cfg Config) error {
 	byRow := make(map[string]float64, len(runs))
 	var schemes []string
 	for _, r := range runs {
-		byRow[r.Scheme] = relabelsPerInsert(r)
+		byRow[r.Scheme] = r.RelabelsPerInsert
 		if !strings.Contains(r.Scheme, "/") {
 			schemes = append(schemes, r.Scheme)
 		}

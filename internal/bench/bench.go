@@ -84,22 +84,18 @@ func (c Config) Scale(f int) Config {
 	return c
 }
 
-// SchemeSpec names a labeling scheme and knows how to instantiate it —
-// either over its own in-memory store (New, what the paper's experiments
-// use) or over a caller-provided store (NewOn, what the durable
-// file-backed experiment uses).
+// SchemeSpec names a labeling scheme and instantiates it over a fresh
+// in-memory store: caching off, exactly the paper's cost model.
 type SchemeSpec struct {
-	Name  string
-	New   func(blockSize int) (order.Labeler, *pager.Store, error)
-	NewOn func(store *pager.Store, blockSize int) (order.Labeler, error)
+	Name string
+	New  func(blockSize int) (order.Labeler, *pager.Store, error)
 }
 
 // memSpec builds a SchemeSpec whose New allocates a fresh MemStore and
 // delegates to newOn.
 func memSpec(name string, newOn func(store *pager.Store, bs int) (order.Labeler, error)) SchemeSpec {
 	return SchemeSpec{
-		Name:  name,
-		NewOn: newOn,
+		Name: name,
 		New: func(bs int) (order.Labeler, *pager.Store, error) {
 			store := pager.NewMemStore(bs)
 			l, err := newOn(store, bs)
@@ -178,11 +174,9 @@ type Recorder struct {
 	schemeIdx int // the scheme's ledger row in reg
 	op        obs.Op
 
-	seen     int
-	costs    []uint32
-	total    uint64
-	durs     []int64 // wall time per recorded op, nanoseconds
-	totalDur int64
+	seen  int
+	costs []uint32
+	total uint64
 }
 
 // NewRecorder wraps store.
@@ -196,29 +190,10 @@ func (r *Recorder) Observe(reg *obs.Registry, scheme string, op obs.Op) *Recorde
 	return r
 }
 
-// Do runs op and records its I/O cost and wall time (unless still in the
-// skip prefix). The recorder keeps its own per-op durations because the
-// registry's histograms are shared across every scheme in a run; per-scheme
-// p50/p99 must come from here. With a registry attached the op's wall time
-// is also attributed by phase: the pager records block_read/block_write
-// (and WAL commit) under the writer-op row, and whatever the pager did not
-// claim lands in the op's structure phase.
+// Do runs op as one operation of the recorder's kind and records its I/O
+// cost, unless it is still in the skip prefix.
 func (r *Recorder) Do(op func() error) error {
-	before := r.store.Stats()
-	ctx := r.reg.Begin(r.scheme, r.op, before.Reads, before.Writes)
-	r.reg.SetWriterCell(r.schemeIdx, r.op)
-	phBefore := r.store.PhaseStats()
-	start := time.Now()
-	err := op()
-	elapsed := time.Since(start)
-	r.reg.ClearWriterOp()
-	after := r.store.Stats()
-	r.reg.End(ctx, after.Reads, after.Writes, err)
-	if r.reg != nil {
-		if resid := int64(elapsed) - r.store.PhaseStats().Sub(phBefore).Total(); resid > 0 {
-			r.reg.ObservePhase(r.op, obs.PhaseStructure, time.Duration(resid))
-		}
-	}
+	cost, err := r.bracket(r.op, op)
 	if err != nil {
 		return err
 	}
@@ -226,11 +201,8 @@ func (r *Recorder) Do(op func() error) error {
 	if r.seen <= r.Skip {
 		return nil
 	}
-	d := after.Sub(before).Total()
-	r.costs = append(r.costs, uint32(d))
-	r.total += d
-	r.durs = append(r.durs, int64(elapsed))
-	r.totalDur += int64(elapsed)
+	r.costs = append(r.costs, uint32(cost))
+	r.total += cost
 	return nil
 }
 
@@ -238,6 +210,15 @@ func (r *Recorder) Do(op func() error) error {
 // kind op, without entering the workload's cost distribution. Used for the
 // setup phases (bulk loads) that the figures exclude.
 func (r *Recorder) Bracket(op obs.Op, fn func() error) error {
+	_, err := r.bracket(op, fn)
+	return err
+}
+
+// bracket runs fn as one registry operation of kind op and returns its
+// block I/Os. The pager records block_read/block_write under the writer-op
+// row; whatever wall time it did not claim lands in the op's structure
+// phase.
+func (r *Recorder) bracket(op obs.Op, fn func() error) (uint64, error) {
 	before := r.store.Stats()
 	ctx := r.reg.Begin(r.scheme, op, before.Reads, before.Writes)
 	r.reg.SetWriterCell(r.schemeIdx, op)
@@ -253,7 +234,7 @@ func (r *Recorder) Bracket(op obs.Op, fn func() error) error {
 			r.reg.ObservePhase(op, obs.PhaseStructure, time.Duration(resid))
 		}
 	}
-	return err
+	return after.Sub(before).Total(), err
 }
 
 // N reports the number of recorded operations.
@@ -279,25 +260,6 @@ func (r *Recorder) Max() uint64 {
 		}
 	}
 	return uint64(m)
-}
-
-// OpsPerSec reports the recorded operations' wall-clock throughput.
-func (r *Recorder) OpsPerSec() float64 {
-	if r.totalDur <= 0 {
-		return 0
-	}
-	return float64(len(r.durs)) / (float64(r.totalDur) / 1e9)
-}
-
-// LatencyPercentile returns the p-th percentile (0 < p <= 1) of recorded
-// per-op wall times, in nanoseconds.
-func (r *Recorder) LatencyPercentile(p float64) int64 {
-	if len(r.durs) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), r.durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[percentileIndex(len(sorted), p)]
 }
 
 // IOPercentile returns the p-th percentile of recorded per-op I/O costs.
@@ -364,53 +326,10 @@ type SchemeRun struct {
 	LabelBits int
 	Dist      []CCDFPoint
 
-	// Wall-clock measurements (machine-dependent, unlike the I/O columns).
-	OpsPerSec float64
-	P50Ns     int64
-	P99Ns     int64
-
-	// Gauges holds the scheme's structural health at workload end (walked
-	// synchronously after the last operation), scheme label included.
-	Gauges []obs.GaugeValue
-
-	// Phases attributes the workload's wall time by latency phase, keyed
-	// "row.phase" (e.g. "insert.block_write", "wal.fsync"). Populated by the
-	// experiments that thread a registry through the run (durable, group).
-	Phases map[string]PhaseSummary
-}
-
-// PhaseSummary is one op-phase's latency contribution over a workload.
-type PhaseSummary struct {
-	Count   uint64 `json:"count"`
-	TotalNs uint64 `json:"total_ns"`
-	P50Ns   uint64 `json:"p50_ns"`
-	P99Ns   uint64 `json:"p99_ns"`
-}
-
-// PhaseSummaries flattens the phase-histogram delta between two registry
-// snapshots into "row.phase" keyed summaries (empty phases omitted).
-func PhaseSummaries(before, after obs.Snapshot) map[string]PhaseSummary {
-	out := make(map[string]PhaseSummary)
-	for row, phases := range after.Phases {
-		for ph, h := range phases {
-			var old obs.HistSnapshot
-			if m := before.Phases[row]; m != nil {
-				old = m[ph]
-			}
-			d := h.Sub(old)
-			n := d.Total()
-			if n == 0 {
-				continue
-			}
-			out[row+"."+ph] = PhaseSummary{
-				Count:   n,
-				TotalNs: d.Sum,
-				P50Ns:   d.Quantile(0.50),
-				P99Ns:   d.Quantile(0.99),
-			}
-		}
-	}
-	return out
+	// RelabelsPerInsert is the cost ledger's amortized relabeled records
+	// per insert: the quantity the paper's bounds and the BKS lower bound
+	// are about.
+	RelabelsPerInsert float64
 }
 
 // WriteAvgTable prints the "amortized update cost" form of a figure.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"boxes/internal/bbox"
 	"boxes/internal/naive"
@@ -17,34 +18,34 @@ import (
 
 // RunConcentrated executes the concentrated-insertion workload over the
 // full scheme matrix (Figures 5 and 6).
-func RunConcentrated(cfg Config) ([]SchemeRun, error) {
-	return RunUpdateWorkload(cfg, UpdateSchemes(cfg.NaiveKs), func(l order.Labeler, rec *Recorder) error {
+func RunConcentrated(cfg Config) ([]SchemeRun, error) { return runRows(cfg, concentratedRows(cfg)) }
+
+func concentratedRows(cfg Config) []row {
+	return rowsOf(UpdateSchemes(cfg.NaiveKs), "", func(l order.Labeler, rec *Recorder) error {
 		return Concentrated(l, rec, cfg.BaseElems, cfg.InsertElems)
 	})
 }
 
-// RunScattered executes the scattered-insertion workload (Figure 7). The
-// paper's Figure 7 highlights naive-1, whose gaps are too small even for
-// evenly spread insertions, so k=1 is always included here.
-func RunScattered(cfg Config) ([]SchemeRun, error) {
+// RunScattered executes the scattered-insertion workload (Figure 7).
+func RunScattered(cfg Config) ([]SchemeRun, error) { return runRows(cfg, scatteredRows(cfg)) }
+
+// scatteredRows always includes naive-1: the paper's Figure 7 highlights
+// it, whose gaps are too small even for evenly spread insertions.
+func scatteredRows(cfg Config) []row {
 	ks := cfg.NaiveKs
-	has1 := false
-	for _, k := range ks {
-		if k == 1 {
-			has1 = true
-		}
-	}
-	if !has1 {
+	if !slices.Contains(ks, 1) {
 		ks = append([]int{1}, ks...)
 	}
-	return RunUpdateWorkload(cfg, UpdateSchemes(ks), func(l order.Labeler, rec *Recorder) error {
+	return rowsOf(UpdateSchemes(ks), "", func(l order.Labeler, rec *Recorder) error {
 		return Scattered(l, rec, cfg.BaseElems, cfg.InsertElems)
 	})
 }
 
 // RunXMark executes the XMark document-order build-up (Figures 8 and 9).
-func RunXMark(cfg Config) ([]SchemeRun, error) {
-	return RunUpdateWorkload(cfg, UpdateSchemes(cfg.NaiveKs), func(l order.Labeler, rec *Recorder) error {
+func RunXMark(cfg Config) ([]SchemeRun, error) { return runRows(cfg, xmarkRows(cfg)) }
+
+func xmarkRows(cfg Config) []row {
+	return rowsOf(UpdateSchemes(cfg.NaiveKs), "", func(l order.Labeler, rec *Recorder) error {
 		rec.Skip = cfg.XMarkPrime
 		return XMarkDocOrder(l, rec, cfg.XMarkElems, cfg.Seed)
 	})

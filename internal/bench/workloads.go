@@ -118,53 +118,68 @@ func XMarkDocOrder(l order.Labeler, rec *Recorder, totalElems int, seed int64) e
 	return insertErr
 }
 
-// RunUpdateWorkload runs one insertion workload across a scheme matrix,
-// returning per-scheme results. The workload callback receives a fresh
-// labeler and recorder.
-func RunUpdateWorkload(cfg Config, specs []SchemeSpec, workload func(order.Labeler, *Recorder) error) ([]SchemeRun, error) {
-	var out []SchemeRun
-	for _, spec := range specs {
-		l, store, err := spec.New(cfg.BlockSize)
+// A row is one scheme under one insertion workload: a line of a printed
+// table, and the unit TestPaperCostGates pins.
+type row struct {
+	spec     SchemeSpec
+	name     string // the printed scheme column: spec.Name plus any variant suffix
+	workload func(order.Labeler, *Recorder) error
+}
+
+// rowsOf pairs every spec with one workload.
+func rowsOf(specs []SchemeSpec, suffix string, workload func(order.Labeler, *Recorder) error) []row {
+	rows := make([]row, len(specs))
+	for i, spec := range specs {
+		rows[i] = row{spec: spec, name: spec.Name + suffix, workload: workload}
+	}
+	return rows
+}
+
+// runRows runs each row on a fresh labeler and recorder, in order.
+func runRows(cfg Config, rows []row) ([]SchemeRun, error) {
+	out := make([]SchemeRun, 0, len(rows))
+	for _, r := range rows {
+		run, err := r.run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Name, err)
+			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		// Each scheme gets its own registry unless the caller aggregates
-		// into a shared one (-metrics): the cost ledger and heat maps are
-		// per-registry, and a private registry keeps every scheme's
-		// amortized ratios cleanly separated in the snapshot.
-		sc := cfg
-		if sc.Metrics == nil {
-			sc.Metrics = obs.NewRegistry()
-		}
-		sc.attach(spec.Name, store)
-		rec := NewRecorder(store).Observe(sc.Metrics, spec.Name, obs.OpInsert)
-		if err := workload(l, rec); err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Name, err)
-		}
-		run := SchemeRun{
-			Scheme:    spec.Name,
-			AvgIO:     rec.Avg(),
-			TotalIO:   rec.Total(),
-			MaxIO:     rec.Max(),
-			P99IO:     rec.IOPercentile(0.99),
-			Ops:       rec.N(),
-			Height:    l.Height(),
-			LabelBits: l.LabelBits(),
-			Dist:      rec.CCDF(),
-			OpsPerSec: rec.OpsPerSec(),
-			P50Ns:     rec.LatencyPercentile(0.50),
-			P99Ns:     rec.LatencyPercentile(0.99),
-		}
-		// Final structural health, walked synchronously now that the
-		// workload is done (the stores are single-writer, so the runner
-		// never registers live collectors).
-		if c, ok := l.(obs.Collector); ok {
-			run.Gauges = obs.WithLabel(c.CollectGauges(), "scheme", spec.Name)
-		}
-		// Final amortized ratios from the cost ledger (scheme label is
-		// already attached), so benchdiff can gate the paper's bounds.
-		run.Gauges = append(run.Gauges, sc.Metrics.AmortizedGauges(spec.Name)...)
 		out = append(out, run)
 	}
 	return out, nil
+}
+
+// run executes the row's workload on a fresh in-memory store.
+func (r row) run(cfg Config) (SchemeRun, error) {
+	l, store, err := r.spec.New(cfg.BlockSize)
+	if err != nil {
+		return SchemeRun{}, err
+	}
+	// Each row gets its own registry unless the caller aggregates into a
+	// shared one (-metrics): the cost ledger is per-registry, and a private
+	// registry keeps every row's amortized ratios cleanly separated.
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	cfg.attach(r.spec.Name, store)
+	rec := NewRecorder(store).Observe(cfg.Metrics, r.spec.Name, obs.OpInsert)
+	if err := r.workload(l, rec); err != nil {
+		return SchemeRun{}, err
+	}
+	run := SchemeRun{
+		Scheme:    r.name,
+		AvgIO:     rec.Avg(),
+		TotalIO:   rec.Total(),
+		MaxIO:     rec.Max(),
+		P99IO:     rec.IOPercentile(0.99),
+		Ops:       rec.N(),
+		Height:    l.Height(),
+		LabelBits: l.LabelBits(),
+		Dist:      rec.CCDF(),
+	}
+	for _, g := range cfg.Metrics.AmortizedGauges(r.spec.Name) {
+		if g.Name == "boxes_amortized_relabels_per_insert" {
+			run.RelabelsPerInsert = g.Value
+		}
+	}
+	return run, nil
 }

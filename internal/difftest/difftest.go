@@ -320,30 +320,47 @@ func (w *world) staleLID() order.LID {
 // staleOp aims one operation at a stale LID. The oracle rejects it (the LID
 // has no position, which is what every oracle mutator checks first), so
 // every world must reject it too, with the typed error, and — checked by
-// the verify that follows every step — without moving a label. The shapes
-// are deletes and reads, which fail before their first structural change in
-// every scheme; an insert at a stale anchor allocates its LIDs first, and
-// the engine's non-durable stores have no committed state to roll that back
-// to (the durable case is TestFailedMutatorCommitsNothing's).
+// the verify that follows every step — without moving a label or taking a
+// LIDF record. The kind byte picks one of eight delete and read shapes; a
+// side byte with bit 1 set switches to the insert bank, where bit 0 of the
+// shape picks element or subtree insert and bit 1 routes it through
+// ApplyBatch. (The corpus committed before the insert bank existed has no
+// side byte with bit 1 set in a stale op, so it decodes as it did.)
 func (e *Engine) staleOp(shape byte, s *script) error {
-	idx, end := e.target(s)
+	b, _ := s.next()
+	c, _ := s.next() // target's side byte, with a second bit
+	idx, end, inserts := int(b)%len(e.worlds[0].elems), c&1 == 1, c&2 != 0
 	for _, w := range e.worlds {
 		stale, live := w.staleLID(), w.tagAt(idx, end)
 		var err error
-		switch shape {
-		case 0:
+		switch {
+		case inserts && shape&3 == 0:
+			_, err = w.st.InsertElementBefore(stale)
+		case inserts && shape&3 == 1:
+			_, err = w.st.InsertSubtreeBefore(stale, xmlgen.TwoLevel(2))
+		case inserts && shape&3 == 2:
+			_, err = w.st.ApplyBatch([]core.Op{
+				{Kind: core.OpLookup, LID: live},
+				{Kind: core.OpInsertBefore, LID: stale},
+			})
+		case inserts:
+			_, err = w.st.ApplyBatch([]core.Op{
+				{Kind: core.OpLookup, LID: live},
+				{Kind: core.OpInsertSubtree, LID: stale, Tree: xmlgen.TwoLevel(2)},
+			})
+		case shape == 0:
 			err = w.st.Delete(stale)
-		case 1:
+		case shape == 1:
 			err = w.st.DeleteElement(order.ElemLIDs{Start: stale, End: live})
-		case 2:
+		case shape == 2:
 			err = w.st.DeleteSubtree(order.ElemLIDs{Start: stale, End: live})
-		case 3:
+		case shape == 3:
 			_, err = w.st.Lookup(stale)
-		case 4:
+		case shape == 4:
 			_, err = w.st.LookupSpan(order.ElemLIDs{Start: stale, End: live})
-		case 5:
+		case shape == 5:
 			_, err = w.st.Compare(stale, live)
-		case 6:
+		case shape == 6:
 			_, err = w.st.Compare(live, stale)
 		default:
 			_, err = w.st.ApplyBatch([]core.Op{
@@ -352,7 +369,7 @@ func (e *Engine) staleOp(shape byte, s *script) error {
 			})
 		}
 		if !errors.Is(err, order.ErrUnknownLID) {
-			return fmt.Errorf("%s: stale-LID op %d on LID %d: got %v, want %v", w.name, shape, stale, err, order.ErrUnknownLID)
+			return fmt.Errorf("%s: stale-LID op %d (inserts=%v) on LID %d: got %v, want %v", w.name, shape, inserts, stale, err, order.ErrUnknownLID)
 		}
 	}
 	return nil

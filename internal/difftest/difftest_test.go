@@ -61,6 +61,15 @@ func TestDiffDirectedScripts(t *testing.T) {
 			0xf8, 0, 1, 0xf9, 0, 1, 0xfa, 0, 1, 0xfb, 0, 1, 0xfc, 0, 1, 0xfd, 0, 1, 0xfe, 0, 1, 0xff, 0, 1,
 			0, 0, 1, 0xf8, 1, 0, 0xf9, 1, 0, 0xfb, 1, 0, 0xff, 1, 0,
 			1, 0, 1, 2, 3, 1, 0, 0xfa, 0, 0, 0xfc, 0, 0, 0xfd, 0, 0, 0xfe, 0, 0, 0xff, 0, 0, 5, 1, 0, 0, 1},
+		// Every stale-anchor insert shape (side byte bit 1 set) after an
+		// element delete, after a subtree delete, and after an insert that
+		// reissued freed LIDs — the free-list head is the stale anchor, which
+		// an insert that allocated first would have handed back to itself;
+		// also committed as testdata/fuzz/FuzzOps/stale-lid-inserts.
+		"stale-insert": {0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0,
+			0xf8, 0, 2, 0xf9, 0, 3, 0xfa, 0, 2, 0xfb, 0, 3,
+			0, 0, 1, 2, 1, 0, 0xfc, 0, 3, 0xfd, 0, 2, 0xfe, 0, 3, 0xff, 0, 2,
+			3, 1, 0, 0xf8, 0, 2, 0xf9, 0, 2, 0, 0, 1, 0xfa, 0, 3, 0xfb, 0, 2},
 	}
 	for name, script := range cases {
 		name, script := name, script

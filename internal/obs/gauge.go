@@ -66,7 +66,7 @@ func (g GaugeValue) LabelString() string {
 }
 
 // Key returns the gauge's fully qualified identity (name + rendered
-// labels), the flattened form used by bench snapshots and crash dumps.
+// labels).
 func (g GaugeValue) Key() string { return g.Name + g.LabelString() }
 
 // Collector is a source of scrape-time gauges. Every structure in the

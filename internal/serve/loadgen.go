@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"boxes/internal/faults"
-	"boxes/internal/obs"
 	"boxes/internal/order"
 	"boxes/internal/workload"
 )
@@ -37,15 +36,16 @@ type LoadConfig struct {
 	ChurnTarget int
 	// Timeout is the per-op deadline (default 5s).
 	Timeout time.Duration
-	// Retry overrides the client retry policy.
+	// Retry overrides the client retry policy (default: the client's,
+	// with 12 attempts).
 	Retry *faults.RetryPolicy
 	// Dial overrides the transport (fault injection).
 	Dial func() (net.Conn, error)
 }
 
-// LoadReport aggregates a load run. Latency buckets cover acknowledged
-// ops only (a shed-and-retried op counts once, with its full retry wall
-// time — the client-observed latency).
+// LoadReport counts a load run's operations. A shed-and-retried op counts
+// once. Timing is the served-request benchmark's job (benchmark/), not
+// this generator's: it exists to drive faults and drains.
 type LoadReport struct {
 	Source    string
 	Conns     int
@@ -53,11 +53,9 @@ type LoadReport struct {
 	Acked     uint64
 	Failed    uint64
 	Skipped   uint64 // no-op positions (delete/lookup on an empty tracker)
+	Inserted  uint64 // acked inserts, each one element
+	Deleted   uint64 // acked deletes, each one element
 	Duration  time.Duration
-	Latency   obs.HistSnapshot
-	P50       time.Duration
-	P99       time.Duration
-	OpsPerSec float64
 }
 
 func (cfg *LoadConfig) defaults() {
@@ -78,6 +76,18 @@ func (cfg *LoadConfig) defaults() {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
+	}
+	if cfg.Retry == nil {
+		// A load run exists to push ops through injected connection
+		// faults. With the client's four attempts, a kill at every 7th
+		// server write (serve-smoke's schedule) exhausts about one op in
+		// 400: each attempt is a fresh handshake plus the request, two
+		// writes that can each be the 7th. Twelve attempts make that
+		// vanishingly rare; a dead server still fails within ~0.5s (the
+		// backoff caps at 50ms).
+		pol := faults.DefaultRetryPolicy()
+		pol.MaxAttempts = 12
+		cfg.Retry = &pol
 	}
 }
 
@@ -118,7 +128,7 @@ func (v *netView) EndLabel(pos int) (order.Label, error) {
 }
 
 // RunLoad drives cfg.Ops operations over cfg.Conns connections and
-// reports client-observed latency quantiles and throughput. The store
+// counts what was acked, failed and skipped. The store
 // behind addr must be fresh or already rooted: the generator bootstraps
 // the root element if the document is empty, then gives each worker its
 // own anchor child to operate under.
@@ -148,7 +158,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 
 	var (
 		attempted, acked, failed, skipped atomic.Uint64
-		lat                               = obs.NewDurHist()
+		inserted, deleted                 atomic.Uint64
 		wg                                sync.WaitGroup
 		errMu                             sync.Mutex
 		firstErr                          error
@@ -189,7 +199,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 				}
 				attempted.Add(1)
 				pos := tr.Clamp(op.Pos)
-				t0 := time.Now()
 				switch op.Kind {
 				case workload.Insert:
 					target := anchor.End
@@ -205,6 +214,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 						continue
 					}
 					tr.NoteInsert(pos, e)
+					inserted.Add(1)
 				case workload.Delete:
 					if tr.Len() == 0 {
 						skipped.Add(1)
@@ -218,6 +228,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 						continue
 					}
 					tr.NoteDelete(pos)
+					deleted.Add(1)
 				case workload.Lookup:
 					if tr.Len() == 0 {
 						skipped.Add(1)
@@ -231,34 +242,25 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 						continue
 					}
 				}
-				lat.Observe(time.Since(t0))
 				acked.Add(1)
 			}
 		}(w, src, anchors[w])
 	}
 	wg.Wait()
-	dur := time.Since(start)
-
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	snap := lat.Snapshot()
-	rep := &LoadReport{
+	return &LoadReport{
 		Source:    cfg.Source,
 		Conns:     cfg.Conns,
 		Attempted: attempted.Load(),
 		Acked:     acked.Load(),
 		Failed:    failed.Load(),
 		Skipped:   skipped.Load(),
-		Duration:  dur,
-		Latency:   snap,
-		P50:       time.Duration(snap.Quantile(0.50)),
-		P99:       time.Duration(snap.Quantile(0.99)),
-	}
-	if secs := dur.Seconds(); secs > 0 {
-		rep.OpsPerSec = float64(rep.Acked) / secs
-	}
-	return rep, nil
+		Inserted:  inserted.Load(),
+		Deleted:   deleted.Load(),
+		Duration:  time.Since(start),
+	}, nil
 }
 
 // anchorTarget returns the LID before whose tag the worker anchors are

@@ -469,6 +469,50 @@ func TestServeInFlightRetryAdoptsResult(t *testing.T) {
 	env.shutdown()
 }
 
+// An insert anchored at a deleted element's LID answers StatusUnknownLID,
+// alone and as a batch's first op (a later one would anchor at whatever
+// the batch's earlier inserts reissued), whichever of the two freed LIDs it
+// names: one of them heads the LIDF free list, which an insert that
+// allocated before resolving its anchor would reissue to itself and then
+// fail untyped.
+func TestServeInsertAtStaleAnchor(t *testing.T) {
+	env := startEnv(t, envOptions{})
+	c := dialRaw(t, env.addr, 0)
+	defer c.conn.Close()
+
+	root := c.roundTrip(&Request{Seq: 1, Op: OpInsertFirst})
+	a := c.roundTrip(&Request{Seq: 2, Op: OpInsert, LID: root.Elem.End})
+	if root.Status != StatusOK || a.Status != StatusOK {
+		t.Fatalf("setup: %s / %s", root.Msg, a.Msg)
+	}
+	if del := c.roundTrip(&Request{Seq: 3, Op: OpDeleteElement, Elem: a.Elem}); del.Status != StatusOK {
+		t.Fatalf("delete: %s", del.Msg)
+	}
+	seq := uint64(4)
+	for _, stale := range []order.LID{a.Elem.End, a.Elem.Start} {
+		for _, req := range []*Request{
+			{Op: OpInsert, LID: stale},
+			{Op: OpBatch, Batch: []BatchOp{{Op: OpInsert, LID: stale}, {Op: OpInsert, LID: root.Elem.End}}},
+		} {
+			req.Seq = seq
+			seq++
+			if resp := c.roundTrip(req); resp.Status != StatusUnknownLID {
+				t.Fatalf("op %d at stale LID %d: %s (%s); want %s", req.Op, stale, statusName(resp.Status), resp.Msg, statusName(StatusUnknownLID))
+			}
+		}
+	}
+	if got := env.store.Count(); got != 2 {
+		t.Fatalf("store count %d; want 2 (the failed inserts applied nothing)", got)
+	}
+	if ok := c.roundTrip(&Request{Seq: seq, Op: OpInsert, LID: root.Elem.End}); ok.Status != StatusOK {
+		t.Fatalf("insert after the stale ones: %s", ok.Msg)
+	}
+	if err := env.store.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	env.shutdown()
+}
+
 // A server built without Metrics must not panic: every counter access
 // goes through the defaulted private bundle.
 func TestServeNilMetrics(t *testing.T) {

@@ -92,3 +92,15 @@ func (l *Labeler) ordinalStep(blk pager.BlockID, buf []byte, label uint64, idx i
 	}
 	return 0, 0, false, fmt.Errorf("wbox: label %d outside node %d range", label, blk)
 }
+
+// resolve checks in place that lid names a live record. Inserts call it
+// before allocating LIDs, so a stale anchor takes no LIDF record; the
+// blocks it reads stay pinned, so the insert re-reads them uncounted.
+func (l *Labeler) resolve(lid order.LID) error {
+	leaf, _, _, err := l.viewLeafOf(lid)
+	if err != nil {
+		return err
+	}
+	l.store.Release(leaf)
+	return nil
+}

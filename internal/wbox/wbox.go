@@ -223,6 +223,9 @@ func (l *Labeler) InsertBefore(lidOld order.LID) (_ order.LID, err error) {
 	}
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
+	if err := l.resolve(lidOld); err != nil {
+		return order.NilLID, err
+	}
 	lid, err := l.file.Alloc()
 	if err != nil {
 		return order.NilLID, err
@@ -237,6 +240,9 @@ func (l *Labeler) InsertBefore(lidOld order.LID) (_ order.LID, err error) {
 func (l *Labeler) InsertElementBefore(lidOld order.LID) (_ order.ElemLIDs, err error) {
 	l.store.BeginOp()
 	defer l.store.EndOpInto(&err)
+	if err := l.resolve(lidOld); err != nil {
+		return order.ElemLIDs{}, err
+	}
 	startLID, endLID, err := l.file.AllocPair()
 	if err != nil {
 		return order.ElemLIDs{}, err
