@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint microbench check crash-matrix scrub-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
+.PHONY: all build test race lint microbench check crash-matrix resilience-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
 
 all: build test
 
@@ -91,18 +91,14 @@ crash-matrix:
 # permanent mid-workload fault flipping the store into read-only degraded
 # mode with oracle-equal lookups, a hot backup taken mid-workload that
 # opens fsck-clean at an exact op boundary, corruption surfacing as typed
-# errors under concurrent readers, and the online scrubber / hot backup
-# unit tests — then a CLI round trip: build a durable store, snapshot it,
-# corrupt the original, prove fsck notices, restore, prove it is clean.
-scrub-matrix:
+# errors under concurrent readers, and the hot backup unit tests — then
+# the CLI round trip (TestBackupCLI): build a durable store, snapshot it,
+# corrupt the original, prove verify notices, restore, prove it is clean,
+# and refuse a backup missing a sidecar without touching the target.
+resilience-matrix:
 	$(GO) test ./internal/crashmatrix -run 'TestTransientFaultSweep|TestPermanentWriteFaultDegrades|TestHotBackupDuringWorkload|TestCorruptReadsTypedUnderConcurrentReaders' -v
-	$(GO) test ./internal/pager -run 'TestScrub|TestBackup' -v
-	$(GO) run ./cmd/boxgen -elements 2000 -seed 1 > /tmp/boxes-scrub.xml
-	$(GO) run ./cmd/boxload -scheme wbox -save /tmp/boxes-scrub.box -durable /tmp/boxes-scrub.xml
-	$(GO) run ./cmd/boxbackup backup /tmp/boxes-scrub.box /tmp/boxes-scrub.bak
-	printf 'garbage-bytes-for-scrub-matrix-corruption-test-0123456789abcdef' | dd of=/tmp/boxes-scrub.box bs=1 seek=16384 conv=notrunc status=none
-	! $(GO) run ./cmd/boxbackup verify /tmp/boxes-scrub.box
-	$(GO) run ./cmd/boxbackup restore /tmp/boxes-scrub.bak /tmp/boxes-scrub.box
+	$(GO) test ./internal/pager -run 'TestBackup' -v
+	$(GO) test ./cmd -run TestBackupCLI -v
 
 # The adversarial workload zoo: the adaptive-source unit tests, the
 # cross-scheme differential runs of every zoo workload on every document

@@ -73,11 +73,6 @@ type (
 	// RetryPolicy bounds transient-I/O retries (Options.Retry): attempt
 	// budget, exponential backoff with jitter.
 	RetryPolicy = faults.RetryPolicy
-	// ScrubConfig paces an online Scrubber (batch size, interval, repair).
-	ScrubConfig = pager.ScrubConfig
-	// Scrubber walks a store's blocks in the background verifying
-	// checksums; see SyncStore.StartScrubber.
-	Scrubber = pager.Scrubber
 )
 
 // ErrReadOnly is returned by mutations once a permanent write fault has
@@ -85,8 +80,8 @@ type (
 // committed state. Test with errors.Is.
 var ErrReadOnly = core.ErrReadOnly
 
-// ErrCorrupt matches (via errors.Is) every checksum or quarantine failure
-// the block layer reports.
+// ErrCorrupt matches (via errors.Is) every checksum failure the block layer
+// reports.
 var ErrCorrupt = pager.ErrCorrupt
 
 // DefaultRetryPolicy is a sensible transient-retry configuration: 4

@@ -13,7 +13,8 @@
 // command works on files no process has open.
 //
 // restore copies the snapshot (and its .crc/.wal sidecars) over the target
-// path and verifies the result with the offline checker. verify runs the
+// path and verifies the result with the offline checker; a snapshot missing
+// either sidecar is refused and the target left as it was. verify runs the
 // checker alone.
 //
 // Exit codes: 0 success, 1 the store/backup failed verification, 2 the
@@ -88,14 +89,17 @@ func backup(src, dst string) {
 
 func restore(src, dst string) {
 	// A backup carries no WAL state, so restore is a verbatim copy of the
-	// three files; the subsequent check proves the result opens clean.
-	for _, ext := range []string{"", ".crc", ".wal"} {
+	// three files; the subsequent check proves the result opens clean. Every
+	// store has all three, so a backup missing one is refused before any
+	// file of the target is touched.
+	exts := []string{"", ".crc", ".wal"}
+	for _, ext := range exts {
+		if _, err := os.Stat(src + ext); err != nil {
+			fatal(fmt.Errorf("incomplete backup: %w", err))
+		}
+	}
+	for _, ext := range exts {
 		if err := copyFile(src+ext, dst+ext); err != nil {
-			if ext != "" && os.IsNotExist(err) {
-				// Sidecar disabled on the source store: remove any stale one.
-				os.Remove(dst + ext)
-				continue
-			}
 			fatal(err)
 		}
 	}

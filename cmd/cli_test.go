@@ -5,6 +5,7 @@ package cmd_test
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
@@ -28,7 +29,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"boxgen", "boxload", "boxinspect", "boxbench", "boxfsck", "boxserve", "boxclient"} {
+	for _, tool := range []string{"boxgen", "boxload", "boxinspect", "boxbench", "boxfsck", "boxbackup", "boxserve", "boxclient"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "boxes/cmd/"+tool)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -231,6 +232,77 @@ func TestFsckCLI(t *testing.T) {
 	outB, _ = cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 2 {
 		t.Errorf("boxfsck on junk: exit %d, want 2:\n%s", code, outB)
+	}
+}
+
+// runExit runs a tool that may fail and returns its output and exit code.
+func runExit(t *testing.T, name string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binDir, name), args...)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("%s %v: %v", name, args, err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestBackupCLI runs the boxbackup round trip on a durable store: back it
+// up, corrupt the store so verify exits 1, restore it clean, and refuse a
+// backup missing a sidecar with exit 2 before touching any target file.
+func TestBackupCLI(t *testing.T) {
+	dir := t.TempDir()
+	xml := filepath.Join(dir, "doc.xml")
+	if err := os.WriteFile(xml, []byte(run(t, "boxgen", "-elements", "2000", "-seed", "1")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	box := filepath.Join(dir, "labels.box")
+	bak := filepath.Join(dir, "labels.bak")
+	run(t, "boxload", "-scheme", "wbox", "-save", box, "-durable", xml)
+	run(t, "boxbackup", "backup", box, bak)
+
+	f, err := os.OpenFile(box, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("garbage-bytes-for-backup-corruption-test-0123456789abcdef"), 16384); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if out, code := runExit(t, "boxbackup", "verify", box); code != 1 || !strings.Contains(out, "verdict : UNCLEAN") {
+		t.Fatalf("verify of a corrupt store: exit %d, want 1:\n%s", code, out)
+	}
+	if out, code := runExit(t, "boxbackup", "restore", bak, box); code != 0 || !strings.Contains(out, "verdict : clean") {
+		t.Fatalf("restore: exit %d, want 0:\n%s", code, out)
+	}
+	if out := run(t, "boxbackup", "verify", box); !strings.Contains(out, "verdict : clean") {
+		t.Fatalf("verify after restore:\n%s", out)
+	}
+
+	exts := []string{"", ".crc", ".wal"}
+	before := make(map[string][]byte)
+	for _, ext := range exts {
+		b, err := os.ReadFile(box + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[ext] = b
+	}
+	for _, missing := range []string{".crc", ".wal"} {
+		partial := filepath.Join(dir, "partial.bak")
+		run(t, "boxbackup", "backup", box, partial)
+		if err := os.Remove(partial + missing); err != nil {
+			t.Fatal(err)
+		}
+		if out, code := runExit(t, "boxbackup", "restore", partial, box); code != 2 {
+			t.Fatalf("restore of a backup without %s: exit %d, want 2:\n%s", missing, code, out)
+		}
+		for _, ext := range exts {
+			b, err := os.ReadFile(box + ext)
+			if err != nil || !bytes.Equal(b, before[ext]) {
+				t.Fatalf("restore of a backup without %s changed the target's %q file (err %v)", missing, ext, err)
+			}
+		}
 	}
 }
 

@@ -200,22 +200,6 @@ func (s *Store) backupNoSave(path string) error {
 	return fb.BackupTo(path)
 }
 
-// NewScrubber builds an online scrubber over the store's blocks (see
-// pager.Scrubber): checksum verification at a configurable pace, quarantine
-// of corrupt blocks, optional repair from the WAL tail. The store must be
-// file-backed with checksums. The caller starts and stops it; for a store
-// shared via SyncStore use SyncStore.StartScrubber, which wires the read
-// lock in as the scrub guard.
-func (s *Store) NewScrubber(cfg pager.ScrubConfig) (*pager.Scrubber, error) {
-	return s.store.NewScrubber(cfg)
-}
-
-// QuarantinedBlocks lists blocks the pager refuses to serve (corrupt and
-// not yet repaired or rewritten).
-func (s *Store) QuarantinedBlocks() []pager.BlockID {
-	return s.store.QuarantinedBlocks()
-}
-
 // Close releases the store: pending group commits are drained and the
 // backend is closed. Durable stores are consistent at every operation
 // boundary; non-durable stores must Save first to be resumable.

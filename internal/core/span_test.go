@@ -149,9 +149,9 @@ func validateExposition(t *testing.T, body string) {
 }
 
 // TestMetricsScrapeRace races /metrics and /debug/spans scrapes against
-// active writers, shared-path readers, and the online scrubber on a durable
-// group-commit SyncStore — including one scrape taken while the committer
-// is deliberately held mid-group. Every scrape must stay parseable with a
+// active writers and shared-path readers on a durable group-commit
+// SyncStore — including one scrape taken while the committer is
+// deliberately held mid-group. Every scrape must stay parseable with a
 // single # TYPE per family. Run under -race this is the satellite
 // concurrency gate for the span/phase instrumentation.
 func TestMetricsScrapeRace(t *testing.T) {
@@ -174,11 +174,6 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 	st.RegisterHealthGauges()
 	st.MetricsRegistry().Tracer().Start(obs.TraceOptions{SlowOp: time.Millisecond})
-	sc, err := st.StartScrubber(pager.ScrubConfig{BatchBlocks: 16, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Stop()
 
 	srv := httptest.NewServer(obs.Handler(st.MetricsRegistry()))
 	defer srv.Close()

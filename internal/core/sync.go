@@ -285,24 +285,6 @@ func (s *SyncStore) Backup(path string) error {
 	return s.st.backupNoSave(path)
 }
 
-// StartScrubber launches a background scrubber whose batches run under the
-// store's read lock — concurrent with lookups, serialized against
-// mutations. The caller owns the returned scrubber and must Stop it before
-// Close.
-func (s *SyncStore) StartScrubber(cfg pager.ScrubConfig) (*pager.Scrubber, error) {
-	cfg.Guard = func(fn func()) {
-		s.rlock()
-		defer s.mu.RUnlock()
-		fn()
-	}
-	sc, err := s.st.NewScrubber(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sc.Start()
-	return sc, nil
-}
-
 // Close releases the store under the write lock: pending group commits are
 // drained and the backend is closed.
 func (s *SyncStore) Close() error {

@@ -99,7 +99,7 @@ type Snapshot struct {
 	Ops      map[string]OpSnapshot
 	Counters map[string]uint64
 	// Phases holds the phase-latency histograms (nanoseconds), keyed by
-	// row ("insert", "lookup", ..., "wal", "scrub") then phase name. Only
+	// row ("insert", "lookup", ..., "wal") then phase name. Only
 	// rows and phases with at least one observation appear.
 	Phases map[string]map[string]HistSnapshot
 	// Gauges holds the structural health samples of every registered

@@ -94,9 +94,9 @@ func (k CostKind) String() string {
 }
 
 // counterCost maps each structural counter to the cost kind it feeds, or
-// -1 for counters that are deliberately unattributed: WAL, scrubber, and
-// retry counters are incremented by background goroutines that hold no
-// writer slot, and cache hit/miss counters already appear in the ledger as
+// -1 for counters that are deliberately unattributed: WAL and retry
+// counters are incremented by background goroutines that hold no writer
+// slot, and cache hit/miss counters already appear in the ledger as
 // block reads (a hit is the absence of an I/O). Keeping them out preserves
 // the exactness of the conservation invariant.
 var counterCost = func() [numCounters]int8 {

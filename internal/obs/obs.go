@@ -147,16 +147,6 @@ const (
 	// CtrPagerRetryExhausted counts operations whose retry budget ran out,
 	// surfacing the fault as a permanent error.
 	CtrPagerRetryExhausted
-	// CtrPagerScrubBlocks counts blocks whose checksums the online
-	// scrubber verified.
-	CtrPagerScrubBlocks
-	// CtrPagerScrubCorrupt counts corrupt blocks the scrubber found.
-	CtrPagerScrubCorrupt
-	// CtrPagerScrubRepairs counts corrupt blocks the scrubber repaired
-	// from a committed WAL or group-commit image.
-	CtrPagerScrubRepairs
-	// CtrPagerScrubPasses counts completed full scrub passes.
-	CtrPagerScrubPasses
 	// CtrCoreDegraded counts transitions of a store into read-only
 	// degraded mode after a permanent write-path fault.
 	CtrCoreDegraded
@@ -228,10 +218,6 @@ var counterNames = [numCounters]string{
 	CtrPagerRetries:          "pager_retries_total",
 	CtrPagerRetrySuccesses:   "pager_retry_successes_total",
 	CtrPagerRetryExhausted:   "pager_retry_exhausted_total",
-	CtrPagerScrubBlocks:      "pager_scrub_blocks_total",
-	CtrPagerScrubCorrupt:     "pager_scrub_corrupt_total",
-	CtrPagerScrubRepairs:     "pager_scrub_repairs_total",
-	CtrPagerScrubPasses:      "pager_scrub_passes_total",
 	CtrCoreDegraded:          "core_degraded_transitions_total",
 	CtrPagerPoisoned:         "pager_poisoned_total",
 	CtrCoreOpAborts:          "core_op_aborts_total",

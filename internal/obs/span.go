@@ -5,10 +5,10 @@
 //   - Phase histograms are ALWAYS ON: every instrumented section (a backend
 //     block read, a WAL fsync, a commit-ticket wait, ...) adds its duration
 //     to a fixed-bucket histogram keyed by (row, phase), where the row is
-//     the operation kind the section ran under — or one of two auxiliary
-//     rows ("wal" for the committer goroutine, "scrub" for the scrubber) for
-//     work that belongs to no single operation. The cost is one time.Now
-//     pair plus an atomic histogram add per section.
+//     the operation kind the section ran under — or the auxiliary "wal"
+//     row for the committer goroutine's work, which belongs to no single
+//     operation. The cost is one time.Now pair plus an atomic histogram
+//     add per section.
 //
 //   - Span RECORDING is opt-in (Tracer.Start, boxbench/boxload -trace, or a
 //     slow-op threshold): sections additionally push SpanRecords — with
@@ -85,8 +85,6 @@ const (
 	// PhaseApply is a checkpoint's in-place apply of the logged images,
 	// header write and data/crc syncs ("wal" row, inside checkpoint).
 	PhaseApply
-	// PhaseScrubBatch is one scrubber verification batch ("scrub" row).
-	PhaseScrubBatch
 	numPhases
 )
 
@@ -105,7 +103,6 @@ var phaseNames = [numPhases]string{
 	PhaseFsync:         "fsync",
 	PhaseCheckpoint:    "checkpoint",
 	PhaseApply:         "apply",
-	PhaseScrubBatch:    "scrub_batch",
 }
 
 func (p Phase) String() string {
@@ -124,12 +121,11 @@ func Phases() []Phase {
 	return out
 }
 
-// Phase rows: one per operation kind, plus auxiliary rows for goroutines
-// whose work belongs to no single operation.
+// Phase rows: one per operation kind, plus an auxiliary row for the
+// group-commit committer, whose work belongs to no single operation.
 const (
-	rowWAL       = int(numOps)     // the group-commit committer
-	rowScrub     = int(numOps) + 1 // the background scrubber
-	numPhaseRows = int(numOps) + 2
+	rowWAL       = int(numOps)
+	numPhaseRows = int(numOps) + 1
 )
 
 // phaseRowName renders a phase row for exposition ("insert", "wal", ...).
@@ -139,8 +135,6 @@ func phaseRowName(row int) string {
 		return Op(row).String()
 	case row == rowWAL:
 		return "wal"
-	case row == rowScrub:
-		return "scrub"
 	default:
 		return "unknown"
 	}
@@ -166,17 +160,6 @@ func (r *Registry) ObservePhaseWAL(ph Phase, d time.Duration) {
 		d = 0
 	}
 	r.phases[rowWAL][ph].observe(uint64(d))
-}
-
-// ObservePhaseScrub records one scrubber batch on the "scrub" row.
-func (r *Registry) ObservePhaseScrub(d time.Duration) {
-	if r == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	r.phases[rowScrub][PhaseScrubBatch].observe(uint64(d))
 }
 
 // ObservePhaseAuto records a phase against the current operation: the
@@ -245,13 +228,12 @@ func (r *Registry) Tracer() *Tracer {
 }
 
 // Reserved lane names. Lane 0 is always the writer lane; reader goroutines
-// get per-goroutine lanes; the committer, its queue, and the scrubber get
-// dedicated lanes so group-commit coalescing is visible in a trace.
+// get per-goroutine lanes; the committer and its queue get dedicated lanes
+// so group-commit coalescing is visible in a trace.
 const (
 	LaneWriter    = "writer"
 	LaneCommitter = "committer"
 	LaneQueue     = "commit-queue"
-	LaneScrubber  = "scrubber"
 )
 
 // SpanRecord is one completed span.
@@ -479,7 +461,7 @@ func (t *Tracer) StartAuto(reader bool, name string) Span {
 	return sp
 }
 
-// StartLane opens a span on a named lane (committer, scrubber, ...) with an
+// StartLane opens a span on a named lane (committer, commit-queue, ...) with an
 // explicit parent (0 for none).
 func (t *Tracer) StartLane(lane, name string, parent uint64) Span {
 	if !t.Enabled() {

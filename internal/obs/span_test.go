@@ -13,7 +13,6 @@ func TestPhaseHistogramRows(t *testing.T) {
 	r := NewRegistry()
 	r.ObservePhase(OpInsert, PhaseBlockWrite, 2*time.Millisecond)
 	r.ObservePhaseWAL(PhaseFsync, 5*time.Millisecond)
-	r.ObservePhaseScrub(1 * time.Millisecond)
 	r.SetWriterCell(0, OpDelete)
 	r.ObservePhaseAuto(false, PhaseBlockRead, time.Millisecond)
 	r.ObservePhaseAuto(true, PhaseBlockRead, time.Millisecond)
@@ -25,7 +24,6 @@ func TestPhaseHistogramRows(t *testing.T) {
 	for _, want := range []struct{ row, phase string }{
 		{"insert", "block_write"},
 		{"wal", "fsync"},
-		{"scrub", "scrub_batch"},
 		{"delete", "block_read"},
 		{"lookup", "block_read"},
 		{"lookup", "retry_backoff"},

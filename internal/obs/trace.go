@@ -21,8 +21,8 @@ type chromeEvent struct {
 // WriteChromeTrace renders the tracer's recorded spans as Chrome
 // trace-event JSON, loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. Each lane becomes one named thread, so the writer,
-// per-reader goroutines, the group-commit committer, its queue, and the
-// scrubber render as parallel tracks — group-commit coalescing appears as
+// per-reader goroutines, the group-commit committer and its queue render
+// as parallel tracks — group-commit coalescing appears as
 // several op spans on the writer lane overlapping one fsync span on the
 // committer lane. Timestamps are microseconds relative to the earliest
 // recorded span.

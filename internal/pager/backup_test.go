@@ -6,11 +6,59 @@ import (
 	"testing"
 )
 
+const backupBS = 256
+
+// backupStore builds a file-backed store with a handful of written blocks,
+// checkpointed so the data file holds them, and returns the store, the
+// backend, and the block ids.
+func backupStore(t *testing.T, n int) (*Store, *FileBackend, []BlockID) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "store.box")
+	fb, err := CreateFile(path, backupBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(fb)
+	t.Cleanup(func() { st.Close() })
+	ids := make([]BlockID, 0, n)
+	for i := 0; i < n; i++ {
+		id, err := st.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, backupBS)
+		for j := range buf {
+			buf[j] = byte(i + j)
+		}
+		if err := st.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return st, fb, ids
+}
+
+// rot flips bytes of a block's on-disk image behind the pager's back,
+// leaving the checksum sidecar stale — silent media corruption.
+func rot(t *testing.T, fb *FileBackend, id BlockID) {
+	t.Helper()
+	junk := make([]byte, backupBS)
+	for i := range junk {
+		junk[i] = 0xAA
+	}
+	if _, err := fb.f.WriteAt(junk, fb.offset(id)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A backup taken from a live store opens clean, serves identical block
 // images, and preserves the allocation state (free list included) so new
 // allocations behave exactly like the source's would.
 func TestBackupRoundTrip(t *testing.T) {
-	st, fb, ids := scrubStore(t, 10)
+	st, fb, ids := backupStore(t, 10)
 	// Free a couple of blocks so the backup must carry the free list.
 	if err := st.Free(ids[3]); err != nil {
 		t.Fatal(err)
@@ -72,12 +120,12 @@ func TestBackupRoundTrip(t *testing.T) {
 // A backup sees through the group-commit overlay: transactions committed
 // but not yet applied in place are part of the snapshot.
 func TestBackupIncludesOverlayState(t *testing.T) {
-	_, fb, ids := scrubStore(t, 4)
+	_, fb, ids := backupStore(t, 4)
 	if err := fb.StartGroupCommit(Durability{Every: 8}); err != nil {
 		t.Fatal(err)
 	}
 	fb.HoldGroupCommit(true)
-	img := make([]byte, scrubBS)
+	img := make([]byte, backupBS)
 	for i := range img {
 		img[i] = 0xE7
 	}
@@ -107,7 +155,7 @@ func TestBackupIncludesOverlayState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bfb.Close()
-	buf := make([]byte, scrubBS)
+	buf := make([]byte, backupBS)
 	if err := bfb.ReadBlock(ids[0], buf); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +166,7 @@ func TestBackupIncludesOverlayState(t *testing.T) {
 
 // A corrupt source block aborts the backup instead of copying rot.
 func TestBackupRefusesCorruptSource(t *testing.T) {
-	_, fb, ids := scrubStore(t, 4)
+	_, fb, ids := backupStore(t, 4)
 	rot(t, fb, ids[2])
 	bpath := filepath.Join(t.TempDir(), "backup.box")
 	if err := fb.BackupTo(bpath); err == nil {
@@ -128,7 +176,7 @@ func TestBackupRefusesCorruptSource(t *testing.T) {
 
 // Backups are rejected mid-batch and onto the store's own path.
 func TestBackupGuards(t *testing.T) {
-	_, fb, _ := scrubStore(t, 2)
+	_, fb, _ := backupStore(t, 2)
 	if err := fb.BackupTo(fb.Path()); err == nil {
 		t.Fatal("backup onto the live store path must fail")
 	}

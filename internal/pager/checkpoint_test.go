@@ -12,10 +12,9 @@ import (
 )
 
 // TestAcknowledgedImagesAcrossCheckpoint: every reader of committed state —
-// ReadBlock, the scrubber's raw verify, BackupTo — sees an acknowledged
-// image while only the log and the overlay hold it, and the same image once
-// a checkpoint has moved it into the data file and emptied the overlay. On
-// both commit paths.
+// ReadBlock and BackupTo — sees an acknowledged image while only the log and
+// the overlay hold it, and the same image once a checkpoint has moved it
+// into the data file and emptied the overlay. On both commit paths.
 func TestAcknowledgedImagesAcrossCheckpoint(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		dir := t.TempDir()
@@ -50,11 +49,6 @@ func TestAcknowledgedImagesAcrossCheckpoint(t *testing.T) {
 			}
 			if got := captureState(t, fb); !statesEqual(got, want) {
 				t.Fatalf("group=%v, %s: reads differ from the acknowledged state", group, when)
-			}
-			for id := BlockID(1); id < fb.Bound(); id++ {
-				if err := fb.VerifyBlockRaw(id); err != nil {
-					t.Fatalf("group=%v, %s: raw verify of block %d: %v", group, when, id, err)
-				}
 			}
 			bak := filepath.Join(dir, when+".bak")
 			if err := fb.BackupTo(bak); err != nil {

@@ -202,11 +202,6 @@ type FileBackend struct {
 	poisonMu sync.Mutex
 	poison   error
 
-	// applyMu serializes in-place block rewrites (a checkpoint's apply,
-	// scrub repairs) against the scrubber's raw disk reads, which bypass
-	// the staged-image and committed-image overlays (see scrub.go).
-	applyMu sync.Mutex
-
 	gc groupState // group-commit machinery (see group.go)
 }
 
@@ -1000,11 +995,10 @@ func (fb *FileBackend) resetWAL() error {
 
 // applyInPlace is the in-place half of the protocol, shared by checkpoint
 // and open-time redo: each image and its checksum entry in the order
-// given, then the header, then the data and sidecar fsyncs. applyMu keeps
-// the scrubber's raw reads off blocks mid-overwrite.
+// given, then the header, then the data and sidecar fsyncs. Concurrent
+// readers never see a block mid-overwrite: its image stays in the overlay,
+// which readRaw consults first, until the apply is done.
 func (fb *FileBackend) applyInPlace(images []walImage, hdr walHeaderState) error {
-	fb.applyMu.Lock()
-	defer fb.applyMu.Unlock()
 	for _, img := range images {
 		if _, err := fb.f.WriteAt(img.data, fb.offset(img.id)); err != nil {
 			return err

@@ -205,17 +205,13 @@ func TestViewOfResidentFrameSurvivesPut(t *testing.T) {
 func TestViewErrorsMatchRead(t *testing.T) {
 	s := NewMemStore(128)
 	id := storeWithBlocks(t, s, 1)[0]
-	s.Quarantine(id, nil)
-	_, verr := s.View(id)
-	_, rerr := s.Read(id)
+	_, verr := s.View(id + 100)
+	_, rerr := s.Read(id + 100)
 	if verr == nil || rerr == nil || verr.Error() != rerr.Error() {
-		t.Fatalf("quarantined block: View %v, Read %v", verr, rerr)
+		t.Fatalf("unallocated block: View %v, Read %v", verr, rerr)
 	}
 	if _, err := s.View(NilBlock); err == nil {
 		t.Fatal("view of the nil block succeeded")
-	}
-	if _, err := s.View(id + 100); err == nil {
-		t.Fatal("view of an unallocated block succeeded")
 	}
 	s.Close()
 	if _, err := s.View(id); err != ErrClosed {

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -167,12 +166,10 @@ type Store struct {
 	phaseCommit atomic.Int64
 
 	// Resilience state (see resilience.go): optional bounded retries of
-	// raw backend calls, the first permanent write-path fault (core's
-	// degraded-mode trigger), and the set of quarantined corrupt blocks.
+	// raw backend calls and the first permanent write-path fault (core's
+	// degraded-mode trigger).
 	retry  *faults.Retrier
 	wfault atomic.Pointer[writeFault]
-	quar   sync.Map // BlockID -> string (corruption detail)
-	nquar  atomic.Int64
 }
 
 // Option configures a Store.
@@ -467,7 +464,6 @@ func (s *Store) EndOp() error {
 				continue
 			}
 			s.countWrite(id)
-			s.liftQuarantine(id)
 			if s.cache != nil {
 				s.cache.put(id, ob.data) // now the cache's, not ours to recycle
 				delete(s.op, id)
@@ -643,9 +639,6 @@ func (s *Store) View(id BlockID) ([]byte, error) {
 		}
 		s.obs.Inc(obs.CtrPagerCacheMisses)
 	}
-	if qerr := s.quarantineErr(id); qerr != nil {
-		return nil, qerr
-	}
 	buf := s.getFrame()
 	err := s.timedPhase(obs.PhaseBlockRead, &s.phaseRead, func() error {
 		return s.retryBackend(func() error { return s.backend.ReadBlock(id, buf) })
@@ -724,7 +717,6 @@ func (s *Store) Write(id BlockID, buf []byte) error {
 		return err
 	}
 	s.countWrite(id)
-	s.liftQuarantine(id)
 	if s.cache != nil {
 		s.cache.put(id, s.frameCopy(buf))
 	}

@@ -2,7 +2,6 @@ package pager
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"boxes/internal/faults"
@@ -102,58 +101,3 @@ func (s *Store) WriteFault() error {
 // ClearWriteFault resets the write-fault latch (after an operator repaired
 // the underlying device and cleared degraded mode).
 func (s *Store) ClearWriteFault() { s.wfault.Store(nil) }
-
-// Quarantine marks a block as known-corrupt: reads of it fail fast with a
-// typed *CorruptError instead of re-reading (and re-failing on) the bad
-// image, so lookups keep serving from clean blocks. A successful write of
-// the block — a scrubber repair or a normal update rewriting it — lifts
-// the quarantine.
-func (s *Store) Quarantine(id BlockID, cause error) {
-	detail := "unreadable"
-	if cause != nil {
-		detail = cause.Error()
-	}
-	if _, loaded := s.quar.LoadOrStore(id, detail); !loaded {
-		s.nquar.Add(1)
-	}
-}
-
-// Unquarantine clears a block's quarantine mark.
-func (s *Store) Unquarantine(id BlockID) {
-	if _, loaded := s.quar.LoadAndDelete(id); loaded {
-		s.nquar.Add(-1)
-	}
-}
-
-// QuarantinedBlocks lists the currently quarantined blocks in ascending
-// order.
-func (s *Store) QuarantinedBlocks() []BlockID {
-	var ids []BlockID
-	s.quar.Range(func(k, _ any) bool {
-		ids = append(ids, k.(BlockID))
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// quarantineErr returns the fast-fail error for a quarantined block, or
-// nil. The counter fast path keeps the common case (no quarantine) to one
-// atomic load.
-func (s *Store) quarantineErr(id BlockID) error {
-	if s.nquar.Load() == 0 {
-		return nil
-	}
-	if v, ok := s.quar.Load(id); ok {
-		return &CorruptError{Block: id, Region: "block", Detail: "quarantined: " + v.(string)}
-	}
-	return nil
-}
-
-// liftQuarantine drops a block's quarantine after a successful write of a
-// full fresh image.
-func (s *Store) liftQuarantine(id BlockID) {
-	if s.nquar.Load() != 0 {
-		s.Unquarantine(id)
-	}
-}

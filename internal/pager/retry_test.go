@@ -114,37 +114,3 @@ func TestRetryExhaustionLatchesWriteFault(t *testing.T) {
 		t.Fatalf("ClearWriteFault did not clear")
 	}
 }
-
-// Reads of a quarantined block fail fast with a typed corruption error;
-// a successful rewrite lifts the quarantine.
-func TestQuarantineFastFailAndLift(t *testing.T) {
-	st := NewMemStore(512)
-	id, err := st.Allocate()
-	if err != nil {
-		t.Fatalf("allocate: %v", err)
-	}
-	if err := st.Write(id, make([]byte, 512)); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	st.Quarantine(id, errors.New("checksum mismatch"))
-	if got := st.QuarantinedBlocks(); len(got) != 1 || got[0] != id {
-		t.Fatalf("QuarantinedBlocks = %v", got)
-	}
-	_, err = st.Read(id)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("read of quarantined block: %v, want ErrCorrupt", err)
-	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Block != id {
-		t.Fatalf("corrupt error should carry the block id, got %v", err)
-	}
-	if err := st.Write(id, make([]byte, 512)); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	if got := st.QuarantinedBlocks(); len(got) != 0 {
-		t.Fatalf("rewrite should lift the quarantine, still have %v", got)
-	}
-	if _, err := st.Read(id); err != nil {
-		t.Fatalf("read after lift: %v", err)
-	}
-}
