@@ -87,7 +87,8 @@ crash-matrix:
 	$(GO) test ./internal/pager -run 'TestCrashPointSweep|TestGroupCommitCrashPrefix|TestScanWALStaleTail|TestGenerationZeroLogRedoes|TestCheckpoint' -v
 
 # The runtime fault-tolerance sweep: transient write faults at every k-th
-# raw write absorbed by bounded retries on all five scheme workloads, a
+# raw write on all five scheme workloads, each failing its op with a clean
+# abort that a re-issue then completes (no retries inside the store), a
 # permanent mid-workload fault flipping the store into read-only degraded
 # mode with oracle-equal lookups, a hot backup taken mid-workload that
 # opens fsck-clean at an exact op boundary, corruption surfacing as typed

@@ -19,8 +19,7 @@
 //
 // Labels are always reached through immutable label IDs (LIDs), allocated
 // in a compact heap file, so references to labels stored in other indexes
-// never need updating. A caching/logging layer can repair cached label
-// values without I/O (read-heavy workloads).
+// never need updating.
 //
 // Quick start:
 //
@@ -34,12 +33,10 @@ import (
 	"net/http"
 
 	"boxes/internal/core"
-	"boxes/internal/faults"
 	"boxes/internal/obs"
 	"boxes/internal/order"
 	"boxes/internal/pager"
 	"boxes/internal/query"
-	"boxes/internal/reflog"
 	"boxes/internal/xmlgen"
 )
 
@@ -53,8 +50,6 @@ type (
 	Document = core.Document
 	// Scheme selects the labeling structure.
 	Scheme = core.Scheme
-	// Caching selects the lookup acceleration mode.
-	Caching = core.Caching
 	// SyncStore is a lock-guarded Store safe for concurrent use: lookups
 	// run shared, mutators exclusive.
 	SyncStore = core.SyncStore
@@ -70,9 +65,6 @@ type (
 	Durability = pager.Durability
 	// CommitTicket resolves when a queued transaction is durable.
 	CommitTicket = pager.CommitTicket
-	// RetryPolicy bounds transient-I/O retries (Options.Retry): attempt
-	// budget, exponential backoff with jitter.
-	RetryPolicy = faults.RetryPolicy
 )
 
 // ErrReadOnly is returned by mutations once a permanent write fault has
@@ -83,10 +75,6 @@ var ErrReadOnly = core.ErrReadOnly
 // ErrCorrupt matches (via errors.Is) every checksum failure the block layer
 // reports.
 var ErrCorrupt = pager.ErrCorrupt
-
-// DefaultRetryPolicy is a sensible transient-retry configuration: 4
-// attempts, 1ms initial backoff doubling to a 50ms cap, half-range jitter.
-func DefaultRetryPolicy() RetryPolicy { return faults.DefaultRetryPolicy() }
 
 // Batch operation kinds for Store.ApplyBatch / SyncStore.ApplyBatch.
 const (
@@ -113,13 +101,6 @@ const (
 	Naive = core.SchemeNaive
 )
 
-// Caching modes (Section 6 of the paper).
-const (
-	CachingOff    = core.CachingOff
-	CachingBasic  = core.CachingBasic
-	CachingLogged = core.CachingLogged
-)
-
 // Identifier and label types.
 type (
 	// LID is an immutable label identifier; safe to copy into indexes.
@@ -139,16 +120,11 @@ type (
 	Pair = query.Pair
 	// IOStats counts block reads and writes.
 	IOStats = pager.IOStats
-	// Cache is the Section 6 caching/logging lookup layer.
-	Cache = reflog.Cache
-	// CacheRef is an augmented label reference: LID + cached value +
-	// last-cached timestamp.
-	CacheRef = reflog.Ref
 )
 
 // Observability types. Every Store reports per-operation latency and
 // I/O-delta histograms plus structural counters (splits, rebuilds,
-// relabels, cache hits) into a Metrics registry; see Store.Metrics,
+// relabels, block-cache hits) into a Metrics registry; see Store.Metrics,
 // Store.MetricsRegistry, and MetricsHandler.
 type (
 	// Metrics is the registry a Store reports into. Pass one via
@@ -156,7 +132,9 @@ type (
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of every recorded metric.
 	MetricsSnapshot = obs.Snapshot
-	// TraceHook receives a structured event around every operation.
+	// TraceHook receives a structured event around every operation;
+	// install one with Metrics.AddHook on the registry passed as
+	// Options.Metrics.
 	TraceHook = obs.TraceHook
 	// TraceEvent is the per-operation payload delivered to hooks.
 	TraceEvent = obs.Event
@@ -186,8 +164,9 @@ type Node = xmlgen.Node
 func Open(opts Options) (*Store, error) { return core.Open(opts) }
 
 // OpenExisting resumes a store previously checkpointed with Store.Save on
-// a persistent backend; structural options come from the saved metadata
-// and only runtime options (caching, LRU size) are read from runtime.
+// a persistent backend; structural options (scheme, block size, variant
+// flags) come from the saved metadata and every other option is read from
+// runtime.
 func OpenExisting(backend pager.Backend, runtime Options) (*Store, error) {
 	return core.OpenExisting(backend, runtime)
 }

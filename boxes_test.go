@@ -107,32 +107,3 @@ func TestPublicFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPublicCachedLookups(t *testing.T) {
-	st, err := Open(Options{Scheme: BBox, Caching: CachingLogged, LogK: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := st.Load(GenerateTwoLevel(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := st.Cache().NewRef(doc.Elems[100].Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.InsertElementBefore(doc.Elems[100].Start); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := st.Cache().Lookup(&ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := st.Lookup(ref.LID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("cache %d != direct %d", got, want)
-	}
-}

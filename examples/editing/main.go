@@ -1,7 +1,5 @@
 // Editing: dynamic document maintenance — bulk subtree insertion and
-// deletion, adversarial (concentrated) single-element insertions, and the
-// caching+logging layer that keeps lookups nearly free while the document
-// churns.
+// deletion, and adversarial (concentrated) single-element insertions.
 package main
 
 import (
@@ -12,14 +10,9 @@ import (
 )
 
 func main() {
-	// W-BOX-O with the Section 6 caching+logging layer: reads of cached
-	// references cost no I/O as long as recent modifications are
-	// replayable from the log.
-	st, err := boxes.Open(boxes.Options{
-		Scheme:  boxes.WBoxO,
-		Caching: boxes.CachingLogged,
-		LogK:    256,
-	})
+	// W-BOX-O: start and end labels of an element share one structure
+	// I/O.
+	st, err := boxes.Open(boxes.Options{Scheme: boxes.WBoxO})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,43 +52,6 @@ func main() {
 	ios := st.Stats()
 	fmt.Printf("%d concentrated element inserts: %v (%.2f I/Os each)\n",
 		2*pairs, ios, float64(ios.Total())/(2*pairs))
-
-	// --- Cached reads under churn ------------------------------------
-	// Hold augmented references to some labels, keep modifying the
-	// document, and read through the cache: the modification log repairs
-	// the cached values without I/O.
-	cache := st.Cache()
-	refs := make([]boxes.CacheRef, 0, 100)
-	for i := 0; i < 100; i++ {
-		ref, err := cache.NewRef(doc.Elems[i*37%len(doc.Elems)].Start)
-		if err != nil {
-			log.Fatal(err)
-		}
-		refs = append(refs, ref)
-	}
-	st.ResetStats()
-	reads := 0
-	for round := 0; round < 50; round++ {
-		if _, err := st.InsertElementBefore(right); err != nil {
-			log.Fatal(err)
-		}
-		for i := range refs {
-			got, _, err := cache.Lookup(&refs[i])
-			if err != nil {
-				log.Fatal(err)
-			}
-			want, err := st.Lookup(refs[i].LID)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if got != want {
-				log.Fatalf("cache answered %d, structure says %d", got, want)
-			}
-			reads++
-		}
-	}
-	fmt.Printf("cached reads under churn: %d reads, outcomes fresh=%d replayed=%d miss=%d\n",
-		reads, cache.Fresh, cache.Replayed, cache.Misses)
 
 	// --- Bulk subtree deletion ---------------------------------------
 	st.ResetStats()

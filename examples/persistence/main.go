@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st2, err := boxes.OpenExisting(fb2, boxes.Options{Caching: boxes.CachingLogged, LogK: 64})
+	st2, err := boxes.OpenExisting(fb2, boxes.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -344,9 +344,6 @@ func CachingLogging(w io.Writer, cfg Config) error {
 			var cache *reflog.Cache
 			if m.k >= 0 {
 				cache = reflog.NewCache(l, reflog.NewLog(m.k))
-				if cfg.Metrics != nil {
-					cache.SetObserver(cfg.Metrics)
-				}
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed))
 			// Build warm refs for a sample of labels.

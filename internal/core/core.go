@@ -1,7 +1,6 @@
 // Package core assembles the paper's system: a labeling Store that wires
-// an immutable-LID file, one of the dynamic labeling schemes (W-BOX,
-// W-BOX-O, B-BOX, naive-k), and optionally the Section 6 caching/logging
-// layer over a block store with I/O accounting.
+// an immutable-LID file and one of the dynamic labeling schemes (W-BOX,
+// W-BOX-O, B-BOX, naive-k) over a block store with I/O accounting.
 package core
 
 import (
@@ -12,13 +11,11 @@ import (
 	"time"
 
 	"boxes/internal/bbox"
-	"boxes/internal/faults"
 	"boxes/internal/naive"
 	"boxes/internal/obs"
 	"boxes/internal/order"
 	"boxes/internal/pager"
 	"boxes/internal/query"
-	"boxes/internal/reflog"
 	"boxes/internal/wbox"
 	"boxes/internal/xmlgen"
 )
@@ -55,19 +52,8 @@ func (s Scheme) String() string {
 	}
 }
 
-// Caching selects the lookup acceleration mode of Section 6.
-type Caching int
-
-const (
-	// CachingOff performs every lookup through the structure.
-	CachingOff Caching = iota
-	// CachingBasic caches label values with a single last-modified
-	// timestamp.
-	CachingBasic
-	// CachingLogged additionally keeps a FIFO log of recent modification
-	// effects and repairs cached values by replay.
-	CachingLogged
-)
+// crashRing is how many recent op events the flight recorder retains.
+const crashRing = 64
 
 // Options configures a Store.
 type Options struct {
@@ -82,10 +68,6 @@ type Options struct {
 	RelaxedFanout bool
 	// NaiveK is the k of naive-k (required for SchemeNaive).
 	NaiveK int
-
-	Caching Caching
-	// LogK is the modification-log length for CachingLogged.
-	LogK int
 
 	// CacheBlocks enables a global LRU block cache of this many blocks
 	// (0 = off, matching the paper's experiments).
@@ -114,34 +96,20 @@ type Options struct {
 	// commits.
 	Durability *pager.Durability
 
-	// Retry wraps every raw backend read/write in bounded retries with
-	// exponential backoff and jitter, so transient device faults (EINTR,
-	// EAGAIN, short writes, injected transients) are absorbed instead of
-	// surfacing. Nil disables retries. Exhausted write retries — like any
-	// permanent write fault — flip the store into read-only degraded mode
-	// (see ErrReadOnly).
-	Retry *faults.RetryPolicy
-
 	// Metrics routes the store's measurements into an existing registry,
 	// so several stores (e.g. one per scheme in a benchmark) can share one
 	// exposition endpoint. When nil the store creates its own registry;
 	// metrics are always on — the no-hook fast path costs a few atomic
-	// adds and zero allocations per operation.
+	// adds and zero allocations per operation. Trace hooks are installed
+	// on this registry with AddHook.
 	Metrics *obs.Registry
 
-	// TraceHooks are installed on the registry at Open time, receiving a
-	// structured event around every logical operation.
-	TraceHooks []obs.TraceHook
-
 	// CrashDir enables the flight recorder: on any operation error
-	// (including injected backend faults) the last CrashRing op events,
+	// (including injected backend faults) the last 64 op events,
 	// a full metrics snapshot, and the structural gauges are written as a
 	// JSON crash file into this directory (boxinspect -crash reads them).
 	// When several stores share one registry, set CrashDir on one of them.
 	CrashDir string
-	// CrashRing is how many recent op events the flight recorder retains
-	// (default 64).
-	CrashRing int
 
 	// SlowOpThreshold enables the slow-op log: span recording is turned on
 	// for the store's registry, and any operation whose wall time meets the
@@ -156,7 +124,6 @@ type Store struct {
 	opts       Options
 	store      *pager.Store
 	labeler    order.Labeler
-	cache      *reflog.Cache
 	reg        *obs.Registry
 	schemeName string
 	schemeIdx  int // this scheme's ledger row in reg
@@ -197,12 +164,9 @@ func Open(opts Options) (*Store, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	for _, h := range opts.TraceHooks {
-		reg.AddHook(h)
-	}
 	var flight *obs.FlightRecorder
 	if opts.CrashDir != "" {
-		flight = obs.NewFlightRecorder(reg, opts.CrashDir, opts.CrashRing)
+		flight = obs.NewFlightRecorder(reg, opts.CrashDir, crashRing)
 		reg.AddHook(flight)
 	}
 	reg.SetScheme(opts.Scheme.String())
@@ -213,9 +177,6 @@ func Open(opts Options) (*Store, error) {
 	popts := []pager.Option{pager.WithObserver(reg)}
 	if opts.CacheBlocks > 0 {
 		popts = append(popts, pager.WithCache(opts.CacheBlocks))
-	}
-	if opts.Retry != nil {
-		popts = append(popts, pager.WithRetry(*opts.Retry))
 	}
 	store := pager.NewStore(backend, popts...)
 
@@ -286,17 +247,6 @@ func Open(opts Options) (*Store, error) {
 
 	s := &Store{opts: opts, store: store, labeler: labeler, reg: reg, schemeName: opts.Scheme.String(), flight: flight}
 	s.schemeIdx = reg.SchemeIndex(s.schemeName)
-	if opts.Caching != CachingOff {
-		k := 0
-		if opts.Caching == CachingLogged {
-			k = opts.LogK
-			if k <= 0 {
-				k = 64
-			}
-		}
-		s.cache = reflog.NewCache(labeler, reflog.NewLog(k))
-		s.cache.SetObserver(reg)
-	}
 	return s, nil
 }
 
@@ -305,9 +255,6 @@ func (s *Store) Scheme() Scheme { return s.opts.Scheme }
 
 // Labeler exposes the underlying scheme for advanced use.
 func (s *Store) Labeler() order.Labeler { return s.labeler }
-
-// Cache returns the caching layer, or nil when caching is off.
-func (s *Store) Cache() *reflog.Cache { return s.cache }
 
 // FlightRecorder returns the flight recorder installed via
 // Options.CrashDir, or nil when crash dumping is off.

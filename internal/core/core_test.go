@@ -159,37 +159,6 @@ func TestOrdinalThroughStore(t *testing.T) {
 	}
 }
 
-func TestCachingModes(t *testing.T) {
-	for _, mode := range []Caching{CachingOff, CachingBasic, CachingLogged} {
-		st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Caching: mode, LogK: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (st.Cache() != nil) != (mode != CachingOff) {
-			t.Fatalf("mode %v: cache presence wrong", mode)
-		}
-		doc, err := st.Load(xmlgen.TwoLevel(50))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode == CachingOff {
-			continue
-		}
-		ref, err := st.Cache().NewRef(doc.Elems[10].Start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, _, err := st.Cache().Lookup(&ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, _ := st.Lookup(doc.Elems[10].Start)
-		if v != direct {
-			t.Fatalf("cached %d != direct %d", v, direct)
-		}
-	}
-}
-
 func TestWBoxOPairLookupCost(t *testing.T) {
 	st, err := Open(Options{Scheme: SchemeWBoxO, BlockSize: 512})
 	if err != nil {

@@ -4,10 +4,9 @@ import "boxes/internal/obs"
 
 // Health gathers the structural gauges of every layer of the store — the
 // labeler's tree walk (height, occupancy, balance slack, label-space
-// utilization, LIDF fragmentation), the pager (footprint, LRU fill and hit
-// ratio), and the caching layer when present — each sample stamped with
-// the store's scheme label. Tree walks read every block, so expect O(N/B)
-// I/Os per call.
+// utilization, LIDF fragmentation) and the pager (footprint, LRU fill and
+// hit ratio) — each sample stamped with the store's scheme label. Tree
+// walks read every block, so expect O(N/B) I/Os per call.
 //
 // The walk runs on the calling goroutine against live structures: only
 // call it when no update is in flight (the structures are single-writer).
@@ -18,9 +17,6 @@ func (s *Store) Health() []obs.GaugeValue {
 		gs = append(gs, c.CollectGauges()...)
 	}
 	gs = append(gs, s.store.CollectGauges()...)
-	if s.cache != nil {
-		gs = append(gs, s.cache.CollectGauges()...)
-	}
 	return obs.WithLabel(gs, "scheme", s.schemeName)
 }
 

@@ -155,7 +155,7 @@ func TestHealthWalkSurvivesInjectedFailures(t *testing.T) {
 func TestCrashDumpOnInjectedFailure(t *testing.T) {
 	dir := t.TempDir()
 	sched := faults.NewSchedule(1)
-	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: pager.NewFaultBackend(pager.NewMemBackend(512), sched), CrashDir: dir, CrashRing: 32})
+	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: pager.NewFaultBackend(pager.NewMemBackend(512), sched), CrashDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,47 +164,14 @@ func TestStructuralCounters(t *testing.T) {
 	})
 }
 
-// TestReflogCounters asserts the Section 6 cache outcomes land in the
-// shared registry.
-func TestReflogCounters(t *testing.T) {
-	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Caching: CachingLogged, LogK: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := st.Load(xmlgen.TwoLevel(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := st.Cache()
-	ref, err := cache.NewRef(doc.Elems[5].Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fresh hit: nothing modified since the ref was built.
-	if _, _, err := cache.Lookup(&ref); err != nil {
-		t.Fatal(err)
-	}
-	// A logged insert elsewhere: next lookup repairs by replay.
-	if _, err := st.InsertElementBefore(doc.Elems[50].Start); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cache.Lookup(&ref); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Metrics()
-	if snap.Counters["reflog_cache_hits_total"] == 0 {
-		t.Error("reflog_cache_hits_total = 0")
-	}
-	if snap.Counters["reflog_cache_repairs_total"]+snap.Counters["reflog_cache_misses_total"] == 0 {
-		t.Error("neither repair nor miss recorded after a logged modification")
-	}
-}
-
-// TestTraceHookThroughOptions asserts hooks installed via Options see
-// start/end pairs in order with the scheme attached.
+// TestTraceHookThroughOptions asserts hooks installed on the registry
+// passed as Options.Metrics see start/end pairs in order with the scheme
+// attached.
 func TestTraceHookThroughOptions(t *testing.T) {
 	ring := obs.NewRingHook(64)
-	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, TraceHooks: []obs.TraceHook{ring}})
+	reg := obs.NewRegistry()
+	reg.AddHook(ring)
+	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +229,8 @@ func TestSharedRegistryAcrossStores(t *testing.T) {
 	}
 }
 
-// TestMetricsSurviveOpenExisting asserts the runtime Metrics/TraceHooks
-// options are honored when resuming a persisted store.
+// TestMetricsSurviveOpenExisting asserts the runtime Metrics option is
+// honored when resuming a persisted store.
 func TestMetricsSurviveOpenExisting(t *testing.T) {
 	be := pager.NewMemBackend(512)
 	st, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Backend: be})

@@ -81,8 +81,9 @@ func (s *Store) persistMeta() error {
 
 // OpenExisting resumes a store previously persisted with Save (or by a
 // Durable store's per-op metadata commits). Structural options (scheme,
-// block size, variant flags) come from the saved metadata; only runtime
-// options (caching mode, LRU size, durability, crash dir) are taken from
+// block size, variant flags) come from the saved metadata, overriding
+// whatever runtime sets for them; every other field (LRU size,
+// durability, metrics, crash dir, slow-op threshold) is taken from
 // runtime. When runtime.CrashDir is set, a failure to resume — corrupt
 // metadata, a scheme that cannot restore, invariant-violating state —
 // writes a flight-recorder dump tagged stage=open-existing before the
@@ -94,7 +95,7 @@ func OpenExisting(backend pager.Backend, runtime Options) (*Store, error) {
 		if reg == nil {
 			reg = obs.NewRegistry()
 		}
-		fr := obs.NewFlightRecorder(reg, runtime.CrashDir, runtime.CrashRing)
+		fr := obs.NewFlightRecorder(reg, runtime.CrashDir, crashRing)
 		fr.DumpFailure("open-existing", err, map[string]string{
 			"stage": "open-existing",
 		})
@@ -103,24 +104,20 @@ func OpenExisting(backend pager.Backend, runtime Options) (*Store, error) {
 }
 
 func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
-	opts, rest, err := readMeta(pager.NewStore(backend))
+	saved, rest, err := readMeta(pager.NewStore(backend))
 	if err != nil {
 		return nil, err
 	}
-	if opts.BlockSize != backend.BlockSize() {
-		return nil, fmt.Errorf("core: saved block size %d, backend has %d", opts.BlockSize, backend.BlockSize())
+	if saved.BlockSize != backend.BlockSize() {
+		return nil, fmt.Errorf("core: saved block size %d, backend has %d", saved.BlockSize, backend.BlockSize())
 	}
-	opts.Caching = runtime.Caching
-	opts.LogK = runtime.LogK
-	opts.CacheBlocks = runtime.CacheBlocks
+	opts := runtime
+	opts.Scheme = saved.Scheme
+	opts.BlockSize = saved.BlockSize
+	opts.Ordinal = saved.Ordinal
+	opts.RelaxedFanout = saved.RelaxedFanout
+	opts.NaiveK = saved.NaiveK
 	opts.Backend = backend
-	opts.Durable = runtime.Durable
-	opts.Durability = runtime.Durability
-	opts.Retry = runtime.Retry
-	opts.Metrics = runtime.Metrics
-	opts.TraceHooks = runtime.TraceHooks
-	opts.CrashDir = runtime.CrashDir
-	opts.CrashRing = runtime.CrashRing
 	st, err := Open(opts)
 	if err != nil {
 		return nil, err

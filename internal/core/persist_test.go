@@ -4,7 +4,9 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"boxes/internal/obs"
 	"boxes/internal/order"
 	"boxes/internal/pager"
 	"boxes/internal/xmlgen"
@@ -191,5 +193,73 @@ func TestReopenedNaivePreservesOrder(t *testing.T) {
 	}
 	if err := st2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenExistingHonoursRuntimeOptions reopens a durable file store with
+// every runtime option set and checks that each one takes effect: the
+// structural fields come from the saved metadata, everything else from
+// the caller.
+func TestOpenExistingHonoursRuntimeOptions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runtime.box")
+	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, Backend: fb, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(xmlgen.TwoLevel(20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fb2, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	st2, err := OpenExisting(fb2, Options{
+		Scheme:          SchemeNaive, // overridden by the saved metadata
+		Durable:         true,
+		Durability:      &pager.Durability{Every: 1},
+		CacheBlocks:     4,
+		Metrics:         reg,
+		CrashDir:        dir,
+		SlowOpThreshold: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+
+	if st2.Scheme() != SchemeBBox {
+		t.Errorf("scheme = %v, want the saved B-BOX", st2.Scheme())
+	}
+	if !reg.Tracer().Enabled() {
+		t.Error("SlowOpThreshold: span recording is off after reopen")
+	}
+	if st2.MetricsRegistry() != reg {
+		t.Error("Metrics: the reopened store reports into its own registry")
+	}
+	hasCapacity := false
+	for _, g := range st2.Health() {
+		hasCapacity = hasCapacity || g.Name == "pager_cache_capacity"
+	}
+	if !hasCapacity {
+		t.Error("CacheBlocks: no pager_cache_capacity gauge after reopen")
+	}
+	if !fb2.GroupCommitEnabled() {
+		t.Error("Durability: group commit is off after reopen")
+	}
+	if _, err := st2.InsertElementBefore(order.LID(1 << 40)); err == nil {
+		t.Fatal("insert before a LID that does not exist succeeded")
+	}
+	if fr := st2.FlightRecorder(); fr == nil || fr.Dumps() == 0 {
+		t.Error("CrashDir: a failed op wrote no crash dump after reopen")
 	}
 }

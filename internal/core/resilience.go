@@ -109,9 +109,6 @@ func (s *Store) abortToCommitted(cause error) {
 		s.enterDegraded(fmt.Errorf("op abort: %v; metadata rollback also failed: %w", cause, err))
 		return
 	}
-	if s.cache != nil {
-		s.cache.Log().DropAll()
-	}
 	s.reg.Inc(obs.CtrCoreOpAborts)
 }
 
@@ -120,8 +117,7 @@ func (s *Store) abortToCommitted(cause error) {
 // from the durable prefix rather than from a mutation that half-applied
 // before its commit failed. The rollback is best-effort: if the committed
 // blob cannot be re-read the in-memory state is kept as is (mutations are
-// rejected either way). Any caching layer's modification log is dropped so
-// cached labels re-validate through full lookups.
+// rejected either way).
 //
 // When the cause is a poisoned backend (pager.ErrPoisoned) the rollback
 // is skipped deliberately: the poisoned transaction's commit record is —
@@ -141,9 +137,6 @@ func (s *Store) enterDegraded(cause error) {
 		if err := s.restoreCommittedMeta(); err != nil {
 			s.deg.Store(&degradedInfo{cause: fmt.Errorf("%v; metadata rollback also failed: %v", cause, err)})
 		}
-	}
-	if s.cache != nil {
-		s.cache.Log().DropAll()
 	}
 }
 

@@ -26,9 +26,8 @@ import (
 // the instrumented pager/WAL sections) must account for at least 90% of the
 // measured op wall time, for inserts, lookups and batches alike — the batch
 // row is every served write, and runs in the same transaction bracket as a
-// single insert. The phases recorded outside the op window (lock waits) or
-// overlapping other phases (retry_backoff) are excluded from the sum by
-// design.
+// single insert. The phases recorded outside the op window (lock waits)
+// are excluded from the sum by design.
 func TestPhaseCoverageDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cover.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
@@ -75,8 +74,8 @@ func TestPhaseCoverageDurable(t *testing.T) {
 		var phaseNs uint64
 		for ph, h := range snap.Phases[op] {
 			switch ph {
-			case "lock_wait_read", "lock_wait_write", "retry_backoff":
-				continue // outside the op window / overlapping by design
+			case "lock_wait_read", "lock_wait_write":
+				continue // outside the op window by design
 			}
 			phaseNs += h.Sum
 		}

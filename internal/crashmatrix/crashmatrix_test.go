@@ -1,5 +1,5 @@
 // Package crashmatrix is the end-to-end crash harness of the durability
-// work: for every labeling scheme (caching and reflog on) it runs a
+// work: for every labeling scheme (block LRU on) it runs a
 // scripted update workload over a durable file-backed store, cuts power at
 // every raw write point — full cuts and torn half-writes — reopens the
 // file through normal recovery, and checks that boxfsck-level
@@ -83,14 +83,12 @@ func checkPinned(t *testing.T, sweep, scheme string, got int) {
 // bytes a recycled frame would usually still hold.
 func init() { pager.HookPoisonFrames = true }
 
-// runtimeOpts are the runtime options every reopen uses: durable commits,
-// the Section 6 reflog cache, and a small block LRU — the harness must
-// prove recovery correct with the caching layers in play, not around them.
+// runtimeOpts are the runtime options every reopen uses: durable commits
+// and a small block LRU — the harness must prove recovery correct with the
+// block cache in play, not around it.
 func runtimeOpts() core.Options {
 	return core.Options{
 		Durable:     true,
-		Caching:     core.CachingLogged,
-		LogK:        16,
 		CacheBlocks: 8,
 	}
 }
@@ -297,16 +295,16 @@ func checkRecovered(t *testing.T, path string, cfg schemeConfig, snapshots [][]o
 			errs = append(errs, fmt.Sprintf("k=%d: %v", k, err))
 			continue
 		}
-		// Same order check through the Store's lookup path, which runs the
-		// reflog cache the runtime options enable.
+		// Same order check through the Store's lookup path, which reads
+		// through the block LRU the runtime options enable.
 		var prev order.Label
 		for i, lid := range snapshots[k] {
 			lab, err := st.Lookup(lid)
 			if err != nil {
-				t.Fatalf("%s: cached lookup of %d: %v", tag, lid, err)
+				t.Fatalf("%s: lookup of %d: %v", tag, lid, err)
 			}
 			if i > 0 && lab <= prev {
-				t.Fatalf("%s: cached lookups out of order at %d", tag, i)
+				t.Fatalf("%s: lookups out of order at %d", tag, i)
 			}
 			prev = lab
 		}

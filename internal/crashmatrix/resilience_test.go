@@ -1,7 +1,8 @@
 // Resilience acceptance tests over the crash-matrix harness: the same
 // scripted workload and oracle, but instead of cutting power the device
-// misbehaves while the process keeps running — transient write faults the
-// retry layer must absorb, a permanent write fault that must flip the
+// misbehaves while the process keeps running — transient write faults that
+// must abort their op cleanly and leave the store writable, a permanent
+// write fault that must flip the
 // store into read-only degraded mode with lookups still serving the
 // committed prefix, a hot backup taken while a writer is mid-workload,
 // and checksum corruption surfacing as typed errors under concurrent
@@ -27,24 +28,15 @@ import (
 	"boxes/internal/pager"
 )
 
-// testRetry is a fast deterministic retry budget: real backoff shapes are
-// covered by the faults package's own tests, here the sleeps would only
-// slow the sweep down.
-func testRetry() *faults.RetryPolicy {
-	return &faults.RetryPolicy{
-		MaxAttempts:    4,
-		InitialBackoff: time.Microsecond,
-		MaxBackoff:     10 * time.Microsecond,
-		Multiplier:     2,
-		Seed:           1,
-		Sleep:          func(time.Duration) {},
-	}
-}
-
 // TestTransientFaultSweep injects a transient fault into every k-th raw
-// block write, for a sweep of k, and requires the full script to complete
-// with zero surfaced errors on every scheme: the retry layer must absorb
-// all of them, and the final labels must match the oracle exactly.
+// block write, for a sweep of k, on every scheme. Nothing inside the store
+// retries: each fault fails its op with an error that classifies
+// Transient, the op aborts cleanly to the committed state (counted by
+// core_op_aborts_total) and the store stays writable, so re-issuing the
+// same op — as serve.Client does — succeeds. The re-issue runs with the
+// schedule paused: an op writes several blocks, so at small k every
+// attempt on the flaky device would take a fault of its own. The final
+// labels must match the oracle exactly.
 func TestTransientFaultSweep(t *testing.T) {
 	for _, cfg := range matrix() {
 		cfg := cfg
@@ -67,17 +59,34 @@ func TestTransientFaultSweep(t *testing.T) {
 				sched := faults.NewSchedule(int64(k))
 				sched.FailEveryKth(k, faults.ModeTransient, faults.OpWrite)
 				rt := runtimeOpts()
-				rt.Retry = testRetry()
 				rt.Metrics = obs.NewRegistry()
 				st, err := core.OpenExisting(pager.NewFaultBackend(fb, sched), rt)
 				if err != nil {
 					t.Fatalf("%s: OpenExisting: %v", tag, err)
 				}
 				w := rebuildWorld(st, baseLIDs, baseElems)
+				failed := 0
 				for j := 0; j < scriptOps; j++ {
-					if err := scriptOp(w, j); err != nil {
-						t.Fatalf("%s: op %d surfaced a transient fault: %v", tag, j, err)
+					err := scriptOp(w, j)
+					if err == nil {
+						continue
 					}
+					failed++
+					if !errors.Is(err, pager.ErrInjected) || faults.Classify(err) != faults.Transient {
+						t.Fatalf("%s: op %d failed with %v, want an injected transient fault", tag, j, err)
+					}
+					if st.Degraded() {
+						t.Fatalf("%s: op %d: a transient fault flipped degraded mode (cause: %v)",
+							tag, j, st.DegradedCause())
+					}
+					if got := rt.Metrics.Counter(obs.CtrCoreOpAborts); got != uint64(failed) {
+						t.Fatalf("%s: op %d: core_op_aborts_total = %d after %d failed ops", tag, j, got, failed)
+					}
+					sched.FailEveryKth(0, faults.ModeTransient)
+					if err := scriptOp(w, j); err != nil {
+						t.Fatalf("%s: re-issued op %d: %v", tag, j, err)
+					}
+					sched.FailEveryKth(k, faults.ModeTransient, faults.OpWrite)
 				}
 				if st.Degraded() {
 					t.Fatalf("%s: transient faults must not flip degraded mode (cause: %v)",
@@ -96,7 +105,7 @@ func TestTransientFaultSweep(t *testing.T) {
 						t.Fatalf("%s: lookup of %d: %v", tag, lid, err)
 					}
 					if i > 0 && lab <= prev {
-						t.Fatalf("%s: cached lookups out of order at %d", tag, i)
+						t.Fatalf("%s: lookups out of order at %d", tag, i)
 					}
 					prev = lab
 				}
@@ -106,8 +115,8 @@ func TestTransientFaultSweep(t *testing.T) {
 				if sched.Injected() == 0 && sched.Writes() >= k {
 					t.Fatalf("%s: %d writes ran but no fault ever fired", tag, sched.Writes())
 				}
-				if sched.Injected() > 0 && rt.Metrics.Counter(obs.CtrPagerRetries) == 0 {
-					t.Fatalf("%s: %d faults fired but no retry was recorded", tag, sched.Injected())
+				if sched.Injected() > 0 && failed == 0 {
+					t.Fatalf("%s: %d faults fired but no op failed", tag, sched.Injected())
 				}
 				totalInjected += sched.Injected()
 				if err := st.Close(); err != nil {
@@ -176,7 +185,6 @@ func TestPermanentWriteFaultDegrades(t *testing.T) {
 			sched := faults.NewSchedule(7)
 			sched.FailEveryKth(failAt, faults.ModePermanent, faults.OpWrite)
 			rt := runtimeOpts()
-			rt.Retry = testRetry() // permanent faults must not be retried away
 			rt.Metrics = obs.NewRegistry()
 			st, err := core.OpenExisting(pager.NewFaultBackend(fb, sched), rt)
 			if err != nil {

@@ -1,9 +1,9 @@
 // Package faults is the error taxonomy and fault-handling toolkit shared
-// by the pager and its tests: it classifies backend errors as transient or
-// permanent, runs bounded retry loops with exponential backoff and seeded
-// jitter, and provides the one deterministic, seeded fault Schedule that
-// drives the pager's Backend-level injector and the serve layer's
-// connection-level one.
+// by the pager, the serve client and their tests: it classifies backend
+// errors as transient or permanent, runs the client's bounded retry loop
+// with exponential backoff and seeded jitter, and provides the one
+// deterministic, seeded fault Schedule that drives the pager's
+// Backend-level injector and the serve layer's connection-level one.
 //
 // The package sits below the pager (it imports nothing from this module),
 // so both production code and fault-injection tests can share it without
@@ -141,10 +141,9 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// InitialBackoff is the sleep before the first retry.
 	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth.
+	// MaxBackoff caps the exponential growth (the backoff doubles after
+	// every retry).
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff between retries (values below 1 mean 2).
-	Multiplier float64
 	// Jitter is the fraction of each backoff randomized away, in [0, 1]:
 	// the actual sleep is backoff * (1 - Jitter*u) for uniform u in [0, 1).
 	Jitter float64
@@ -161,7 +160,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		MaxAttempts:    4,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     50 * time.Millisecond,
-		Multiplier:     2,
 		Jitter:         0.5,
 	}
 }
@@ -181,9 +179,6 @@ func NewRetrier(p RetryPolicy) *Retrier {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
 	if p.Jitter < 0 {
 		p.Jitter = 0
 	}
@@ -200,18 +195,14 @@ func NewRetrier(p RetryPolicy) *Retrier {
 	return &Retrier{policy: p, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Do runs fn until it succeeds, fails permanently, or the attempt budget
-// runs out. It returns the number of retries performed (0 when the first
-// attempt settled it) and the outcome: nil, the permanent error verbatim,
-// or an ExhaustedError wrapping the last transient failure.
-func (r *Retrier) Do(fn func() error) (retries int, err error) {
-	return r.DoCtx(context.Background(), fn)
-}
-
-// DoCtx is Do with cancellation: a context that expires aborts the loop —
-// including mid-backoff, where the sleep is cut short — and the call
-// returns ctx.Err() wrapped with the last transient failure (or alone when
-// the context was dead before the first attempt). The deadline paths of a
+// DoCtx runs fn until it succeeds, fails permanently, the attempt budget
+// runs out, or ctx expires. It returns the number of retries performed (0
+// when the first attempt settled it) and the outcome: nil, the permanent
+// error verbatim, or an ExhaustedError wrapping the last transient
+// failure. A context that expires aborts the loop — including
+// mid-backoff, where the sleep is cut short — and the call returns
+// ctx.Err() wrapped with the last transient failure (or alone when the
+// context was dead before the first attempt). The deadline paths of a
 // network client and a draining server both need this: a bounded retry
 // budget must never outlive the request it serves.
 func (r *Retrier) DoCtx(ctx context.Context, fn func() error) (retries int, err error) {
@@ -232,7 +223,7 @@ func (r *Retrier) DoCtx(ctx context.Context, fn func() error) (retries int, err 
 				return attempt - 1, fmt.Errorf("faults: retry aborted after %d attempt(s): %w (last failure: %w)",
 					attempt, ctx.Err(), err)
 			}
-			backoff = time.Duration(float64(backoff) * r.policy.Multiplier)
+			backoff *= 2
 			if r.policy.MaxBackoff > 0 && backoff > r.policy.MaxBackoff {
 				backoff = r.policy.MaxBackoff
 			}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -45,12 +46,11 @@ func TestRetrierSucceedsAfterTransients(t *testing.T) {
 		MaxAttempts:    5,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     4 * time.Millisecond,
-		Multiplier:     2,
 		Seed:           7,
 		Sleep:          func(d time.Duration) { slept = append(slept, d) },
 	})
 	calls := 0
-	retries, err := r.Do(func() error {
+	retries, err := r.DoCtx(context.Background(), func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("flap: %w", ErrTransient)
@@ -79,7 +79,7 @@ func TestRetrierPermanentStopsImmediately(t *testing.T) {
 	r := NewRetrier(DefaultRetryPolicy())
 	boom := errors.New("device on fire")
 	calls := 0
-	retries, err := r.Do(func() error { calls++; return boom })
+	retries, err := r.DoCtx(context.Background(), func() error { calls++; return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the permanent error verbatim", err)
 	}
@@ -94,7 +94,7 @@ func TestRetrierExhaustion(t *testing.T) {
 	p.Sleep = func(time.Duration) {}
 	r := NewRetrier(p)
 	calls := 0
-	retries, err := r.Do(func() error {
+	retries, err := r.DoCtx(context.Background(), func() error {
 		calls++
 		return fmt.Errorf("still flapping: %w", ErrTransient)
 	})
@@ -120,12 +120,11 @@ func TestRetrierJitterDeterministic(t *testing.T) {
 			MaxAttempts:    6,
 			InitialBackoff: 10 * time.Millisecond,
 			MaxBackoff:     80 * time.Millisecond,
-			Multiplier:     2,
 			Jitter:         0.5,
 			Seed:           42,
 			Sleep:          func(d time.Duration) { slept = append(slept, d) },
 		})
-		r.Do(func() error { return ErrTransient })
+		r.DoCtx(context.Background(), func() error { return ErrTransient })
 		return slept
 	}
 	a, b := mk(), mk()

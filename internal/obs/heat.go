@@ -4,11 +4,7 @@
 // the work land":
 //
 //   - The label space maps insertion density over the 64-bit label key
-//     space, with parallel series attributing reflog-cache outcomes (hit,
-//     repair, miss) to the same buckets — so a skewed workload shows up as
-//     a hot insertion band, and the reflog series show whether the cache
-//     absorbs exactly that band (the paper's §6 claim) or pays misses in
-//     it.
+//     space, so a skewed workload shows up as a hot insertion band.
 //   - The block space maps read/write heat over pager block ids, fed from
 //     the same CostIO call that feeds the ledger.
 //
@@ -53,9 +49,6 @@ func (h *heatSpace) initHeat(name string, seriesNames []string) {
 // Series indices of the label heat space.
 const (
 	heatSeriesInserts = iota
-	heatSeriesReflogHits
-	heatSeriesReflogRepairs
-	heatSeriesReflogMisses
 	numLabelSeries
 )
 
@@ -67,10 +60,7 @@ const (
 )
 
 var labelSeriesNames = [numLabelSeries]string{
-	heatSeriesInserts:       "inserts",
-	heatSeriesReflogHits:    "reflog_hits",
-	heatSeriesReflogRepairs: "reflog_repairs",
-	heatSeriesReflogMisses:  "reflog_misses",
+	heatSeriesInserts: "inserts",
 }
 
 var blockSeriesNames = [numBlockSeries]string{
@@ -78,40 +68,12 @@ var blockSeriesNames = [numBlockSeries]string{
 	heatSeriesBlockWrites: "writes",
 }
 
-// ReflogOutcome classifies one reflog-cache lookup for heat attribution.
-type ReflogOutcome uint8
-
-const (
-	// ReflogHit: answered fresh from the cache.
-	ReflogHit ReflogOutcome = iota
-	// ReflogRepair: repaired by modification-log replay.
-	ReflogRepair
-	// ReflogMiss: paid the full I/O cost.
-	ReflogMiss
-)
-
 // HeatLabelInsert samples one insertion at the given label key.
 func (r *Registry) HeatLabelInsert(label uint64) {
 	if r == nil {
 		return
 	}
 	r.heatLabel.sample(heatSeriesInserts, label)
-}
-
-// HeatReflog attributes one reflog-cache outcome to the label heat bucket
-// of the looked-up key, on the series matching the outcome.
-func (r *Registry) HeatReflog(outcome ReflogOutcome, label uint64) {
-	if r == nil {
-		return
-	}
-	series := heatSeriesReflogHits
-	switch outcome {
-	case ReflogRepair:
-		series = heatSeriesReflogRepairs
-	case ReflogMiss:
-		series = heatSeriesReflogMisses
-	}
-	r.heatLabel.sample(series, label)
 }
 
 // HeatSeriesSnap is one series of a heat-space snapshot.

@@ -73,37 +73,20 @@ func TestHeatGrowFoldsExactly(t *testing.T) {
 // means the same key range in all of them.
 func TestHeatSharedScale(t *testing.T) {
 	r := NewRegistry()
-	r.HeatLabelInsert(40)
-	r.HeatReflog(ReflogMiss, 40)
-	r.HeatLabelInsert(4000) // forces shift 4: 4000>>4 = 250
+	r.CostIO(true, false, 40)
+	r.CostIO(true, true, 40)
+	r.CostIO(true, false, 4000) // forces shift 4: 4000>>4 = 250
 
-	snap := r.HeatDebug().Label
+	snap := r.HeatDebug().Block
 	if snap.Shift != 4 {
 		t.Fatalf("shift = %d, want 4", snap.Shift)
 	}
 	b := 40 >> 4
-	if got := snap.Series[heatSeriesInserts].Counts[b]; got != 1 {
-		t.Errorf("insert bucket %d = %d, want 1", b, got)
+	if got := snap.Series[heatSeriesBlockReads].Counts[b]; got != 1 {
+		t.Errorf("read bucket %d = %d, want 1", b, got)
 	}
-	if got := snap.Series[heatSeriesReflogMisses].Counts[b]; got != 1 {
-		t.Errorf("miss bucket %d = %d, want 1 (series must share the scale)", b, got)
-	}
-}
-
-// TestHeatReflogSeriesRouting maps each outcome to its named series.
-func TestHeatReflogSeriesRouting(t *testing.T) {
-	r := NewRegistry()
-	r.HeatReflog(ReflogHit, 1)
-	r.HeatReflog(ReflogRepair, 2)
-	r.HeatReflog(ReflogRepair, 2)
-	r.HeatReflog(ReflogMiss, 3)
-
-	snap := r.HeatDebug().Label
-	want := map[string]uint64{"inserts": 0, "reflog_hits": 1, "reflog_repairs": 2, "reflog_misses": 1}
-	for _, s := range snap.Series {
-		if s.Samples != want[s.Name] {
-			t.Errorf("series %s samples = %d, want %d", s.Name, s.Samples, want[s.Name])
-		}
+	if got := snap.Series[heatSeriesBlockWrites].Counts[b]; got != 1 {
+		t.Errorf("write bucket %d = %d, want 1 (series must share the scale)", b, got)
 	}
 }
 

@@ -5,10 +5,10 @@
 // and the lower-bound literature (Bulánek–Koucký–Saks) proves naive gap
 // schemes can be forced into Ω(log²) relabeling. The structural counters
 // (Inc/Add) record that the events happened; the ledger additionally
-// records WHO PAID: every relabel, split, merge, rebuild, reclaim, reflog
-// outcome, and block read/write is attributed to the (scheme, operation)
-// cell that caused it, using the same atomic writer slot that phase
-// attribution rides on (no context threading; see span.go).
+// records WHO PAID: every relabel, split, merge, rebuild, reclaim, and
+// block read/write is attributed to the (scheme, operation) cell that
+// caused it, using the same atomic writer slot that phase attribution
+// rides on (no context threading; see span.go).
 //
 // From the cells the registry derives amortized ratios — relabeled records
 // per insert, I/Os per op, splits per insert — both over the store's whole
@@ -55,12 +55,6 @@ const (
 	CostLIDFAllocs
 	// CostLIDFFrees: LIDF record frees.
 	CostLIDFFrees
-	// CostReflogHits: reflog cache lookups answered fresh.
-	CostReflogHits
-	// CostReflogRepairs: reflog cache lookups repaired by log replay.
-	CostReflogRepairs
-	// CostReflogMisses: reflog cache lookups that paid the full I/O cost.
-	CostReflogMisses
 	// CostBlockReads: pager block reads (cache misses and write-through
 	// reads alike — everything the pager counts as a read I/O).
 	CostBlockReads
@@ -79,9 +73,6 @@ var costKindNames = [numCostKinds]string{
 	CostReclaims:      "tombstone_reclaims",
 	CostLIDFAllocs:    "lidf_allocs",
 	CostLIDFFrees:     "lidf_frees",
-	CostReflogHits:    "reflog_hits",
-	CostReflogRepairs: "reflog_repairs",
-	CostReflogMisses:  "reflog_misses",
 	CostBlockReads:    "block_reads",
 	CostBlockWrites:   "block_writes",
 }
@@ -94,10 +85,10 @@ func (k CostKind) String() string {
 }
 
 // counterCost maps each structural counter to the cost kind it feeds, or
-// -1 for counters that are deliberately unattributed: WAL and retry
-// counters are incremented by background goroutines that hold no writer
-// slot, and cache hit/miss counters already appear in the ledger as
-// block reads (a hit is the absence of an I/O). Keeping them out preserves
+// -1 for counters that are deliberately unattributed: WAL counters are
+// incremented by background goroutines that hold no writer slot, and
+// cache hit/miss counters already appear in the ledger as block reads (a
+// hit is the absence of an I/O). Keeping them out preserves
 // the exactness of the conservation invariant.
 var counterCost = func() [numCounters]int8 {
 	var m [numCounters]int8
@@ -115,9 +106,6 @@ var counterCost = func() [numCounters]int8 {
 	m[CtrNaiveRelabels] = int8(CostRelabels)
 	m[CtrLIDFAllocs] = int8(CostLIDFAllocs)
 	m[CtrLIDFFrees] = int8(CostLIDFFrees)
-	m[CtrReflogHits] = int8(CostReflogHits)
-	m[CtrReflogRepairs] = int8(CostReflogRepairs)
-	m[CtrReflogMisses] = int8(CostReflogMisses)
 	return m
 }()
 

@@ -129,24 +129,6 @@ const (
 	// CtrPagerChecksumFailures counts blocks whose CRC32-C did not match
 	// their contents on read — detected corruption.
 	CtrPagerChecksumFailures
-	// CtrReflogHits counts cache lookups answered fresh (Section 6).
-	CtrReflogHits
-	// CtrReflogRepairs counts cache lookups repaired by log replay.
-	CtrReflogRepairs
-	// CtrReflogMisses counts cache lookups that paid the full I/O cost.
-	CtrReflogMisses
-	// CtrReflogInvalidations counts invalidation sweeps pushed into the
-	// modification log (updates whose effects are not succinct).
-	CtrReflogInvalidations
-	// CtrPagerRetries counts retry attempts after transient backend
-	// failures (one per re-issued operation, successful or not).
-	CtrPagerRetries
-	// CtrPagerRetrySuccesses counts operations that succeeded only after
-	// one or more retries — transient faults absorbed by the retry layer.
-	CtrPagerRetrySuccesses
-	// CtrPagerRetryExhausted counts operations whose retry budget ran out,
-	// surfacing the fault as a permanent error.
-	CtrPagerRetryExhausted
 	// CtrCoreDegraded counts transitions of a store into read-only
 	// degraded mode after a permanent write-path fault.
 	CtrCoreDegraded
@@ -211,13 +193,6 @@ var counterNames = [numCounters]string{
 	CtrPagerWALGroups:        "pager_wal_groups_total",
 	CtrPagerCheckpoints:      "pager_checkpoints_total",
 	CtrPagerChecksumFailures: "pager_checksum_failures_total",
-	CtrReflogHits:            "reflog_cache_hits_total",
-	CtrReflogRepairs:         "reflog_cache_repairs_total",
-	CtrReflogMisses:          "reflog_cache_misses_total",
-	CtrReflogInvalidations:   "reflog_invalidation_sweeps_total",
-	CtrPagerRetries:          "pager_retries_total",
-	CtrPagerRetrySuccesses:   "pager_retry_successes_total",
-	CtrPagerRetryExhausted:   "pager_retry_exhausted_total",
 	CtrCoreDegraded:          "core_degraded_transitions_total",
 	CtrPagerPoisoned:         "pager_poisoned_total",
 	CtrCoreOpAborts:          "core_op_aborts_total",
@@ -315,8 +290,8 @@ type Registry struct {
 	winLast     ledgerWindowSnap // delta of the last completed window
 	winLastOps  uint64
 
-	// Heat maps (heat.go): insertion/reflog density over the label key
-	// space and read/write heat over block ids.
+	// Heat maps (heat.go): insertion density over the label key space
+	// and read/write heat over block ids.
 	heatLabel heatSpace
 	heatBlock heatSpace
 

@@ -21,9 +21,9 @@
 // "current writer op" slot (SetWriterCell/ClearWriterOp), valid because every
 // non-lookup core operation runs in an exclusive writer section (the
 // single-goroutine contract, or a SyncStore write lock), while concurrent
-// shared-mode readers are statically lookups. Deep layers (the pager, the
-// retry sleeper) resolve their phase row as "lookup if on the shared read
-// path, else the writer op" — exact in both modes.
+// shared-mode readers are statically lookups. Deep layers (the pager)
+// resolve their phase row as "lookup if on the shared read path, else the
+// writer op" — exact in both modes.
 package obs
 
 import (
@@ -39,9 +39,7 @@ import (
 // The per-op phases are disjoint: structure is the residual of op wall time
 // not covered by any instrumented section, so the per-op rows sum to the
 // measured latency (exactly in exclusive mode, approximately under
-// concurrent shared readers). retry_backoff is the exception — the backoff
-// sleep happens *inside* a block_read/block_write section, so it overlaps
-// them and is excluded from coverage sums.
+// concurrent shared readers).
 type Phase uint8
 
 const (
@@ -68,9 +66,6 @@ const (
 	// PhaseFsyncWait is the commit-ticket wait: time until the group
 	// committer made the operation durable (includes its queue wait).
 	PhaseFsyncWait
-	// PhaseRetryBackoff is time sleeping between transient-fault retries.
-	// It overlaps block_read/block_write by construction.
-	PhaseRetryBackoff
 	// PhaseQueueWait is a transaction's wait in the group-commit queue,
 	// enqueue to committer pickup (recorded on the "wal" row; the op-level
 	// fsync_wait already contains it).
@@ -97,7 +92,6 @@ var phaseNames = [numPhases]string{
 	PhaseWALCommit:     "wal_commit",
 	PhaseMetaPersist:   "meta_persist",
 	PhaseFsyncWait:     "fsync_wait",
-	PhaseRetryBackoff:  "retry_backoff",
 	PhaseQueueWait:     "queue_wait",
 	PhaseFrameWrite:    "frame_write",
 	PhaseFsync:         "fsync",

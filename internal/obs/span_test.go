@@ -18,7 +18,7 @@ func TestPhaseHistogramRows(t *testing.T) {
 	r.ObservePhaseAuto(true, PhaseBlockRead, time.Millisecond)
 	r.ClearWriterOp()
 	// With no writer op installed the auto row falls back to lookup.
-	r.ObservePhaseAuto(false, PhaseRetryBackoff, time.Millisecond)
+	r.ObservePhaseAuto(false, PhaseBlockWrite, time.Millisecond)
 
 	snap := r.Snapshot()
 	for _, want := range []struct{ row, phase string }{
@@ -26,7 +26,7 @@ func TestPhaseHistogramRows(t *testing.T) {
 		{"wal", "fsync"},
 		{"delete", "block_read"},
 		{"lookup", "block_read"},
-		{"lookup", "retry_backoff"},
+		{"lookup", "block_write"},
 	} {
 		h, ok := snap.Phases[want.row][want.phase]
 		if !ok || h.Total() != 1 {

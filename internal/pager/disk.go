@@ -43,7 +43,7 @@ const (
 	// shot: the device is full for that write and healthy afterward.
 	DiskNoSpace
 	// DiskTransient fails the planned point with faults.ErrTransient, one
-	// shot — a flake a bounded retry is allowed to absorb.
+	// shot — a flake that fails its op, which may be re-issued.
 	DiskTransient
 	// DiskSyncFail fails the planned fsync with a nominally transient
 	// cause. FileBackend wraps it into a faults.SyncError, which
@@ -236,7 +236,7 @@ func (df *diskFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w (write of %d bytes at offset %d)", ErrCrashed, len(p), off)
 	case DiskNoSpace:
 		return 0, fmt.Errorf("disk: write of %d bytes at offset %d: %w", len(p), off, faults.ErrNoSpace)
-	default: // DiskTransient and anything mapped oddly: a retryable flake
+	default: // DiskTransient and anything mapped oddly: a one-shot flake
 		return 0, fmt.Errorf("disk: injected write flake at offset %d: %w", off, faults.ErrTransient)
 	}
 }

@@ -688,7 +688,7 @@ func (fb *FileBackend) poisonWith(cause error) {
 // failed fsync the kernel may have dropped the dirty pages, so a later
 // clean return proves nothing about these writes. A failure is therefore
 // wrapped in faults.SyncError (classified Permanent regardless of errno,
-// so the retry layer never re-runs it) and poisons the backend: the
+// so no caller re-runs it as a flake) and poisons the backend: the
 // commit in flight is unresolved until a reopen replays or discards it
 // from the WAL. Under NoSync the call trivially succeeds and is still
 // counted, so the fsync *pattern* stays measurable in fsync-free

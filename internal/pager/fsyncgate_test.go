@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -121,7 +122,7 @@ func TestFailedFsyncNotRetryableRegardlessOfErrno(t *testing.T) {
 	}
 	attempts := 0
 	r := faults.NewRetrier(faults.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}})
-	_, err := r.Do(func() error {
+	_, err := r.DoCtx(context.Background(), func() error {
 		attempts++
 		return serr
 	})

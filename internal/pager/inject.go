@@ -15,7 +15,7 @@ var ErrInjected = errors.New("pager: injected I/O failure")
 // data operation of a Backend through a faults.Injector (normally a seeded
 // faults.Schedule) and turns the injector's decisions into the pager's
 // typed errors. Transient faults wrap ErrInjected and faults.ErrTransient
-// (so a Store opened WithRetry absorbs them), permanent faults wrap
+// (the op fails and may be re-issued), permanent faults wrap
 // ErrInjected alone, and crash decisions kill the device with ErrCrashed —
 // a torn crash persisting a half-written block image first. A Store
 // layered on top counts each injected failure in its error metrics

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"boxes/internal/faults"
 	"boxes/internal/obs"
 )
 
@@ -165,10 +164,8 @@ type Store struct {
 	phaseWrite  atomic.Int64
 	phaseCommit atomic.Int64
 
-	// Resilience state (see resilience.go): optional bounded retries of
-	// raw backend calls and the first permanent write-path fault (core's
-	// degraded-mode trigger).
-	retry  *faults.Retrier
+	// The first permanent write-path fault (core's degraded-mode trigger;
+	// see resilience.go).
 	wfault atomic.Pointer[writeFault]
 }
 
@@ -453,7 +450,7 @@ func (s *Store) EndOp() error {
 		for _, id := range ids {
 			ob := s.op[id]
 			err := s.timedPhase(obs.PhaseBlockWrite, &s.phaseWrite, func() error {
-				return s.retryBackend(func() error { return s.backend.WriteBlock(id, ob.data) })
+				return s.backend.WriteBlock(id, ob.data)
 			})
 			if err != nil {
 				s.countIOError(err)
@@ -567,8 +564,7 @@ func (s *Store) Allocate() (BlockID, error) {
 		return NilBlock, ErrClosed
 	}
 	s.ensureBatch()
-	var id BlockID
-	err := s.retryBackend(func() (e error) { id, e = s.backend.Allocate(); return e })
+	id, err := s.backend.Allocate()
 	if err != nil {
 		s.countIOError(err)
 		s.NoteWriteFault(err)
@@ -598,7 +594,7 @@ func (s *Store) Free(id BlockID) error {
 	if s.cache != nil {
 		s.cache.drop(id)
 	}
-	if err := s.retryBackend(func() error { return s.backend.Free(id) }); err != nil {
+	if err := s.backend.Free(id); err != nil {
 		s.countIOError(err)
 		s.NoteWriteFault(err)
 		return err
@@ -641,7 +637,7 @@ func (s *Store) View(id BlockID) ([]byte, error) {
 	}
 	buf := s.getFrame()
 	err := s.timedPhase(obs.PhaseBlockRead, &s.phaseRead, func() error {
-		return s.retryBackend(func() error { return s.backend.ReadBlock(id, buf) })
+		return s.backend.ReadBlock(id, buf)
 	})
 	if err != nil {
 		s.putFrame(buf)
@@ -709,7 +705,7 @@ func (s *Store) Write(id BlockID, buf []byte) error {
 		return nil
 	}
 	err := s.timedPhase(obs.PhaseBlockWrite, &s.phaseWrite, func() error {
-		return s.retryBackend(func() error { return s.backend.WriteBlock(id, buf) })
+		return s.backend.WriteBlock(id, buf)
 	})
 	if err != nil {
 		s.countIOError(err)

@@ -2,10 +2,13 @@ package pager
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"boxes/internal/faults"
 )
 
 func TestMemBackendAllocateFreeReuse(t *testing.T) {
@@ -397,5 +400,47 @@ func TestStatsSub(t *testing.T) {
 	d := a.Sub(b)
 	if d.Reads != 6 || d.Writes != 5 || d.Total() != 11 {
 		t.Fatalf("Sub = %v", d)
+	}
+}
+
+// A transient write fault fails its call without latching the store's
+// write fault; a permanent one latches it, and the latch stays after the
+// device heals until ClearWriteFault.
+func TestWriteFaultLatchIsSticky(t *testing.T) {
+	sched := faults.NewSchedule(1)
+	st := NewStore(NewFaultBackend(NewMemBackend(512), sched))
+	id, err := st.Allocate()
+	if err != nil {
+		t.Fatalf("allocate: %v", err)
+	}
+
+	sched.ArmFailNext(1)
+	err = st.Write(id, make([]byte, 512))
+	if !errors.Is(err, ErrInjected) || faults.Classify(err) != faults.Transient {
+		t.Fatalf("transient write: err = %v, want an injected transient", err)
+	}
+	if st.WriteFault() != nil {
+		t.Fatalf("a transient fault latched the write fault: %v", st.WriteFault())
+	}
+
+	sched.FailEveryKth(1, faults.ModePermanent, faults.OpWrite)
+	err = st.Write(id, make([]byte, 512))
+	if faults.Classify(err) != faults.Permanent {
+		t.Fatalf("permanent write: err = %v, want a permanent fault", err)
+	}
+	if st.WriteFault() == nil {
+		t.Fatalf("a permanent write fault must latch")
+	}
+
+	sched.FailEveryKth(0, faults.ModePermanent)
+	if err := st.Write(id, make([]byte, 512)); err != nil {
+		t.Fatalf("write after heal: %v", err)
+	}
+	if st.WriteFault() == nil {
+		t.Fatalf("write fault latch must be sticky")
+	}
+	st.ClearWriteFault()
+	if st.WriteFault() != nil {
+		t.Fatalf("ClearWriteFault did not clear")
 	}
 }

@@ -9,12 +9,14 @@
 // [l, l_max]") or, when an update reorganized multiple leaves, as a range
 // invalidation. A lookup whose cached value predates only logged
 // modifications replays their effects and answers with no I/O at all.
+//
+// The package is reproduction-only: the Section 6 experiment (boxbench
+// -exp tcache, BenchmarkCachingLogging) attaches it to a labeler
+// directly. core.Store does not wire it in, because a served lookup
+// carries a bare LID, not a reference holding a cached value.
 package reflog
 
-import (
-	"boxes/internal/obs"
-	"boxes/internal/order"
-)
+import "boxes/internal/order"
 
 // Entry is one logged modification.
 type Entry struct {
@@ -34,11 +36,7 @@ type Log struct {
 	lastMod uint64
 	entries []Entry // FIFO, oldest first
 	dropped bool    // an entry has been evicted from the FIFO
-	obs     *obs.Registry
 }
-
-// SetObserver routes the log's metrics (invalidation sweeps) to r.
-func (g *Log) SetObserver(r *obs.Registry) { g.obs = r }
 
 // NewLog creates a modification log keeping the last k entries (k == 0 is
 // the basic-caching mode). Logical time starts at 1 so that a timestamp of
@@ -71,18 +69,6 @@ func (g *Log) push(e Entry) {
 	g.entries = append(g.entries, e)
 }
 
-// DropAll forgets every logged modification and marks the log lossy, so no
-// cached value taken before the call can be repaired by replay: every later
-// cache hit re-validates through a full structure lookup. Core uses it when
-// entering degraded mode, where the in-memory labeler is rolled back to the
-// last committed metadata and cached labels may postdate the rollback.
-func (g *Log) DropAll() {
-	g.clock++
-	g.lastMod = g.clock
-	g.entries = g.entries[:0]
-	g.dropped = true
-}
-
 // replayableFrom reports whether every modification made after ts is still
 // in the log.
 func (g *Log) replayableFrom(ts uint64) bool {
@@ -104,7 +90,6 @@ func (g *Log) LogShift(lo, hi order.Label, delta int64) {
 
 // LogInvalidate implements order.UpdateLogger.
 func (g *Log) LogInvalidate(lo, hi order.Label) {
-	g.obs.Inc(obs.CtrReflogInvalidations)
 	g.push(Entry{Lo: lo, Hi: hi, Invalidate: true})
 }
 
@@ -135,19 +120,11 @@ const (
 type Cache struct {
 	fetch func(order.LID) (order.Label, error)
 	log   *Log
-	obs   *obs.Registry
 
 	// Stats.
 	Fresh    uint64
 	Replayed uint64
 	Misses   uint64
-}
-
-// SetObserver routes the cache's metrics (hits, repairs, misses) — and its
-// log's — to r.
-func (c *Cache) SetObserver(r *obs.Registry) {
-	c.obs = r
-	c.log.SetObserver(r)
 }
 
 // NewCache wires a labeler and a log together: the log is attached as the
@@ -188,8 +165,6 @@ func (c *Cache) NewRef(lid order.LID) (Ref, error) {
 func (c *Cache) Lookup(ref *Ref) (order.Label, Outcome, error) {
 	if ref.LastCached > 0 && ref.LastCached >= c.log.LastModified() {
 		c.Fresh++
-		c.obs.Inc(obs.CtrReflogHits)
-		c.obs.HeatReflog(obs.ReflogHit, uint64(ref.Cached))
 		return ref.Cached, HitFresh, nil
 	}
 	if ref.LastCached > 0 && c.log.replayableFrom(ref.LastCached) {
@@ -213,8 +188,6 @@ func (c *Cache) Lookup(ref *Ref) (order.Label, Outcome, error) {
 			ref.Cached = v
 			ref.LastCached = c.log.Now()
 			c.Replayed++
-			c.obs.Inc(obs.CtrReflogRepairs)
-			c.obs.HeatReflog(obs.ReflogRepair, uint64(v))
 			return v, HitReplayed, nil
 		}
 	}
@@ -225,8 +198,6 @@ func (c *Cache) Lookup(ref *Ref) (order.Label, Outcome, error) {
 	ref.Cached = v
 	ref.LastCached = c.log.Now()
 	c.Misses++
-	c.obs.Inc(obs.CtrReflogMisses)
-	c.obs.HeatReflog(obs.ReflogMiss, uint64(v))
 	return v, Miss, nil
 }
 

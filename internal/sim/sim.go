@@ -221,13 +221,11 @@ func (r *runner) structuralOpts() core.Options {
 }
 
 // runtimeOpts are the options of every open, initial and recovery alike:
-// durable synchronous commits with the reflog cache and a small block LRU
-// in play, mirroring the crash matrix.
+// durable synchronous commits with a small block LRU in play, mirroring
+// the crash matrix.
 func (r *runner) runtimeOpts() core.Options {
 	return core.Options{
 		Durable:     true,
-		Caching:     core.CachingLogged,
-		LogK:        16,
 		CacheBlocks: 8,
 		Metrics:     r.reg,
 		CrashDir:    r.cfg.ArtifactDir,
@@ -280,8 +278,6 @@ func (r *runner) setup() *Failure {
 	opts := r.structuralOpts()
 	rt := r.runtimeOpts()
 	opts.Durable = rt.Durable
-	opts.Caching = rt.Caching
-	opts.LogK = rt.LogK
 	opts.CacheBlocks = rt.CacheBlocks
 	opts.Metrics = rt.Metrics
 	opts.CrashDir = rt.CrashDir
@@ -759,19 +755,19 @@ func (r *runner) resolveBoundary(i int, resolve *pendingOp) *Failure {
 	return r.sweepLookups(i)
 }
 
-// sweepLookups re-reads every live label through the store's cached
-// lookup path (the reflog cache the runtime options enable) and checks
-// strict document order — CheckAgainst goes through the labeler directly,
-// so this is the only coverage the cache layer gets after recovery.
+// sweepLookups re-reads every live label through the store's lookup path
+// (through the block LRU the runtime options enable) and checks strict
+// document order — CheckAgainst goes through the labeler directly, so this
+// is the only coverage the store's read path gets after recovery.
 func (r *runner) sweepLookups(i int) *Failure {
 	var prev order.Label
 	for j, lid := range r.oracle.LIDs() {
 		lab, err := r.st.Lookup(lid)
 		if err != nil {
-			return r.fail(i, "lookup-error", "cached lookup of %d after recovery: %v", lid, err)
+			return r.fail(i, "lookup-error", "lookup of %d after recovery: %v", lid, err)
 		}
 		if j > 0 && lab <= prev {
-			return r.fail(i, "order-mismatch", "cached lookups out of order at position %d", j)
+			return r.fail(i, "order-mismatch", "lookups out of order at position %d", j)
 		}
 		prev = lab
 	}
