@@ -46,13 +46,13 @@ fuzz-smoke:
 	$(GO) test ./internal/difftest -fuzz=FuzzOps -fuzztime=2m
 
 # Deterministic-simulation smoke gate: the fixed-seed battery (every
-# scheme x the balanced and delete-heavy mixes x seeds 1..3) under
+# durable scheme — W-BOX, W-BOX-O, B-BOX, B-BOX-O — x the balanced and delete-heavy mixes x seeds 1..3) under
 # composed fault schedules — crashes, torn writes, ENOSPC, fsync
 # failures, transient flakes, crashes during WAL redo — plus the
 # known-bug regression (the re-introduced tombstone-stranded W-BOX tree
 # must be found, minimized and replayed byte-identically) and the
 # seed-replay determinism tests. Failures drop replayable artifacts
-# under boxsim-out/. The 30 execution digests of the battery are pinned in
+# under boxsim-out/. The 24 execution digests of the battery are pinned in
 # internal/sim/testdata/smoke.digests: a refactor that claims "every digest
 # bit-identical" fails here when one moved. Re-pin (old -> new in
 # CHANGES.md) only with a change that means to alter what is written.
@@ -62,7 +62,7 @@ sim-smoke:
 	$(GO) run ./cmd/boxsim -smoke -out boxsim-out > boxsim-out/smoke.log || { cat boxsim-out/smoke.log; exit 1; }
 	awk '/^boxsim: seed=/ {h = $$2 " " $$3 " " $$4} / digest=/ {print h, $$NF}' boxsim-out/smoke.log \
 		| diff -u internal/sim/testdata/smoke.digests -
-	@echo "sim-smoke: 30 histories ok, every digest as pinned"
+	@echo "sim-smoke: 24 histories ok, every digest as pinned"
 
 # Randomized-seed soak: fresh base seed each run (the clock), every
 # scheme, every mix. boxsim prints each seed BEFORE running it, so a
@@ -74,7 +74,8 @@ sim-seeds:
 	$(GO) run ./cmd/boxsim -seeds $(SIM_SEEDS) -seed-base $$(date +%s) \
 		-scheme all -mix all -ops 250 -out boxsim-out
 
-# The crash-point sweep: every scheme, every raw write point of a scripted
+# The crash-point sweep: every durable scheme (the four BOX worlds;
+# naive-k is in-memory only), every raw write point of a scripted
 # durable workload — its commits, its mid-script checkpoint, the appends
 # that overwrite the reused log, its Close — full cuts and torn writes, on
 # the inline and the group-commit path; double crashes during redo (of one
@@ -87,7 +88,7 @@ crash-matrix:
 	$(GO) test ./internal/pager -run 'TestCrashPointSweep|TestGroupCommitCrashPrefix|TestScanWALStaleTail|TestGenerationZeroLogRedoes|TestCheckpoint' -v
 
 # The runtime fault-tolerance sweep: transient write faults at every k-th
-# raw write on all five scheme workloads, each failing its op with a clean
+# raw write on all four durable scheme workloads, each failing its op with a clean
 # abort that a re-issue then completes (no retries inside the store), a
 # permanent mid-workload fault flipping the store into read-only degraded
 # mode with oracle-equal lookups, a hot backup taken mid-workload that

@@ -15,7 +15,8 @@
 //   - BBox — a keyless back-linked B-tree storing no label values at all:
 //     constant amortized updates, logarithmic lookups.
 //   - Naive — the classic gap-labeling baseline with global relabeling,
-//     included for comparison.
+//     included for comparison; in memory only (persisting it returns
+//     ErrNotPersistent).
 //
 // Labels are always reached through immutable label IDs (LIDs), allocated
 // in a compact heap file, so references to labels stored in other indexes
@@ -71,6 +72,10 @@ type (
 // flipped the store into read-only degraded mode; lookups keep serving the
 // committed state. Test with errors.Is.
 var ErrReadOnly = core.ErrReadOnly
+
+// ErrNotPersistent is returned by Open with Durable, Save, Backup and
+// OpenExisting for the Naive scheme, which exists in memory only.
+var ErrNotPersistent = core.ErrNotPersistent
 
 // ErrCorrupt matches (via errors.Is) every checksum failure the block layer
 // reports.

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		scheme   = flag.String("scheme", "wbox", "labeling scheme: wbox | wboxo | bbox | naive")
+		scheme   = flag.String("scheme", "wbox", "labeling scheme: wbox | wboxo | bbox | naive (in memory only)")
 		ordinal  = flag.Bool("ordinal", false, "enable ordinal labeling support")
 		naiveK   = flag.Int("k", 16, "gap bits for -scheme naive")
 		block    = flag.Int("block", 8192, "block size in bytes")
@@ -82,6 +82,9 @@ func main() {
 		opts.Scheme = core.SchemeNaive
 	default:
 		fatal(fmt.Errorf("unknown scheme %q", *scheme))
+	}
+	if opts.Scheme == core.SchemeNaive && *saveTo != "" {
+		fatal(fmt.Errorf("-save: %w", core.ErrNotPersistent))
 	}
 	if *runFsck && *saveTo == "" {
 		fatal(fmt.Errorf("-fsck needs -save (there is no file to check otherwise)"))

@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":4280", "listen address for the native protocol")
 		storePath = flag.String("store", "", "store file (created if absent, recovered if present)")
-		scheme    = flag.String("scheme", "wbox", "labeling scheme for a NEW store: wbox | wboxo | bbox | naive")
+		scheme    = flag.String("scheme", "wbox", "labeling scheme for a NEW store: wbox | wboxo | bbox")
 		block     = flag.Int("block", 8192, "block size in bytes for a NEW store")
 		groupN    = flag.Int("group-commit", 8, "coalesce up to N transactions per WAL fsync")
 		queue     = flag.Int("queue", 256, "admission queue depth; beyond it writes are shed with a typed overload status")
@@ -180,8 +180,6 @@ func openStore(path, scheme string, block, groupN int, crashDir string) (*core.S
 		opts.Ordinal = true
 	case "bbox":
 		opts.Scheme = core.SchemeBBox
-	case "naive":
-		opts.Scheme = core.SchemeNaive
 	default:
 		return nil, nil, false, fmt.Errorf("unknown scheme %q", scheme)
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"boxes/internal/core"
 	"boxes/internal/obs"
 )
 
@@ -89,6 +90,32 @@ func TestGenerateLoadInspect(t *testing.T) {
 	}
 	if !strings.Contains(out, "1=") {
 		t.Fatalf("lid resolution missing:\n%s", out)
+	}
+}
+
+// TestNaiveCLIInMemoryOnly checks that naive-k stays an in-memory scheme
+// at the command line: boxload -scheme naive with -save (durable or not)
+// exits 1 with ErrNotPersistent's message before creating the file, and
+// boxserve does not offer the scheme at all.
+func TestNaiveCLIInMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	xml := filepath.Join(dir, "doc.xml")
+	if err := os.WriteFile(xml, []byte(run(t, "boxgen", "-elements", "200", "-seed", "3")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	box := filepath.Join(dir, "naive.box")
+	for _, extra := range []string{"-check", "-durable"} {
+		out, code := runExit(t, "boxload", "-scheme", "naive", "-save", box, extra, xml)
+		if code != 1 || !strings.Contains(out, core.ErrNotPersistent.Error()) {
+			t.Errorf("boxload -scheme naive -save %s: exit %d, want 1 with %q:\n%s", extra, code, core.ErrNotPersistent, out)
+		}
+	}
+	if _, err := os.Stat(box); !os.IsNotExist(err) {
+		t.Errorf("refused naive save left %s behind (stat: %v)", box, err)
+	}
+	out, code := runExit(t, "boxserve", "-store", box, "-scheme", "naive", "-addr", "127.0.0.1:0")
+	if code == 0 || !strings.Contains(out, `unknown scheme "naive"`) {
+		t.Errorf("boxserve -scheme naive: exit %d, want non-zero with unknown scheme:\n%s", code, out)
 	}
 }
 

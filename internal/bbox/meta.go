@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"boxes/internal/pager"
 )
@@ -52,8 +53,11 @@ func (l *Labeler) RestoreMeta(data []byte) error {
 	if err := binary.Read(r, binary.LittleEndian, &lmLen); err != nil {
 		return err
 	}
+	if int64(lmLen) > int64(r.Len()) {
+		return fmt.Errorf("bbox: meta: LIDF metadata of %d bytes overruns %d: %w", lmLen, r.Len(), pager.ErrCorrupt)
+	}
 	lm := make([]byte, lmLen)
-	if _, err := r.Read(lm); err != nil {
+	if _, err := io.ReadFull(r, lm); err != nil {
 		return err
 	}
 	if err := l.file.RestoreMeta(lm); err != nil {

@@ -66,7 +66,8 @@ type Options struct {
 	// RelaxedFanout selects B-BOX's B/4 minimum fan-out (Section 5,
 	// mixed-workload variant).
 	RelaxedFanout bool
-	// NaiveK is the k of naive-k (required for SchemeNaive).
+	// NaiveK is the k of naive-k (required for SchemeNaive), the paper's
+	// in-memory baseline: persisting it returns ErrNotPersistent.
 	NaiveK int
 
 	// CacheBlocks enables a global LRU block cache of this many blocks
@@ -82,9 +83,8 @@ type Options struct {
 	// same transaction, so after a power cut OpenExisting resumes at an
 	// exact operation boundary with no separate Save needed. Requires a
 	// backend that supports atomic batches and metadata persistence
-	// (FileBackend with its write-ahead log). Costs one blob rewrite per
-	// update; with naive-k the blob grows with the document, so durable
-	// naive stores pay proportionally more.
+	// (FileBackend with its write-ahead log) and a scheme that persists
+	// (not naive-k: ErrNotPersistent). Costs one blob rewrite per update.
 	Durable bool
 
 	// Durability starts the backend's group committer (WAL group commit):
@@ -124,6 +124,7 @@ type Store struct {
 	opts       Options
 	store      *pager.Store
 	labeler    order.Labeler
+	meta       metaMarshaler // nil for a scheme that cannot persist (naive-k)
 	reg        *obs.Registry
 	schemeName string
 	schemeIdx  int // this scheme's ledger row in reg
@@ -216,15 +217,16 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("core: unknown scheme %v", opts.Scheme)
 	}
 
+	meta, _ := labeler.(metaMarshaler)
 	if opts.Durable {
+		if meta == nil {
+			return nil, ErrNotPersistent
+		}
 		if _, ok := backend.(pager.TxBackend); !ok {
 			return nil, errors.New("core: Durable requires a backend with atomic batches (pager.TxBackend)")
 		}
 		if _, ok := backend.(pager.MetaRooter); !ok {
 			return nil, errors.New("core: Durable requires a backend that persists metadata (pager.MetaRooter)")
-		}
-		if _, ok := labeler.(metaMarshaler); !ok {
-			return nil, fmt.Errorf("core: scheme %v cannot persist metadata", opts.Scheme)
 		}
 	}
 	if opts.Durability != nil {
@@ -245,7 +247,7 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 
-	s := &Store{opts: opts, store: store, labeler: labeler, reg: reg, schemeName: opts.Scheme.String(), flight: flight}
+	s := &Store{opts: opts, store: store, labeler: labeler, meta: meta, reg: reg, schemeName: opts.Scheme.String(), flight: flight}
 	s.schemeIdx = reg.SchemeIndex(s.schemeName)
 	return s, nil
 }

@@ -124,15 +124,14 @@ func TestOpenExistingBlockSizeMismatch(t *testing.T) {
 
 // metaBlobGolden pins the SHA-256 of the saved metadata blob of a loaded
 // and then edited store of each scheme, as the binary.Write-per-field
-// encoders this package and lidf/wbox/bbox/naive used to have produced it
+// encoders this package and lidf/wbox/bbox used to have produced it
 // (recorded at the commit before they were replaced): the append-based
 // encoders must render the same bytes.
 var metaBlobGolden = map[string]string{
-	"wbox":    "aa4dc940b169b3ee2eda069ef97a5fba17174438f0f2c09c37f3a35d5d86856e",
-	"wbox-o":  "22f2f9bb816fc696e5e3ad70eb177ce3611f35cfd235a9b731e4d6c93bbcd6b0",
-	"bbox":    "fd3099fb653f1b791ba655f731449f772c31722c3cb62df9047330388ca83695",
-	"bbox-o":  "82066d3026de517602fa5ff5298614c074cd561be51bffc3fd18c1ec287cf52d",
-	"naive-8": "51b29d791145972f9569c740f5a2311ebaee4dd7b77a15a63f766b059056ab0f",
+	"wbox":   "aa4dc940b169b3ee2eda069ef97a5fba17174438f0f2c09c37f3a35d5d86856e",
+	"wbox-o": "22f2f9bb816fc696e5e3ad70eb177ce3611f35cfd235a9b731e4d6c93bbcd6b0",
+	"bbox":   "fd3099fb653f1b791ba655f731449f772c31722c3cb62df9047330388ca83695",
+	"bbox-o": "82066d3026de517602fa5ff5298614c074cd561be51bffc3fd18c1ec287cf52d",
 }
 
 func TestMetaBlobGolden(t *testing.T) {
@@ -144,7 +143,6 @@ func TestMetaBlobGolden(t *testing.T) {
 		{"wbox-o", Options{Scheme: SchemeWBoxO, Ordinal: true}},
 		{"bbox", Options{Scheme: SchemeBBox}},
 		{"bbox-o", Options{Scheme: SchemeBBox, Ordinal: true}},
-		{"naive-8", Options{Scheme: SchemeNaive, NaiveK: 8}},
 	} {
 		backend := pager.NewMemBackend(512)
 		c.opts.BlockSize, c.opts.Backend = 512, backend

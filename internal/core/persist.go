@@ -10,15 +10,20 @@ import (
 	"boxes/internal/pager"
 )
 
-// metaMarshaler is implemented by every labeling scheme: it captures the
-// in-memory bookkeeping (roots, counters, extent tables) that complements
-// the on-block data.
+// metaMarshaler is implemented by every persistent labeling scheme (all
+// but naive-k): it captures the in-memory bookkeeping (roots, counters,
+// extent tables) that complements the on-block data.
 type metaMarshaler interface {
 	MarshalMeta() []byte
 	RestoreMeta(data []byte) error
 }
 
 var metaMagic = [8]byte{'B', 'O', 'X', 'M', 'E', 'T', 'A', '1'}
+
+// ErrNotPersistent is returned by Open with Durable, Save, Backup and
+// OpenExisting for naive-k, the paper's in-memory baseline: its
+// document-order directory lives only in memory.
+var ErrNotPersistent = errors.New("core: naive-k is in-memory only and cannot persist")
 
 // ErrNoSavedStore is returned by OpenExisting when the backend holds no
 // saved metadata.
@@ -32,6 +37,9 @@ var ErrNoSavedStore = errors.New("core: backend holds no saved store")
 // synced. With Options.Durable every mutating operation already persists
 // metadata, so explicit Saves are only needed for non-durable stores.
 func (s *Store) Save() error {
+	if s.meta == nil {
+		return ErrNotPersistent
+	}
 	err := s.transact(true, func() error { return nil })
 	if err == nil {
 		if fb, ok := s.store.Backend().(*pager.FileBackend); ok {
@@ -51,10 +59,6 @@ func (s *Store) persistMeta() error {
 	if !ok {
 		return errors.New("core: backend cannot persist metadata")
 	}
-	mm, ok := s.labeler.(metaMarshaler)
-	if !ok {
-		return fmt.Errorf("core: scheme %v cannot persist metadata", s.opts.Scheme)
-	}
 	old, err := mr.MetaRoot()
 	if err != nil {
 		return err
@@ -64,13 +68,13 @@ func (s *Store) persistMeta() error {
 			return err
 		}
 	}
-	meta := mm.MarshalMeta()
+	meta := s.meta.MarshalMeta()
 	buf := make([]byte, 0, len(metaMagic)+11+len(meta))
 	buf = append(buf, metaMagic[:]...)
 	buf = append(buf, uint8(s.opts.Scheme))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.opts.BlockSize))
 	buf = append(buf, b2u8(s.opts.Ordinal), b2u8(s.opts.RelaxedFanout))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.opts.NaiveK))
+	buf = append(buf, 0, 0, 0, 0) // formerly naive-k's k; ignored on read
 	buf = append(buf, meta...)
 	head, err := s.store.WriteBlob(buf)
 	if err != nil {
@@ -108,6 +112,9 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if saved.Scheme == SchemeNaive {
+		return nil, ErrNotPersistent
+	}
 	if saved.BlockSize != backend.BlockSize() {
 		return nil, fmt.Errorf("core: saved block size %d, backend has %d", saved.BlockSize, backend.BlockSize())
 	}
@@ -116,17 +123,12 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 	opts.BlockSize = saved.BlockSize
 	opts.Ordinal = saved.Ordinal
 	opts.RelaxedFanout = saved.RelaxedFanout
-	opts.NaiveK = saved.NaiveK
 	opts.Backend = backend
 	st, err := Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	mm, ok := st.labeler.(metaMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("core: scheme %v cannot restore metadata", opts.Scheme)
-	}
-	if err := mm.RestoreMeta(rest); err != nil {
+	if err := st.meta.RestoreMeta(rest); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -134,7 +136,7 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 
 // metaHeaderLen is the fixed prefix persistMeta writes before the scheme's
 // own metadata: magic (8) + scheme (1) + block size (4) + ordinal (1) +
-// relaxed fan-out (1) + naive k (4).
+// relaxed fan-out (1) + 4 zero bytes, ignored on read (once naive-k's k).
 const metaHeaderLen = 19
 
 // readMeta reads the committed metadata blob through store and splits it
@@ -164,7 +166,6 @@ func readMeta(store *pager.Store) (Options, []byte, error) {
 		BlockSize:     int(binary.LittleEndian.Uint32(blob[9:])),
 		Ordinal:       blob[13] == 1,
 		RelaxedFanout: blob[14] == 1,
-		NaiveK:        int(binary.LittleEndian.Uint32(blob[15:])),
 	}, blob[metaHeaderLen:], nil
 }
 

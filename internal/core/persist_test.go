@@ -19,7 +19,6 @@ func persistSchemes() []Options {
 		{Scheme: SchemeWBox, BlockSize: 512, Ordinal: true},
 		{Scheme: SchemeBBox, BlockSize: 512},
 		{Scheme: SchemeBBox, BlockSize: 512, Ordinal: true, RelaxedFanout: true},
-		{Scheme: SchemeNaive, BlockSize: 512, NaiveK: 6},
 	}
 }
 
@@ -45,9 +44,6 @@ func TestSaveAndReopenMemBackend(t *testing.T) {
 				out := map[order.LID]order.Label{}
 				for _, e := range append(doc.Elems[:20:20], ne) {
 					for _, lid := range []order.LID{e.Start, e.End} {
-						if opt.Scheme == SchemeNaive {
-							continue
-						}
 						v, err := s.Lookup(lid)
 						if err != nil {
 							t.Fatal(err)
@@ -164,35 +160,60 @@ func TestOpenExistingWithoutSave(t *testing.T) {
 	}
 }
 
-func TestReopenedNaivePreservesOrder(t *testing.T) {
+// TestNaiveIsNotPersistent checks that naive-k, the paper's in-memory
+// baseline, is refused by every persistence entry point with the one typed
+// ErrNotPersistent: a durable Open, Save and Backup of an in-memory store,
+// and OpenExisting of a saved blob whose header names the naive scheme (as
+// stores written before naive lost its persistent form do).
+func TestNaiveIsNotPersistent(t *testing.T) {
+	naive := Options{Scheme: SchemeNaive, BlockSize: 512, NaiveK: 6}
+
+	path := filepath.Join(t.TempDir(), "naive.box")
+	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	durable := naive
+	durable.Backend, durable.Durable = fb, true
+	if _, err := Open(durable); !errors.Is(err, ErrNotPersistent) {
+		t.Errorf("durable Open: err = %v, want ErrNotPersistent", err)
+	}
+	onFile := naive
+	onFile.Backend = fb
+	st, err := Open(onFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Backup(path + ".bak"); !errors.Is(err, ErrNotPersistent) {
+		t.Errorf("Backup: err = %v, want ErrNotPersistent", err)
+	}
+
 	backend := pager.NewMemBackend(512)
-	st, err := Open(Options{Scheme: SchemeNaive, BlockSize: 512, NaiveK: 6, Backend: backend})
+	inMem := naive
+	inMem.Backend = backend
+	st, err = Open(inMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := st.Load(xmlgen.TwoLevel(60))
+	if _, err := st.Load(xmlgen.TwoLevel(60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(); !errors.Is(err, ErrNotPersistent) {
+		t.Errorf("Save: err = %v, want ErrNotPersistent", err)
+	}
+
+	// A valid header naming scheme byte 3 (naive) with k = 6.
+	hdr := append(metaMagic[:], uint8(SchemeNaive), 0, 2, 0, 0, 0, 0, 6, 0, 0, 0)
+	head, err := pager.NewStore(backend).WriteBlob(hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(); err != nil {
+	if err := backend.SetMetaRoot(head); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenExisting(backend, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The in-memory document order must have survived: inserting into a
-	// tight spot still works and preserves validity.
-	for i := 0; i < 20; i++ {
-		if _, err := st2.InsertElementBefore(doc.Elems[30].Start); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st2.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if _, err := OpenExisting(backend, Options{}); !errors.Is(err, ErrNotPersistent) {
+		t.Errorf("OpenExisting of a naive blob: err = %v, want ErrNotPersistent", err)
 	}
 }
 

@@ -142,17 +142,14 @@ func (s *Store) enterDegraded(cause error) {
 
 // restoreCommittedMeta re-reads the last committed metadata blob and
 // restores the labeler from it, discarding in-memory effects of operations
-// whose commit never became durable.
+// whose commit never became durable. It runs only on durable stores, whose
+// scheme Open has checked persists.
 func (s *Store) restoreCommittedMeta() error {
-	mm, ok := s.labeler.(metaMarshaler)
-	if !ok {
-		return fmt.Errorf("scheme %v cannot restore metadata", s.opts.Scheme)
-	}
 	_, meta, err := readMeta(s.store)
 	if err != nil {
 		return err
 	}
-	return mm.RestoreMeta(meta)
+	return s.meta.RestoreMeta(meta)
 }
 
 // unwrapBackend peels fault-injection wrappers off a backend, reaching the

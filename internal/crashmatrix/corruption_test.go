@@ -57,7 +57,7 @@ func TestCorruptionHeaderFlip(t *testing.T) {
 // and when nothing fails the labels still match the oracle (a flip may
 // not silently reorder anything).
 func TestCorruptionBlockFlips(t *testing.T) {
-	for _, cfg := range []schemeConfig{matrix()[0], matrix()[2], matrix()[4]} {
+	for _, cfg := range []schemeConfig{matrix()[0], matrix()[2]} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()

@@ -1,6 +1,7 @@
 // Package crashmatrix is the end-to-end crash harness of the durability
-// work: for every labeling scheme (block LRU on) it runs a
-// scripted update workload over a durable file-backed store, cuts power at
+// work: for every durable labeling scheme (the four BOX configurations;
+// naive-k is in-memory only), block LRU on, it runs a scripted update
+// workload over a durable file-backed store, cuts power at
 // every raw write point — full cuts and torn half-writes — reopens the
 // file through normal recovery, and checks that boxfsck-level
 // verification passes and that every label and its order matches the
@@ -51,7 +52,6 @@ func matrix() []schemeConfig {
 		{"wbox-o", core.Options{Scheme: core.SchemeWBoxO, Ordinal: true}, true},
 		{"bbox", core.Options{Scheme: core.SchemeBBox}, false},
 		{"bbox-o", core.Options{Scheme: core.SchemeBBox, Ordinal: true}, true},
-		{"naive-8", core.Options{Scheme: core.SchemeNaive, NaiveK: 8}, false},
 	}
 }
 
@@ -63,11 +63,11 @@ func matrix() []schemeConfig {
 // point would otherwise pass by re-discovering a different range; the
 // literal table makes the raw write order part of the contract.
 var pinnedPoints = map[string]map[string]int{
-	"matrix":      {"wbox": 41, "wbox-o": 60, "bbox": 41, "bbox-o": 41, "naive-8": 31},
-	"group":       {"wbox": 33, "wbox-o": 52, "bbox": 33, "bbox-o": 33, "naive-8": 25},
-	"zoo/churn":   {"wbox": 41, "wbox-o": 57, "bbox": 41, "bbox-o": 41, "naive-8": 31},
-	"zoo/bisect":  {"wbox": 41, "wbox-o": 57, "bbox": 41, "bbox-o": 41, "naive-8": 31},
-	"double/redo": {"wbox": 1088, "wbox-o": 2396, "bbox": 1088, "bbox-o": 1088, "naive-8": 600},
+	"matrix":      {"wbox": 41, "wbox-o": 60, "bbox": 41, "bbox-o": 41},
+	"group":       {"wbox": 33, "wbox-o": 52, "bbox": 33, "bbox-o": 33},
+	"zoo/churn":   {"wbox": 41, "wbox-o": 57, "bbox": 41, "bbox-o": 41},
+	"zoo/bisect":  {"wbox": 41, "wbox-o": 57, "bbox": 41, "bbox-o": 41},
+	"double/redo": {"wbox": 1088, "wbox-o": 2396, "bbox": 1088, "bbox-o": 1088},
 }
 
 // checkPinned fails the sweep when its discovered count left the table.

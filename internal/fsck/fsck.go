@@ -96,7 +96,8 @@ func (r *Report) warnf(blk pager.BlockID, format string, args ...any) {
 	r.Problems = append(r.Problems, Problem{Severity: SevWarn, Block: blk, Message: fmt.Sprintf(format, args...)})
 }
 
-// blockWalker is implemented by every labeling scheme (and lidf.File):
+// blockWalker is implemented by every scheme a saved store can hold (and
+// lidf.File):
 // it visits the store blocks the structure occupies.
 type blockWalker interface {
 	WalkBlocks(func(pager.BlockID) error) error
@@ -187,12 +188,7 @@ func check(path string, opts Options) (*Report, error) {
 	// structure (tree nodes, LIDF extents, the metadata blob chain) or on
 	// the free list — never both, never neither.
 	reachable := make(map[pager.BlockID]bool)
-	walker, ok := st.Labeler().(blockWalker)
-	if !ok {
-		rep.warnf(pager.NilBlock, "scheme %s cannot enumerate its blocks; reachability checks skipped", rep.Scheme)
-		return rep, nil
-	}
-	walkErr := walker.WalkBlocks(func(id pager.BlockID) error {
+	walkErr := st.Labeler().(blockWalker).WalkBlocks(func(id pager.BlockID) error {
 		if id == pager.NilBlock || id >= fb.Bound() {
 			rep.errorf(id, "structure references a block outside the file (bound %d)", fb.Bound())
 			return nil

@@ -58,7 +58,6 @@ func TestCheckCleanStore(t *testing.T) {
 		{"wbox", core.Options{Scheme: core.SchemeWBox}},
 		{"wbox-o", core.Options{Scheme: core.SchemeWBoxO}},
 		{"bbox", core.Options{Scheme: core.SchemeBBox}},
-		{"naive", core.Options{Scheme: core.SchemeNaive, NaiveK: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "store.box")

@@ -51,6 +51,9 @@ func (f *File) RestoreMeta(data []byte) error {
 	if err := binary.Read(r, binary.LittleEndian, &nExt); err != nil {
 		return err
 	}
+	if uint64(nExt)*8 > uint64(r.Len()) {
+		return fmt.Errorf("lidf: meta: extent table of %d entries overruns %d bytes: %w", nExt, r.Len(), pager.ErrCorrupt)
+	}
 	extents := make([]pager.BlockID, nExt)
 	for i := range extents {
 		var blk uint64

@@ -1,6 +1,10 @@
 package lidf
 
 import (
+	"encoding/binary"
+	"errors"
+	"os"
+	"os/exec"
 	"testing"
 
 	"boxes/internal/order"
@@ -84,5 +88,31 @@ func TestRestoreMetaRejectsWrongPayload(t *testing.T) {
 	}
 	if err := f2.RestoreMeta(meta); err == nil {
 		t.Fatal("payload-size mismatch accepted")
+	}
+}
+
+// TestRestoreMetaBoundsExtentCount feeds RestoreMeta a well-formed 32-byte
+// header whose extent count is 0xFFFFFFFF with no extents after it: the
+// count must be refused as corrupt before anything is allocated for it. The
+// restore runs in a child process, so an unbounded allocation fails this
+// test instead of killing the test binary.
+func TestRestoreMetaBoundsExtentCount(t *testing.T) {
+	if os.Getenv("LIDF_HOSTILE_EXTENT_COUNT") == "1" {
+		f, err := New(pager.NewMemStore(256), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := binary.LittleEndian.AppendUint32(nil, 8) // payload size
+		blob = append(blob, make([]byte, 24)...)         // next, free head, count
+		blob = binary.LittleEndian.AppendUint32(blob, 0xFFFFFFFF)
+		if err := f.RestoreMeta(blob); !errors.Is(err, pager.ErrCorrupt) {
+			t.Fatalf("extent count 0xFFFFFFFF in %d bytes: err = %v, want ErrCorrupt", len(blob), err)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRestoreMetaBoundsExtentCount$")
+	cmd.Env = append(os.Environ(), "LIDF_HOSTILE_EXTENT_COUNT=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child restore: %v\n%s", err, out)
 	}
 }

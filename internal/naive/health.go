@@ -3,7 +3,6 @@ package naive
 import (
 	"boxes/internal/obs"
 	"boxes/internal/order"
-	"boxes/internal/pager"
 )
 
 // gapLog2Bounds buckets gap sizes by their base-2 logarithm: the initial
@@ -58,10 +57,3 @@ func (l *Labeler) CollectGauges() []obs.GaugeValue {
 }
 
 var _ obs.Collector = (*Labeler)(nil)
-
-// WalkBlocks calls visit for every store block the structure occupies.
-// The naive scheme keeps its directory in memory, so its only on-disk
-// footprint is the LIDF.
-func (l *Labeler) WalkBlocks(visit func(pager.BlockID) error) error {
-	return l.file.WalkBlocks(visit)
-}

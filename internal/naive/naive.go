@@ -11,7 +11,7 @@
 // big.Ints. As in the paper, relabeling is granted an in-memory sort: the
 // scheme keeps the document order of LIDs in memory and streams over the
 // LIDF once (read + write per block) per relabel, a lower bound on the real
-// cost of the naive approach.
+// cost of the naive approach. The directory is never persisted: in memory only.
 package naive
 
 import (

@@ -29,7 +29,7 @@ const simBlockSize = 512
 // artifact output without changing the schedule.
 type Config struct {
 	Seed      int64   `json:"seed"`
-	Scheme    string  `json:"scheme"` // a difftest.Configs() name: wbox, wbox-o, bbox, bbox-o, naive-8
+	Scheme    string  `json:"scheme"` // a difftest.Configs() name: wbox, wbox-o, bbox, bbox-o (naive-k cannot persist)
 	Mix       string  `json:"mix"`
 	Ops       int     `json:"ops"`
 	FaultRate float64 `json:"fault_rate"`

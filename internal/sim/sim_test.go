@@ -49,7 +49,7 @@ func TestSimSmoke(t *testing.T) {
 // hammering the document front and bisecting the newest gap, the
 // sequences that force worst-case relabeling.
 func TestSimAdversarialMixes(t *testing.T) {
-	for _, scheme := range []string{"wbox", "wbox-o", "bbox", "bbox-o", "naive-8"} {
+	for _, scheme := range []string{"wbox", "wbox-o", "bbox", "bbox-o"} {
 		for _, mix := range []string{MixAdvFront, MixAdvBisect} {
 			cfg := Config{Seed: 7, Scheme: scheme, Mix: mix, Ops: 200, FaultRate: 0.05}
 			rep, err := Run(cfg)
@@ -67,7 +67,7 @@ func TestSimAdversarialMixes(t *testing.T) {
 // positions and steady-state tombstone churn — under composed fault
 // schedules on every scheme.
 func TestSimZooMixes(t *testing.T) {
-	for _, scheme := range []string{"wbox", "wbox-o", "bbox", "bbox-o", "naive-8"} {
+	for _, scheme := range []string{"wbox", "wbox-o", "bbox", "bbox-o"} {
 		for _, mix := range []string{MixZipf, MixSteady} {
 			cfg := Config{Seed: 9, Scheme: scheme, Mix: mix, Ops: 200, FaultRate: 0.06}
 			rep, err := Run(cfg)
@@ -223,7 +223,7 @@ func TestSimNoSpaceRecovers(t *testing.T) {
 		}
 		trace = append(trace, Event{Kind: EvOp, Op: KInsertBefore, A: uint32(i * 29), B: uint32(i >> 1)})
 	}
-	for _, scheme := range []string{"wbox", "naive-8"} {
+	for _, scheme := range []string{"wbox", "bbox"} {
 		cfg := Config{Seed: 1, Scheme: scheme, Ops: len(trace)}
 		rep, err := RunTrace(cfg, trace)
 		if err != nil {

@@ -583,3 +583,19 @@ func TestQuickRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoreMetaRejectsTruncatedLIDFMeta cuts the last bytes off a saved
+// metadata blob, so its LIDF length prefix promises more bytes than remain:
+// RestoreMeta must refuse it as corrupt rather than zero-pad the LIDF
+// extent table.
+func TestRestoreMetaRejectsTruncatedLIDFMeta(t *testing.T) {
+	l := newLabeler(t, 512, Basic, false)
+	if _, err := l.BulkLoad(xmlgen.TwoLevel(200).TagStream()); err != nil {
+		t.Fatal(err)
+	}
+	meta := l.MarshalMeta()
+	l2 := newLabeler(t, 512, Basic, false)
+	if err := l2.RestoreMeta(meta[:len(meta)-5]); !errors.Is(err, pager.ErrCorrupt) {
+		t.Fatalf("truncated LIDF metadata: err = %v, want ErrCorrupt", err)
+	}
+}
