@@ -38,12 +38,23 @@ check:
 race:
 	$(GO) test -race ./...
 
-# Differential fuzzing on a smoke budget: every native fuzz target gets
-# two minutes of coverage-guided input generation on top of the committed
-# seed corpus. Finds cross-scheme divergences; failures drop a repro file
-# into testdata/fuzz/ that should be committed as a regression.
+# Fuzzing on a smoke budget: every native fuzz target gets coverage-guided
+# input generation on top of its committed seed corpus (go test -fuzz takes
+# one target per run). FuzzOps, the cross-scheme differential harness, gets
+# two minutes; each decoder of untrusted bytes gets 30 s: the saved
+# metadata blob (FuzzRestoreMeta), the write-ahead log scan (FuzzScanWAL)
+# and the wire protocol's request, response and both hellos. Failures drop
+# a repro file into testdata/fuzz/ that should be committed as a
+# regression. go test ./... runs only the committed seeds.
+FUZZ_SHORT := -run '^$$' -fuzztime=30s
 fuzz-smoke:
 	$(GO) test ./internal/difftest -fuzz=FuzzOps -fuzztime=2m
+	$(GO) test ./internal/core $(FUZZ_SHORT) -fuzz='^FuzzRestoreMeta$$'
+	$(GO) test ./internal/pager $(FUZZ_SHORT) -fuzz='^FuzzScanWAL$$'
+	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzDecodeRequest$$'
+	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzDecodeResponse$$'
+	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzClientHello$$'
+	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzServerHello$$'
 
 # Deterministic-simulation smoke gate: the fixed-seed battery (every
 # durable scheme — W-BOX, W-BOX-O, B-BOX, B-BOX-O — x the balanced and delete-heavy mixes x seeds 1..3) under

@@ -6,6 +6,8 @@ package cmd_test
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -20,6 +22,7 @@ import (
 
 	"boxes/internal/core"
 	"boxes/internal/obs"
+	"boxes/internal/pager"
 )
 
 var binDir string
@@ -286,6 +289,47 @@ func TestFsckCLI(t *testing.T) {
 	outB, _ = cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 2 {
 		t.Errorf("boxfsck on junk: exit %d, want 2:\n%s", code, outB)
+	}
+}
+
+// TestFsckCLICyclicMetaChain writes, through the pager so every checksum
+// is valid, a store whose metadata blob chain loops back on itself: boxfsck
+// must exit 1 with a corruption verdict rather than walk the loop. Each
+// block claims one payload byte, so a walk that misses the cycle spins
+// until the deadline instead of exhausting memory.
+func TestFsckCLICyclicMetaChain(t *testing.T) {
+	box := filepath.Join(t.TempDir(), "cyclic.box")
+	fb, err := pager.CreateFile(box, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := pager.NewStore(fb)
+	var ids [2]pager.BlockID
+	for i := range ids {
+		if ids[i], err = store.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range ids {
+		buf := make([]byte, 512)
+		binary.LittleEndian.PutUint64(buf[0:8], uint64(ids[1-i]))
+		binary.LittleEndian.PutUint32(buf[8:12], 1)
+		if err := store.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fb.SetMetaRoot(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, filepath.Join(binDir, "boxfsck"), "-v", box)
+	out, _ := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(string(out), "verdict : UNCLEAN") || !strings.Contains(string(out), "corrupt") {
+		t.Fatalf("boxfsck on a cyclic metadata chain: exit %d, want 1 with a corruption verdict:\n%s", code, out)
 	}
 }
 

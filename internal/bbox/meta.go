@@ -1,11 +1,10 @@
 package bbox
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
+	"boxes/internal/enc"
 	"boxes/internal/pager"
 )
 
@@ -24,47 +23,24 @@ func (l *Labeler) MarshalMeta() []byte {
 }
 
 // RestoreMeta restores state saved by MarshalMeta into a freshly created
-// (empty) B-BOX with identical parameters over the same backend.
+// (empty) B-BOX with identical parameters over the same backend. Bytes
+// MarshalMeta could not have written for these parameters are ErrCorrupt.
 func (l *Labeler) RestoreMeta(data []byte) error {
-	r := bytes.NewReader(data)
-	var ordinal, relaxed uint8
-	if err := binary.Read(r, binary.LittleEndian, &ordinal); err != nil {
-		return fmt.Errorf("bbox: meta: %w", err)
+	r := enc.NewReader(data)
+	ordinal, relaxed := r.U8(), r.U8()
+	root, height, count := r.U64(), r.U32(), r.U64()
+	lm := r.Bytes(r.Count(1))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("bbox: meta: %w: %w", pager.ErrCorrupt, err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &relaxed); err != nil {
-		return err
-	}
-	if (ordinal == 1) != l.p.Ordinal || (relaxed == 1) != l.p.Relaxed {
-		return fmt.Errorf("bbox: meta flags (%d,%d) do not match parameters (%v,%v)",
-			ordinal, relaxed, l.p.Ordinal, l.p.Relaxed)
-	}
-	var root uint64
-	var height uint32
-	if err := binary.Read(r, binary.LittleEndian, &root); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &height); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &l.count); err != nil {
-		return err
-	}
-	var lmLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &lmLen); err != nil {
-		return err
-	}
-	if int64(lmLen) > int64(r.Len()) {
-		return fmt.Errorf("bbox: meta: LIDF metadata of %d bytes overruns %d: %w", lmLen, r.Len(), pager.ErrCorrupt)
-	}
-	lm := make([]byte, lmLen)
-	if _, err := io.ReadFull(r, lm); err != nil {
-		return err
+	if ordinal != boolByte(l.p.Ordinal) || relaxed != boolByte(l.p.Relaxed) {
+		return fmt.Errorf("bbox: meta flags (%d,%d) do not match parameters (%v,%v): %w",
+			ordinal, relaxed, l.p.Ordinal, l.p.Relaxed, pager.ErrCorrupt)
 	}
 	if err := l.file.RestoreMeta(lm); err != nil {
 		return err
 	}
-	l.root = pager.BlockID(root)
-	l.height = int(height)
+	l.root, l.height, l.count = pager.BlockID(root), int(height), count
 	return nil
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"boxes/internal/bbox"
@@ -96,6 +99,38 @@ func TestOpenExistingRejectsCorruptMeta(t *testing.T) {
 	}
 }
 
+// TestOpenExistingRejectsCyclicMetaChain points the meta root at a
+// two-block blob chain whose second block links back to the first:
+// OpenExisting must report corruption, not walk the loop. Each block claims
+// one payload byte, so a walk that misses the cycle spins instead of
+// exhausting memory.
+func TestOpenExistingRejectsCyclicMetaChain(t *testing.T) {
+	backend := pager.NewMemBackend(512)
+	store := pager.NewStore(backend)
+	var ids [2]pager.BlockID
+	for i := range ids {
+		id, err := store.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for i, id := range ids {
+		buf := make([]byte, 512)
+		binary.LittleEndian.PutUint64(buf[0:8], uint64(ids[1-i]))
+		binary.LittleEndian.PutUint32(buf[8:12], 1)
+		if err := store.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := backend.SetMetaRoot(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenExisting(backend, Options{}); !errors.Is(err, pager.ErrCorrupt) {
+		t.Fatalf("OpenExisting over a cyclic meta chain: err = %v, want ErrCorrupt", err)
+	}
+}
+
 // TestOpenExistingBlockSizeMismatch ensures a saved store cannot be opened
 // with the wrong block size.
 func TestOpenExistingBlockSizeMismatch(t *testing.T) {
@@ -181,4 +216,42 @@ func TestMetaBlobGolden(t *testing.T) {
 			t.Errorf("%s: %d-byte meta blob hashes to %s, golden %s", c.name, len(blob), got, metaBlobGolden[c.name])
 		}
 	}
+}
+
+// FuzzRestoreMeta opens a store whose committed metadata blob is the input,
+// through readMeta and the scheme's RestoreMeta. It must never panic; every
+// error wraps ErrCorrupt, except ErrNotPersistent for a header naming
+// naive-k (what such stores saved before naive-k stopped persisting); and a
+// blob that opens re-renders to the same bytes. Header bytes 15-18 are
+// ignored on read (naive-k's k in older files), so they are compared as
+// read. The seed corpus holds the four TestMetaBlobGolden blobs and three
+// hostile ones: a W-BOX and a B-BOX blob whose LIDF length prefix overruns
+// the bytes that remain, and a W-BOX blob whose LIDF extent count is
+// 0xFFFFFFFF.
+func FuzzRestoreMeta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		backend := pager.NewMemBackend(512)
+		head, err := pager.NewStore(backend).WriteBlob(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.SetMetaRoot(head); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenExisting(backend, Options{})
+		if errors.Is(err, ErrNotPersistent) {
+			return
+		}
+		if err != nil {
+			if !errors.Is(err, pager.ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		got := st.metaBlob()
+		copy(got[15:19], blob[15:19])
+		if !bytes.Equal(got, blob) {
+			t.Fatalf("%d-byte blob opened but re-renders to %d other bytes:\n in  %x\n out %x", len(blob), len(got), blob, got)
+		}
+	})
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"boxes/internal/enc"
 	"boxes/internal/obs"
 	"boxes/internal/pager"
 )
@@ -68,19 +68,25 @@ func (s *Store) persistMeta() error {
 			return err
 		}
 	}
+	head, err := s.store.WriteBlob(s.metaBlob())
+	if err != nil {
+		return err
+	}
+	return mr.SetMetaRoot(head)
+}
+
+// metaBlob renders the metadata blob: a 19-byte header — magic (8), scheme
+// (1), block size (4), ordinal (1), relaxed fan-out (1), 4 zero bytes once
+// naive-k's k — then the scheme's own metadata.
+func (s *Store) metaBlob() []byte {
 	meta := s.meta.MarshalMeta()
-	buf := make([]byte, 0, len(metaMagic)+11+len(meta))
+	buf := make([]byte, 0, 19+len(meta))
 	buf = append(buf, metaMagic[:]...)
 	buf = append(buf, uint8(s.opts.Scheme))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.opts.BlockSize))
 	buf = append(buf, b2u8(s.opts.Ordinal), b2u8(s.opts.RelaxedFanout))
 	buf = append(buf, 0, 0, 0, 0) // formerly naive-k's k; ignored on read
-	buf = append(buf, meta...)
-	head, err := s.store.WriteBlob(buf)
-	if err != nil {
-		return err
-	}
-	return mr.SetMetaRoot(head)
+	return append(buf, meta...)
 }
 
 // OpenExisting resumes a store previously persisted with Save (or by a
@@ -116,7 +122,7 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 		return nil, ErrNotPersistent
 	}
 	if saved.BlockSize != backend.BlockSize() {
-		return nil, fmt.Errorf("core: saved block size %d, backend has %d", saved.BlockSize, backend.BlockSize())
+		return nil, fmt.Errorf("core: saved block size %d, backend has %d: %w", saved.BlockSize, backend.BlockSize(), pager.ErrCorrupt)
 	}
 	opts := runtime
 	opts.Scheme = saved.Scheme
@@ -133,11 +139,6 @@ func openExisting(backend pager.Backend, runtime Options) (*Store, error) {
 	}
 	return st, nil
 }
-
-// metaHeaderLen is the fixed prefix persistMeta writes before the scheme's
-// own metadata: magic (8) + scheme (1) + block size (4) + ordinal (1) +
-// relaxed fan-out (1) + 4 zero bytes, ignored on read (once naive-k's k).
-const metaHeaderLen = 19
 
 // readMeta reads the committed metadata blob through store and splits it
 // into the structural options of its header and the scheme's own metadata.
@@ -158,15 +159,15 @@ func readMeta(store *pager.Store) (Options, []byte, error) {
 	if err != nil {
 		return Options{}, nil, err
 	}
-	if len(blob) < metaHeaderLen || !bytes.Equal(blob[:8], metaMagic[:]) {
-		return Options{}, nil, errors.New("core: saved metadata is corrupt (bad magic)")
+	r := enc.NewReader(blob)
+	magic, scheme, blockSize, ordinal, relaxed := r.Bytes(len(metaMagic)), Scheme(r.U8()), r.U32(), r.U8(), r.U8()
+	r.Bytes(4) // formerly naive-k's k; ignored
+	rest := r.Rest()
+	if r.Done() != nil || string(magic) != string(metaMagic[:]) || scheme > SchemeNaive || ordinal > 1 || relaxed > 1 {
+		return Options{}, nil, fmt.Errorf("core: saved metadata header of %d bytes (magic %q, scheme %d, flags %d,%d): %w",
+			len(blob), magic, scheme, ordinal, relaxed, pager.ErrCorrupt)
 	}
-	return Options{
-		Scheme:        Scheme(blob[8]),
-		BlockSize:     int(binary.LittleEndian.Uint32(blob[9:])),
-		Ordinal:       blob[13] == 1,
-		RelaxedFanout: blob[14] == 1,
-	}, blob[metaHeaderLen:], nil
+	return Options{Scheme: scheme, BlockSize: int(blockSize), Ordinal: ordinal == 1, RelaxedFanout: relaxed == 1}, rest, nil
 }
 
 func b2u8(b bool) uint8 {

@@ -1,10 +1,10 @@
 package lidf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
+	"boxes/internal/enc"
 	"boxes/internal/order"
 	"boxes/internal/pager"
 )
@@ -27,44 +27,21 @@ func (f *File) MarshalMeta() []byte {
 }
 
 // RestoreMeta restores bookkeeping saved by MarshalMeta into a freshly
-// created (empty) File over the same backend.
+// created (empty) File over the same backend. Bytes MarshalMeta could not
+// have written for this payload size are ErrCorrupt.
 func (f *File) RestoreMeta(data []byte) error {
-	r := bytes.NewReader(data)
-	var payload uint32
-	if err := binary.Read(r, binary.LittleEndian, &payload); err != nil {
-		return fmt.Errorf("lidf: meta: %w", err)
+	r := enc.NewReader(data)
+	payload, next, freeHead, count := r.U32(), r.U64(), r.U64(), r.U64()
+	extents := make([]pager.BlockID, r.Count(8))
+	for i := range extents {
+		extents[i] = pager.BlockID(r.U64())
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("lidf: meta: %w: %w", pager.ErrCorrupt, err)
 	}
 	if int(payload) != f.payloadSize {
-		return fmt.Errorf("lidf: meta payload size %d, file configured for %d", payload, f.payloadSize)
+		return fmt.Errorf("lidf: meta payload size %d, file configured for %d: %w", payload, f.payloadSize, pager.ErrCorrupt)
 	}
-	var next, freeHead, count uint64
-	var nExt uint32
-	if err := binary.Read(r, binary.LittleEndian, &next); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &freeHead); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &nExt); err != nil {
-		return err
-	}
-	if uint64(nExt)*8 > uint64(r.Len()) {
-		return fmt.Errorf("lidf: meta: extent table of %d entries overruns %d bytes: %w", nExt, r.Len(), pager.ErrCorrupt)
-	}
-	extents := make([]pager.BlockID, nExt)
-	for i := range extents {
-		var blk uint64
-		if err := binary.Read(r, binary.LittleEndian, &blk); err != nil {
-			return err
-		}
-		extents[i] = pager.BlockID(blk)
-	}
-	f.next = order.LID(next)
-	f.freeHead = order.LID(freeHead)
-	f.count = count
-	f.extents = extents
+	f.next, f.freeHead, f.count, f.extents = order.LID(next), order.LID(freeHead), count, extents
 	return nil
 }

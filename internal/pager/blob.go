@@ -3,7 +3,6 @@ package pager
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // MetaRooter is implemented by backends that can remember the block ID of
@@ -60,61 +59,66 @@ func (s *Store) WriteBlob(data []byte) (BlockID, error) {
 	return ids[0], nil
 }
 
-// ReadBlob reassembles a blob written by WriteBlob.
-func (s *Store) ReadBlob(head BlockID) ([]byte, error) {
-	var out []byte
-	seen := 0
-	for id := head; id != NilBlock; {
+// walkBlob calls visit on each block of the chain headed at head, in
+// order, with the block's image. A chain cannot hold more blocks than the
+// store has allocated, so one that runs longer loops: the walk reports it
+// as ErrCorrupt after at most NumBlocks reads, whatever the chain holds.
+func (s *Store) walkBlob(head BlockID, visit func(id BlockID, buf []byte) error) error {
+	limit := s.NumBlocks()
+	for id, n := head, uint64(0); id != NilBlock; n++ {
+		if n == limit {
+			return corruptBlock(id, "blob chain runs past the %d allocated blocks (cycle)", limit)
+		}
 		buf, err := s.Read(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		next := BlockID(binary.LittleEndian.Uint64(buf[0:8]))
+		if err := visit(id, buf); err != nil {
+			return err
+		}
+		id = BlockID(binary.LittleEndian.Uint64(buf[0:8]))
+	}
+	return nil
+}
+
+// ReadBlob reassembles a blob written by WriteBlob. On an error the bytes
+// read so far come back with it.
+func (s *Store) ReadBlob(head BlockID) ([]byte, error) {
+	var out []byte
+	err := s.walkBlob(head, func(id BlockID, buf []byte) error {
 		n := int(binary.LittleEndian.Uint32(buf[8:12]))
 		if n > s.BlockSize()-blobHeaderSize {
-			return nil, fmt.Errorf("pager: blob block %d claims %d payload bytes", id, n)
+			return corruptBlock(id, "blob block claims %d payload bytes", n)
 		}
 		out = append(out, buf[blobHeaderSize:blobHeaderSize+n]...)
-		id = next
-		seen++
-		if seen > 1<<24 {
-			return nil, errors.New("pager: blob chain too long (cycle?)")
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // BlobBlocks returns the block IDs of a blob chain in order, without
 // freeing or copying the payload. fsck uses it to mark the metadata blob's
-// blocks reachable.
+// blocks reachable. On an error it returns the blocks walked so far.
 func (s *Store) BlobBlocks(head BlockID) ([]BlockID, error) {
 	var out []BlockID
-	for id := head; id != NilBlock; {
-		if len(out) > 1<<24 {
-			return nil, errors.New("pager: blob chain too long (cycle?)")
-		}
+	err := s.walkBlob(head, func(id BlockID, _ []byte) error {
 		out = append(out, id)
-		buf, err := s.Read(id)
-		if err != nil {
-			return out, err
-		}
-		id = BlockID(binary.LittleEndian.Uint64(buf[0:8]))
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
-// FreeBlob releases a blob chain.
+// FreeBlob releases a blob chain. It walks the whole chain before freeing
+// any of it, so a chain that fails to walk is left as it was.
 func (s *Store) FreeBlob(head BlockID) error {
-	for id := head; id != NilBlock; {
-		buf, err := s.Read(id)
-		if err != nil {
-			return err
-		}
-		next := BlockID(binary.LittleEndian.Uint64(buf[0:8]))
+	ids, err := s.BlobBlocks(head)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
 		if err := s.Free(id); err != nil {
 			return err
 		}
-		id = next
 	}
 	return nil
 }

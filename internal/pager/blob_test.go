@@ -2,9 +2,15 @@ package pager
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBlobRoundTripSizes(t *testing.T) {
@@ -108,5 +114,78 @@ func TestQuickBlobRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cyclicBlob links two fresh blocks of s into a blob chain whose second
+// block points back at the first, as a corrupted metadata chain can, and
+// returns its head. Each block claims one payload byte, so a walk that
+// misses the cycle costs time rather than memory.
+func cyclicBlob(t *testing.T, s *Store) BlockID {
+	t.Helper()
+	var ids [2]BlockID
+	for i := range ids {
+		id, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for i, id := range ids {
+		buf := make([]byte, s.BlockSize())
+		binary.LittleEndian.PutUint64(buf[0:8], uint64(ids[1-i]))
+		binary.LittleEndian.PutUint32(buf[8:12], 1)
+		if err := s.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids[0]
+}
+
+// TestBlobChainCycleIsCorrupt: BlobBlocks and FreeBlob each report a
+// two-block cycle as ErrCorrupt within the allocated-block bound, and
+// FreeBlob frees nothing of a chain it cannot walk.
+func TestBlobChainCycleIsCorrupt(t *testing.T) {
+	s := NewMemStore(512)
+	head := cyclicBlob(t, s)
+	start := time.Now()
+	if _, err := s.BlobBlocks(head); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("BlobBlocks on a cycle: err = %v, want ErrCorrupt", err)
+	}
+	before := s.NumBlocks()
+	if err := s.FreeBlob(head); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("FreeBlob on a cycle: err = %v, want ErrCorrupt", err)
+	}
+	if got := s.NumBlocks(); got != before {
+		t.Errorf("FreeBlob on a cycle left %d blocks allocated, want all %d", got, before)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cycle detection took %v", d)
+	}
+}
+
+// TestReadBlobCycleIsCorrupt: ReadBlob reports a two-block cycle as
+// ErrCorrupt in well under a second. The read runs in a child process with
+// a deadline, so a walk that spins or exhausts memory fails this test
+// instead of hanging or killing the test binary.
+func TestReadBlobCycleIsCorrupt(t *testing.T) {
+	if os.Getenv("PAGER_CYCLIC_BLOB") == "1" {
+		s := NewMemStore(512)
+		head := cyclicBlob(t, s)
+		start := time.Now()
+		if _, err := s.ReadBlob(head); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadBlob on a cycle: err = %v, want ErrCorrupt", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("cycle detection took %v", d)
+		}
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestReadBlobCycleIsCorrupt$")
+	cmd.Env = append(os.Environ(), "PAGER_CYCLIC_BLOB=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child read: %v\n%s", err, out)
 	}
 }

@@ -3,9 +3,11 @@ package pager
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -38,6 +40,40 @@ func walTestLog(gen uint32, txns []*walTxn) []byte {
 	return log
 }
 
+// fuzzWALLog is the valid log FuzzScanWAL extends with arbitrary tails:
+// three transactions of one to three frames each.
+func fuzzWALLog() ([]*walTxn, []byte) {
+	txns := []*walTxn{walTestTxn(1, 2, 5), walTestTxn(2, 1, 5), walTestTxn(3, 3, 5)}
+	return txns, walTestLog(5, txns)
+}
+
+// FuzzScanWAL scans the input as a whole log and as the tail of a valid
+// log. Neither scan may panic or discard more bytes than it was given, and
+// every error wraps ErrCorrupt; a clean scan of the valid log plus the tail
+// returns the valid log's transactions first and unchanged. The seed
+// corpus holds the valid log itself, a copy with its last record torn and
+// a copy with one committed frame flipped.
+func FuzzScanWAL(f *testing.F) {
+	want, log := fuzzWALLog()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, in := range [][]byte{data, append(slices.Clip(log), data...)} {
+			txns, discarded, err := scanWAL(in, walTestBS)
+			if discarded < 0 || discarded > int64(len(in)) {
+				t.Fatalf("scan %d discarded %d of %d bytes", i, discarded, len(in))
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("scan %d: error does not wrap ErrCorrupt: %v", i, err)
+				}
+				continue
+			}
+			if i == 1 {
+				checkTxnPrefix(t, "valid log plus tail", txns, want)
+			}
+		}
+	})
+}
+
 // overlay returns stale with its top overwritten by live, as a log reused
 // in place looks after a checkpoint: it never shrinks.
 func overlay(stale, live []byte) []byte {
@@ -57,6 +93,15 @@ func checkScan(t *testing.T, tag string, data []byte, want []*walTxn) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: scan returned %d transactions, want the %d live ones", tag, len(got), len(want))
+	}
+	checkTxnPrefix(t, tag, got, want)
+}
+
+// checkTxnPrefix fails unless got starts with want's transactions.
+func checkTxnPrefix(t *testing.T, tag string, got, want []*walTxn) {
+	t.Helper()
+	if len(got) < len(want) {
+		t.Fatalf("%s: scan returned %d transactions, want at least the %d live ones", tag, len(got), len(want))
 	}
 	for i := range want {
 		if got[i].hdr != want[i].hdr || len(got[i].images) != len(want[i].images) {

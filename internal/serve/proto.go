@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"boxes/internal/enc"
 	"boxes/internal/order"
 )
 
@@ -235,89 +236,37 @@ func encodeRequest(r *Request) []byte {
 	return buf
 }
 
-// cursor is a bounds-checked little-endian reader; the first short read
-// latches err so decoders can chain reads and check once.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) u8() uint8 {
-	if c.err != nil || len(c.b) < 1 {
-		c.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil || len(c.b) < 4 {
-		c.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b)
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil || len(c.b) < 8 {
-		c.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *cursor) str() string {
-	n := int(c.u32())
-	if c.err != nil || len(c.b) < n {
-		c.err = io.ErrUnexpectedEOF
-		return ""
-	}
-	v := string(c.b[:n])
-	c.b = c.b[n:]
-	return v
-}
-
+// decodeRequest decodes a request frame's payload; it accepts exactly what
+// encodeRequest writes.
 func decodeRequest(payload []byte) (*Request, error) {
-	c := &cursor{b: payload}
+	c := enc.NewReader(payload)
 	r := &Request{}
-	r.Seq = c.u64()
-	r.Op = c.u8()
-	r.DeadlineMS = c.u32()
+	r.Seq = c.U64()
+	r.Op = c.U8()
+	r.DeadlineMS = c.U32()
 	switch r.Op {
 	case OpInsert, OpLookup:
-		r.LID = order.LID(c.u64())
+		r.LID = order.LID(c.U64())
 	case OpInsertFirst:
 	case OpDeleteElement, OpDeleteSubtree:
-		r.Elem.Start = order.LID(c.u64())
-		r.Elem.End = order.LID(c.u64())
+		r.Elem.Start = order.LID(c.U64())
+		r.Elem.End = order.LID(c.U64())
 	case OpCompare:
-		r.A = order.LID(c.u64())
-		r.B = order.LID(c.u64())
+		r.A = order.LID(c.U64())
+		r.B = order.LID(c.U64())
 	case OpBatch:
-		n := int(c.u32())
-		if c.err == nil && n > MaxFrame/17 {
-			return nil, fmt.Errorf("serve: batch of %d ops exceeds frame budget", n)
-		}
-		if c.err == nil {
-			r.Batch = make([]BatchOp, n)
-			for i := range r.Batch {
-				r.Batch[i].Op = c.u8()
-				r.Batch[i].LID = order.LID(c.u64())
-				r.Batch[i].Elem.Start = order.LID(c.u64())
-				r.Batch[i].Elem.End = order.LID(c.u64())
-			}
+		r.Batch = make([]BatchOp, c.Count(1+3*8))
+		for i := range r.Batch {
+			r.Batch[i].Op = c.U8()
+			r.Batch[i].LID = order.LID(c.U64())
+			r.Batch[i].Elem.Start = order.LID(c.U64())
+			r.Batch[i].Elem.End = order.LID(c.U64())
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown opcode %d", r.Op)
 	}
-	if c.err != nil {
-		return nil, fmt.Errorf("serve: truncated request: %w", c.err)
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("serve: malformed request: %w", err)
 	}
 	return r, nil
 }
@@ -340,29 +289,27 @@ func appendResponse(buf []byte, r *Response) []byte {
 	return buf
 }
 
+// decodeResponse decodes a response frame's payload; it accepts exactly
+// what appendResponse writes.
 func decodeResponse(payload []byte) (*Response, error) {
-	c := &cursor{b: payload}
+	c := enc.NewReader(payload)
 	r := &Response{}
-	r.Seq = c.u64()
-	r.Status = c.u8()
-	r.Elem.Start = order.LID(c.u64())
-	r.Elem.End = order.LID(c.u64())
-	r.Label = order.Label(c.u64())
-	r.Cmp = int8(c.u8())
-	n := int(c.u32())
-	if c.err == nil && n > MaxFrame/16 {
-		return nil, fmt.Errorf("serve: batch of %d results exceeds frame budget", n)
-	}
-	if c.err == nil && n > 0 {
+	r.Seq = c.U64()
+	r.Status = c.U8()
+	r.Elem.Start = order.LID(c.U64())
+	r.Elem.End = order.LID(c.U64())
+	r.Label = order.Label(c.U64())
+	r.Cmp = int8(c.U8())
+	if n := c.Count(2 * 8); n > 0 {
 		r.Batch = make([]BatchResult, n)
 		for i := range r.Batch {
-			r.Batch[i].Elem.Start = order.LID(c.u64())
-			r.Batch[i].Elem.End = order.LID(c.u64())
+			r.Batch[i].Elem.Start = order.LID(c.U64())
+			r.Batch[i].Elem.End = order.LID(c.U64())
 		}
 	}
-	r.Msg = c.str()
-	if c.err != nil {
-		return nil, fmt.Errorf("serve: truncated response: %w", c.err)
+	r.Msg = string(c.Bytes(c.Count(1)))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("serve: malformed response: %w", err)
 	}
 	return r, nil
 }
@@ -401,13 +348,10 @@ func readClientHello(r io.Reader) (clientHello, error) {
 	if err != nil {
 		return clientHello{}, err
 	}
-	c := &cursor{b: payload}
-	var magic [8]byte
-	for i := range magic {
-		magic[i] = c.u8()
-	}
-	h := clientHello{Session: c.u64(), LastSeq: c.u64()}
-	if c.err != nil || magic != helloMagic {
+	c := enc.NewReader(payload)
+	magic := c.Bytes(len(helloMagic))
+	h := clientHello{Session: c.U64(), LastSeq: c.U64()}
+	if c.Done() != nil || string(magic) != string(helloMagic[:]) {
 		return clientHello{}, fmt.Errorf("serve: bad client hello")
 	}
 	return h, nil
@@ -427,13 +371,10 @@ func readServerHello(r io.Reader) (serverHello, error) {
 	if err != nil {
 		return serverHello{}, err
 	}
-	c := &cursor{b: payload}
-	var magic [8]byte
-	for i := range magic {
-		magic[i] = c.u8()
-	}
-	h := serverHello{Session: c.u64(), Epoch: c.u64(), KnownSeq: c.u64()}
-	if c.err != nil || magic != helloMagic {
+	c := enc.NewReader(payload)
+	magic := c.Bytes(len(helloMagic))
+	h := serverHello{Session: c.U64(), Epoch: c.U64(), KnownSeq: c.U64()}
+	if c.Done() != nil || string(magic) != string(helloMagic[:]) {
 		return serverHello{}, fmt.Errorf("serve: bad server hello")
 	}
 	return h, nil

@@ -1,11 +1,10 @@
 package wbox
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
+	"boxes/internal/enc"
 	"boxes/internal/pager"
 )
 
@@ -26,50 +25,24 @@ func (l *Labeler) MarshalMeta() []byte {
 }
 
 // RestoreMeta restores state saved by MarshalMeta into a freshly created
-// (empty) W-BOX with identical parameters over the same backend.
+// (empty) W-BOX with identical parameters over the same backend. Bytes
+// MarshalMeta could not have written for these parameters are ErrCorrupt.
 func (l *Labeler) RestoreMeta(data []byte) error {
-	r := bytes.NewReader(data)
-	var variant, ordinal uint8
-	if err := binary.Read(r, binary.LittleEndian, &variant); err != nil {
-		return fmt.Errorf("wbox: meta: %w", err)
+	r := enc.NewReader(data)
+	variant, ordinal := r.U8(), r.U8()
+	root, height, live, dead := r.U64(), r.U32(), r.U64(), r.U64()
+	lm := r.Bytes(r.Count(1))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("wbox: meta: %w: %w", pager.ErrCorrupt, err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &ordinal); err != nil {
-		return err
-	}
-	if Variant(variant) != l.p.Variant || (ordinal == 1) != l.p.Ordinal {
-		return fmt.Errorf("wbox: meta variant/ordinal (%d,%d) do not match parameters (%d,%v)",
-			variant, ordinal, l.p.Variant, l.p.Ordinal)
-	}
-	var root uint64
-	var height uint32
-	if err := binary.Read(r, binary.LittleEndian, &root); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &height); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &l.live); err != nil {
-		return err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &l.dead); err != nil {
-		return err
-	}
-	var lmLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &lmLen); err != nil {
-		return err
-	}
-	if int64(lmLen) > int64(r.Len()) {
-		return fmt.Errorf("wbox: meta: LIDF metadata of %d bytes overruns %d: %w", lmLen, r.Len(), pager.ErrCorrupt)
-	}
-	lm := make([]byte, lmLen)
-	if _, err := io.ReadFull(r, lm); err != nil {
-		return err
+	if variant != uint8(l.p.Variant) || ordinal != boolByte(l.p.Ordinal) {
+		return fmt.Errorf("wbox: meta variant/ordinal (%d,%d) do not match parameters (%d,%v): %w",
+			variant, ordinal, l.p.Variant, l.p.Ordinal, pager.ErrCorrupt)
 	}
 	if err := l.file.RestoreMeta(lm); err != nil {
 		return err
 	}
-	l.root = pager.BlockID(root)
-	l.height = int(height)
+	l.root, l.height, l.live, l.dead = pager.BlockID(root), int(height), live, dead
 	return nil
 }
 
