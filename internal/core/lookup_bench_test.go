@@ -124,3 +124,42 @@ func TestLookupAllocCeilings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkInsert is the write-side twin of BenchmarkLookup: scattered
+// InsertElementBefore calls into a loaded in-memory 20k-element image, one
+// per BOX scheme, reporting the counted block I/Os per insert beside the
+// allocator figures.
+func BenchmarkInsert(b *testing.B) {
+	pager.HookPoisonFrames = false
+	defer func() { pager.HookPoisonFrames = true }()
+	for _, sc := range lookupSchemes[:4] {
+		b.Run(sc.name, func(b *testing.B) {
+			st, err := Open(sc.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			doc, err := st.Load(xmlgen.XMark(20000, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var lids []order.LID
+			for _, e := range doc.Elems {
+				lids = append(lids, e.Start, e.End)
+			}
+			rand.New(rand.NewSource(1)).Shuffle(len(lids), func(i, j int) { lids[i], lids[j] = lids[j], lids[i] })
+			st.ResetStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.InsertElementBefore(lids[i%len(lids)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			io := st.Stats()
+			b.ReportMetric(float64(io.Reads)/float64(b.N), "reads/op")
+			b.ReportMetric(float64(io.Writes)/float64(b.N), "writes/op")
+		})
+	}
+}

@@ -2,6 +2,7 @@ package wbox
 
 import (
 	"fmt"
+	"slices"
 
 	"boxes/internal/obs"
 	"boxes/internal/order"
@@ -202,26 +203,40 @@ func (l *Labeler) insertReclaim(newLID order.LID, rec record, leaf *node, j, t i
 
 // applyEndFixes sets endCopy on the start records named by fixes. hint, if
 // non-nil, is an in-memory leaf image to search first (so that same-leaf
-// fixes update the image the caller is about to keep using).
+// fixes update the image the caller is about to keep using). Each block is
+// read, decoded and encoded once however many fixes name it: the fixes are
+// grouped by block in first-occurrence order, and the stable sort keeps a
+// block's fixes in their given order, so a later fix to a record wins.
 func (l *Labeler) applyEndFixes(fixes []endFix, hint *node) error {
+	rank := make(map[pager.BlockID]int)
 	for _, f := range fixes {
-		var n *node
-		if hint != nil && f.blk == hint.blk {
-			n = hint
-		} else {
+		if _, ok := rank[f.blk]; !ok {
+			rank[f.blk] = len(rank)
+		}
+	}
+	fixes = slices.Clone(fixes)
+	slices.SortStableFunc(fixes, func(a, b endFix) int { return rank[a.blk] - rank[b.blk] })
+	for i := 0; i < len(fixes); {
+		n := hint
+		if blk := fixes[i].blk; hint == nil || blk != hint.blk {
 			var err error
-			n, err = l.readNode(f.blk)
-			if err != nil {
+			if n, err = l.readNode(blk); err != nil {
 				return err
 			}
 		}
-		i := n.findRec(f.startLID)
-		if i < 0 || !n.recs[i].isStart {
-			continue // partner deleted meanwhile
+		changed := false
+		for ; i < len(fixes) && fixes[i].blk == n.blk; i++ {
+			j := n.findRec(fixes[i].startLID)
+			if j < 0 || !n.recs[j].isStart {
+				continue // partner deleted meanwhile
+			}
+			n.recs[j].endCopy = fixes[i].newEnd
+			changed = true
 		}
-		n.recs[i].endCopy = f.newEnd
-		if err := l.writeNode(n); err != nil {
-			return err
+		if changed {
+			if err := l.writeNode(n); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
