@@ -1,7 +1,6 @@
 package bbox
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"boxes/internal/enc"
@@ -11,7 +10,6 @@ import (
 // MarshalMeta serializes the B-BOX's root pointer, height, count, and LIDF
 // bookkeeping so the structure can be reopened over a persistent backend.
 func (l *Labeler) MarshalMeta() []byte {
-	le := binary.LittleEndian
 	lm := l.file.MarshalMeta()
 	buf := make([]byte, 0, 26+len(lm))
 	buf = append(buf, boolByte(l.p.Ordinal), boolByte(l.p.Relaxed))

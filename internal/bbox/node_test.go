@@ -2,6 +2,7 @@ package bbox
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,14 +113,14 @@ func TestQuickLeafRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// The in-place scan finds what findLID finds on the decoded node:
+		// The in-place scan finds what a search of the decoded node finds:
 		// the first match's index and the back-link, a stranger rejected.
 		raw, err := l.store.Read(n.blk)
 		if err != nil {
 			return false
 		}
 		for _, lid := range append(n.lids, 1<<63+1) {
-			want := got.findLID(lid)
+			want := slices.Index(got.lids, lid)
 			pos, parent, err := l.scanLeaf(n.blk, raw, lid)
 			if want < 0 {
 				if !sameErr(err, errRecordMissing(lid, n.blk)) {

@@ -14,8 +14,6 @@ import (
 	"fmt"
 )
 
-const nodeHeaderSize = 16 // type(1) count(2) pad(5) parent(8)
-
 // Params holds the structural parameters of a B-BOX.
 type Params struct {
 	BlockSize int
@@ -32,7 +30,8 @@ type Params struct {
 	MinLeaf   int // min records per non-root leaf
 	MinFanout int // min children per non-root internal node
 
-	compBits uint // bits per label component when packing into a uint64
+	entStride int  // bytes per internal entry: child(8), plus size(8) with Ordinal
+	compBits  uint // bits per label component when packing into a uint64
 }
 
 // NewParams derives B-BOX parameters from the block size.
@@ -58,6 +57,7 @@ func NewParams(blockSize int, ordinal, relaxed bool) (Params, error) {
 		Fanout:    fanout,
 		MinLeaf:   leafCap / div,
 		MinFanout: fanout / div,
+		entStride: entrySize,
 	}
 	maxSlot := leafCap
 	if fanout > maxSlot {

@@ -68,6 +68,12 @@ func (f *File) Count() uint64 { return f.count }
 // Blocks reports the number of blocks the file occupies.
 func (f *File) Blocks() int { return len(f.extents) }
 
+// A record is flag(1) payload(payloadSize). A live record's payload holds
+// its owner's data, a free record's the next LID on the free list (8
+// bytes), each zero-padded to the payload size. locate and record find a
+// record in its block; setRecord and nextFree are the only code that
+// writes one or reads its free-list link.
+
 // locate maps a LID to its block and intra-block byte offset.
 func (f *File) locate(lid order.LID) (pager.BlockID, int, error) {
 	if lid == order.NilLID || lid >= f.next {
@@ -78,58 +84,63 @@ func (f *File) locate(lid order.LID) (pager.BlockID, int, error) {
 	return f.extents[idx], slot * f.recordSize, nil
 }
 
+// edit returns lid's block, its frame from Store.Read — the op's pinned
+// frame inside an operation, which the caller changes in place before
+// handing it to Store.Write — and the record's bytes within it.
+func (f *File) edit(lid order.LID) (blk pager.BlockID, frame, rec []byte, err error) {
+	blk, off, err := f.locate(lid)
+	if err == nil {
+		frame, err = f.store.Read(blk)
+	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return blk, frame, f.record(frame, off), nil
+}
+
+func (f *File) record(frame []byte, off int) []byte { return frame[off : off+f.recordSize] }
+
+func setRecord(rec []byte, flag byte, data []byte) {
+	rec[0] = flag
+	clear(rec[1+copy(rec[1:], data):])
+}
+
+func nextFree(rec []byte) order.LID { return order.LID(binary.LittleEndian.Uint64(rec[1:])) }
+
+func u64(v uint64) (b [8]byte) {
+	binary.LittleEndian.PutUint64(b[:], v)
+	return b
+}
+
 // Alloc reserves a record and returns its LID. The record is marked live
 // with a zeroed payload; callers typically follow with Set.
 func (f *File) Alloc() (order.LID, error) {
-	var lid order.LID
-	if f.freeHead != order.NilLID {
-		lid = f.freeHead
-		blk, off, err := f.locate(lid)
-		if err != nil {
-			return order.NilLID, err
+	lid := f.freeHead
+	if lid == order.NilLID {
+		lid = f.next
+		if int(lid-1)/f.perBlock == len(f.extents) {
+			blk, err := f.store.Allocate()
+			if err != nil {
+				return order.NilLID, err
+			}
+			f.extents = append(f.extents, blk)
 		}
-		buf, err := f.store.Read(blk)
-		if err != nil {
-			return order.NilLID, err
-		}
-		if buf[off] != flagFree {
-			return order.NilLID, fmt.Errorf("lidf: free-list head %d is live", lid)
-		}
-		f.freeHead = order.LID(binary.LittleEndian.Uint64(buf[off+1 : off+9]))
-		buf[off] = flagLive
-		for i := off + 1; i < off+f.recordSize; i++ {
-			buf[i] = 0
-		}
-		if err := f.store.Write(blk, buf); err != nil {
-			return order.NilLID, err
-		}
-		f.count++
-		f.store.Observer().Inc(obs.CtrLIDFAllocs)
-		return lid, nil
+		f.next++ // locate admits lid from here on
 	}
-	lid = f.next
-	idx := int(lid-1) / f.perBlock
-	if idx == len(f.extents) {
-		blk, err := f.store.Allocate()
-		if err != nil {
-			return order.NilLID, err
-		}
-		f.extents = append(f.extents, blk)
-	}
-	blk := f.extents[idx]
-	off := (int(lid-1) % f.perBlock) * f.recordSize
-	buf, err := f.store.Read(blk)
+	blk, frame, rec, err := f.edit(lid)
 	if err != nil {
 		return order.NilLID, err
 	}
-	buf[off] = flagLive
-	for i := off + 1; i < off+f.recordSize; i++ {
-		buf[i] = 0
+	if lid == f.freeHead {
+		if rec[0] != flagFree {
+			return order.NilLID, fmt.Errorf("lidf: free-list head %d is live", lid)
+		}
+		f.freeHead = nextFree(rec)
 	}
-	if err := f.store.Write(blk, buf); err != nil {
+	setRecord(rec, flagLive, nil)
+	if err := f.store.Write(blk, frame); err != nil {
 		return order.NilLID, err
 	}
-	f.next++
 	f.count++
 	f.store.Observer().Inc(obs.CtrLIDFAllocs)
 	return lid, nil
@@ -167,11 +178,11 @@ func (f *File) view(lid order.LID) (frame, payload []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if frame[off] != flagLive {
-		f.store.Release(frame)
-		return nil, nil, order.ErrUnknownLID
+	if rec := f.record(frame, off); rec[0] == flagLive {
+		return frame, rec[1:], nil
 	}
-	return frame, frame[off+1 : off+f.recordSize], nil
+	f.store.Release(frame)
+	return nil, nil, order.ErrUnknownLID
 }
 
 // Get copies the payload of lid into a fresh slice.
@@ -192,30 +203,22 @@ func (f *File) Set(lid order.LID, data []byte) error {
 	if len(data) > f.payloadSize {
 		return fmt.Errorf("lidf: payload of %d bytes exceeds record payload %d", len(data), f.payloadSize)
 	}
-	blk, off, err := f.locate(lid)
+	blk, frame, rec, err := f.edit(lid)
 	if err != nil {
 		return err
 	}
-	buf, err := f.store.Read(blk)
-	if err != nil {
-		return err
-	}
-	if buf[off] != flagLive {
+	if rec[0] != flagLive {
 		return order.ErrUnknownLID
 	}
-	copy(buf[off+1:off+1+len(data)], data)
-	for i := off + 1 + len(data); i < off+f.recordSize; i++ {
-		buf[i] = 0
-	}
-	return f.store.Write(blk, buf)
+	setRecord(rec, flagLive, data)
+	return f.store.Write(blk, frame)
 }
 
 // SetU64 stores a single uint64 in the payload's first 8 bytes; it is the
 // common case for BOX structures (the leaf block address).
 func (f *File) SetU64(lid order.LID, v uint64) error {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return f.Set(lid, tmp[:])
+	b := u64(v)
+	return f.Set(lid, b[:])
 }
 
 // GetU64 reads the payload's first 8 bytes as a uint64.
@@ -231,23 +234,16 @@ func (f *File) GetU64(lid order.LID) (uint64, error) {
 
 // Free releases lid's record for reuse.
 func (f *File) Free(lid order.LID) error {
-	blk, off, err := f.locate(lid)
+	blk, frame, rec, err := f.edit(lid)
 	if err != nil {
 		return err
 	}
-	buf, err := f.store.Read(blk)
-	if err != nil {
-		return err
-	}
-	if buf[off] != flagLive {
+	if rec[0] != flagLive {
 		return order.ErrUnknownLID
 	}
-	buf[off] = flagFree
-	binary.LittleEndian.PutUint64(buf[off+1:off+9], uint64(f.freeHead))
-	for i := off + 9; i < off+f.recordSize; i++ {
-		buf[i] = 0
-	}
-	if err := f.store.Write(blk, buf); err != nil {
+	next := u64(uint64(f.freeHead))
+	setRecord(rec, flagFree, next[:])
+	if err := f.store.Write(blk, frame); err != nil {
 		return err
 	}
 	f.freeHead = lid
@@ -259,16 +255,13 @@ func (f *File) Free(lid order.LID) error {
 // Live reports whether lid identifies a live record, without counting as a
 // data access error if it does not.
 func (f *File) Live(lid order.LID) (bool, error) {
-	blk, off, err := f.locate(lid)
-	if err != nil {
-		if errors.Is(err, order.ErrUnknownLID) {
-			return false, nil
-		}
-		return false, err
+	frame, _, err := f.view(lid)
+	if errors.Is(err, order.ErrUnknownLID) {
+		return false, nil
 	}
-	buf, err := f.store.Read(blk)
 	if err != nil {
 		return false, err
 	}
-	return buf[off] == flagLive, nil
+	f.store.Release(frame)
+	return true, nil
 }

@@ -1,7 +1,6 @@
 package wbox
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"boxes/internal/enc"
@@ -12,7 +11,6 @@ import (
 // LIDF bookkeeping so the structure can be reopened over a persistent
 // backend.
 func (l *Labeler) MarshalMeta() []byte {
-	le := binary.LittleEndian
 	lm := l.file.MarshalMeta()
 	buf := make([]byte, 0, 34+len(lm))
 	buf = append(buf, uint8(l.p.Variant), boolByte(l.p.Ordinal))

@@ -29,14 +29,6 @@ const (
 	PairOptimized
 )
 
-const (
-	nodeHeaderSize = 16 // type(1) count(2) level(2) pad(3) lo(8)
-	intEntrySize   = 26 // child(8) weight(8) size(8) slot(2)
-
-	leafRecSizeBasic = 9  // lid(8) flags(1)
-	leafRecSizePair  = 33 // lid(8) flags(1) partnerBlk(8) partnerLID(8) endCopy(8)
-)
-
 // Params holds the derived structural parameters of a W-BOX.
 //
 // Following Section 4: b is the maximum internal fan-out dictated by the
