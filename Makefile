@@ -42,14 +42,18 @@ race:
 # input generation on top of its committed seed corpus (go test -fuzz takes
 # one target per run). FuzzOps, the cross-scheme differential harness, gets
 # two minutes; each decoder of untrusted bytes gets 30 s: the saved
-# metadata blob (FuzzRestoreMeta), the write-ahead log scan (FuzzScanWAL)
-# and the wire protocol's request, response and both hellos. Failures drop
+# metadata blob (FuzzRestoreMeta), the W-BOX and B-BOX block codecs
+# (FuzzNodeView: header, decodeNode, the in-place scanners and the
+# writeNode round trip), the write-ahead log scan (FuzzScanWAL) and the
+# wire protocol's request, response and both hellos. Failures drop
 # a repro file into testdata/fuzz/ that should be committed as a
 # regression. go test ./... runs only the committed seeds.
 FUZZ_SHORT := -run '^$$' -fuzztime=30s
 fuzz-smoke:
 	$(GO) test ./internal/difftest -fuzz=FuzzOps -fuzztime=2m
 	$(GO) test ./internal/core $(FUZZ_SHORT) -fuzz='^FuzzRestoreMeta$$'
+	$(GO) test ./internal/wbox $(FUZZ_SHORT) -fuzz='^FuzzNodeView$$'
+	$(GO) test ./internal/bbox $(FUZZ_SHORT) -fuzz='^FuzzNodeView$$'
 	$(GO) test ./internal/pager $(FUZZ_SHORT) -fuzz='^FuzzScanWAL$$'
 	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzDecodeRequest$$'
 	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzDecodeResponse$$'
