@@ -255,7 +255,8 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	}()
 	time.Sleep(100 * time.Millisecond) // let the blocker reach ApplyBatch
 
-	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	const budget = 50 * time.Millisecond
+	short, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 	c2, err := Dial(env.addr, ClientOptions{})
 	if err != nil {
@@ -263,6 +264,12 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	}
 	defer c2.Close()
 	_, err = c2.Insert(short, root.End)
+	// The server restarts the remaining budget when it reads the frame, so
+	// its deadline ends later than the client's by the send-to-read
+	// latency. Hold the committer for the whole budget again, so that when
+	// the batcher reaches the queued insert its server-side deadline has
+	// passed too.
+	time.Sleep(budget)
 	env.fb.HoldGroupCommit(false)
 	if !errors.Is(err, ErrDeadlineExpired) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued op past deadline: %v; want deadline error", err)
