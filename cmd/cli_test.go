@@ -10,12 +10,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,27 +29,70 @@ import (
 
 var binDir string
 
+// tools are the binaries TestMain builds into binDir.
+var tools = []string{"boxgen", "boxload", "boxinspect", "boxbench", "boxfsck", "boxbackup", "boxserve", "boxclient"}
+
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "boxes-cli")
 	if err != nil {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"boxgen", "boxload", "boxinspect", "boxbench", "boxfsck", "boxbackup", "boxserve", "boxclient"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "boxes/cmd/"+tool)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			panic("building " + tool + ": " + err.Error())
-		}
+	args := []string{"build", "-o", dir + string(os.PathSeparator)}
+	for _, t := range tools {
+		args = append(args, "boxes/cmd/"+t)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		panic("building the tools: " + err.Error())
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
 
+var (
+	sourcesOnce sync.Once
+	sourcesErr  error
+)
+
+// readSources reads every non-test Go file of the module outside
+// benchmark/ (a module of its own). The tools and examples are built in
+// subprocesses the test result cache cannot see into, but the cache does
+// key on every file a test opens: reading the sources makes an edit to any
+// tool re-run these tests instead of reporting a cached pass. Files opened
+// in TestMain before m.Run are not logged, so the reads happen here, the
+// first time a test needs a binary.
+func readSources(t *testing.T) {
+	t.Helper()
+	sourcesOnce.Do(func() {
+		sourcesErr = filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && path != ".." && (d.Name() == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+				return filepath.SkipDir
+			case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+				_, err = os.ReadFile(path)
+			}
+			return err
+		})
+	})
+	if sourcesErr != nil {
+		t.Fatal(sourcesErr)
+	}
+}
+
+// tool returns the path of a built tool.
+func tool(t *testing.T, name string) string {
+	readSources(t)
+	return filepath.Join(binDir, name)
+}
+
 func run(t *testing.T, name string, args ...string) string {
 	t.Helper()
-	out, err := exec.Command(filepath.Join(binDir, name), args...).CombinedOutput()
+	out, err := exec.Command(tool(t, name), args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", name, args, err, out)
 	}
@@ -135,6 +180,7 @@ func TestExamplesRun(t *testing.T) {
 	} {
 		t.Run(ex.name, func(t *testing.T) {
 			t.Parallel()
+			readSources(t)
 			bin := filepath.Join(t.TempDir(), ex.name)
 			if out, err := exec.Command("go", "build", "-o", bin, "boxes/examples/"+ex.name).CombinedOutput(); err != nil {
 				t.Fatalf("building %s: %v\n%s", ex.name, err, out)
@@ -266,7 +312,7 @@ func TestFsckCLI(t *testing.T) {
 	}
 	f.Close()
 
-	cmd := exec.Command(filepath.Join(binDir, "boxfsck"), box)
+	cmd := exec.Command(tool(t, "boxfsck"), box)
 	outB, _ := cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 1 {
 		t.Errorf("boxfsck on corrupt store: exit %d, want 1:\n%s", code, outB)
@@ -274,7 +320,7 @@ func TestFsckCLI(t *testing.T) {
 	if !strings.Contains(string(outB), "block 2") || !strings.Contains(string(outB), "UNCLEAN") {
 		t.Errorf("corruption not described:\n%s", outB)
 	}
-	cmd = exec.Command(filepath.Join(binDir, "boxinspect"), "-verify", box)
+	cmd = exec.Command(tool(t, "boxinspect"), "-verify", box)
 	outB, _ = cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 1 {
 		t.Errorf("boxinspect -verify on corrupt store: exit %d, want 1:\n%s", code, outB)
@@ -285,7 +331,7 @@ func TestFsckCLI(t *testing.T) {
 	if err := os.WriteFile(junk, []byte("not a box store"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd = exec.Command(filepath.Join(binDir, "boxfsck"), junk)
+	cmd = exec.Command(tool(t, "boxfsck"), junk)
 	outB, _ = cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 2 {
 		t.Errorf("boxfsck on junk: exit %d, want 2:\n%s", code, outB)
@@ -326,7 +372,7 @@ func TestFsckCLICyclicMetaChain(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, filepath.Join(binDir, "boxfsck"), "-v", box)
+	cmd := exec.CommandContext(ctx, tool(t, "boxfsck"), "-v", box)
 	out, _ := cmd.CombinedOutput()
 	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(string(out), "verdict : UNCLEAN") || !strings.Contains(string(out), "corrupt") {
 		t.Fatalf("boxfsck on a cyclic metadata chain: exit %d, want 1 with a corruption verdict:\n%s", code, out)
@@ -336,7 +382,7 @@ func TestFsckCLICyclicMetaChain(t *testing.T) {
 // runExit runs a tool that may fail and returns its output and exit code.
 func runExit(t *testing.T, name string, args ...string) (string, int) {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(binDir, name), args...)
+	cmd := exec.Command(tool(t, name), args...)
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
@@ -409,7 +455,7 @@ func TestBenchCLISmoke(t *testing.T) {
 	if !strings.Contains(out, "Query performance") || !strings.Contains(out, "W-BOX") {
 		t.Fatalf("boxbench tquery output:\n%s", out)
 	}
-	if _, err := exec.Command(filepath.Join(binDir, "boxbench"), "-exp", "nonsense").Output(); err == nil {
+	if _, err := exec.Command(tool(t, "boxbench"), "-exp", "nonsense").Output(); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -418,7 +464,7 @@ func TestBenchCLISmoke(t *testing.T) {
 // the advertised /metrics endpoint once the experiments finish, and checks
 // the Prometheus exposition carries per-op series and structural counters.
 func TestBenchMetricsEndpoint(t *testing.T) {
-	cmd := exec.Command(filepath.Join(binDir, "boxbench"),
+	cmd := exec.Command(tool(t, "boxbench"),
 		"-exp", "tquery", "-base", "300", "-inserts", "50",
 		"-metrics", "127.0.0.1:0", "-linger")
 	stdout, err := cmd.StdoutPipe()
@@ -503,7 +549,7 @@ func TestBenchMetricsEndpoint(t *testing.T) {
 func TestServeCLI(t *testing.T) {
 	dir := t.TempDir()
 	box := filepath.Join(dir, "served.box")
-	cmd := exec.Command(filepath.Join(binDir, "boxserve"),
+	cmd := exec.Command(tool(t, "boxserve"),
 		"-store", box, "-addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -602,7 +648,7 @@ func TestServeCLI(t *testing.T) {
 func TestServeTermOnServingLine(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		box := filepath.Join(t.TempDir(), "served.box")
-		cmd := exec.Command(filepath.Join(binDir, "boxserve"), "-store", box, "-addr", "127.0.0.1:0")
+		cmd := exec.Command(tool(t, "boxserve"), "-store", box, "-addr", "127.0.0.1:0")
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
