@@ -51,9 +51,11 @@ type (
 	Document = core.Document
 	// Scheme selects the labeling structure.
 	Scheme = core.Scheme
-	// SyncStore is a lock-guarded Store safe for concurrent use: lookups
-	// run shared, mutators exclusive.
-	SyncStore = core.SyncStore
+	// SyncStore is Store, which is safe for concurrent use itself: lookups
+	// run under a shared read lock, mutators exclusive.
+	//
+	// Deprecated: use Store.
+	SyncStore = core.Store
 	// BatchOp is one operation of a Store.ApplyBatch batch.
 	BatchOp = core.Op
 	// BatchOpKind selects a BatchOp's operation.
@@ -81,7 +83,7 @@ var ErrNotPersistent = core.ErrNotPersistent
 // reports.
 var ErrCorrupt = pager.ErrCorrupt
 
-// Batch operation kinds for Store.ApplyBatch / SyncStore.ApplyBatch.
+// Batch operation kinds for Store.ApplyBatch.
 const (
 	BatchInsertBefore  = core.OpInsertBefore
 	BatchInsertFirst   = core.OpInsertFirst
@@ -94,9 +96,10 @@ const (
 	BatchOrdinal       = core.OpOrdinalLookup
 )
 
-// NewSyncStore wraps st for concurrent use; the unwrapped Store must no
-// longer be used directly.
-func NewSyncStore(st *Store) *SyncStore { return core.NewSyncStore(st) }
+// NewSyncStore returns st.
+//
+// Deprecated: Store is safe for concurrent use; use it directly.
+func NewSyncStore(st *Store) *SyncStore { return st }
 
 // Labeling schemes.
 const (

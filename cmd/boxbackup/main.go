@@ -8,9 +8,9 @@
 // copies every committed block image with its checksum verified, and
 // writes a self-contained store — fresh header, fresh checksum sidecar,
 // empty WAL — so a restore is a plain file copy with nothing to replay.
-// Live processes snapshot through the library API (Store.Backup or
-// SyncStore.Backup, which keeps lookups running during the copy); this
-// command works on files no process has open.
+// Live processes snapshot through the library API (Store.Backup, which
+// keeps lookups running during the copy); this command works on files no
+// process has open.
 //
 // restore copies the snapshot (and its .crc/.wal sidecars) over the target
 // path and verifies the result with the offline checker; a snapshot missing

@@ -142,14 +142,6 @@ func main() {
 			fmt.Printf("trace   : wrote %s (load in Perfetto / chrome://tracing)\n", *trace)
 		}()
 	}
-	if *groupN > 0 {
-		// A sequential loader only benefits from group commit when it does
-		// not wait for each transaction's fsync: defer durability so the
-		// committer coalesces the stream, then settle the last ticket below
-		// (commits are ordered, so the last ticket implies all of them).
-		st.SetDeferredDurability(true)
-	}
-
 	start := time.Now()
 	var doc *core.Document
 	if *batch > 0 {
@@ -159,11 +151,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if *groupN > 0 {
-		if err := st.TakeTicket().Wait(); err != nil {
-			fatal(err)
-		}
 	}
 	loadIO := st.Stats()
 	if *batch > 0 {

@@ -149,8 +149,8 @@ func main() {
 
 // openStore creates the store file on first start or recovers it (WAL
 // replay plus saved metadata) on restart. Either way the result is a
-// durable, group-committing SyncStore.
-func openStore(path, scheme string, block, groupN int, crashDir string) (*core.SyncStore, *pager.FileBackend, bool, error) {
+// durable, group-committing Store.
+func openStore(path, scheme string, block, groupN int, crashDir string) (*core.Store, *pager.FileBackend, bool, error) {
 	runtime := core.Options{Durable: true, CrashDir: crashDir}
 	if groupN > 0 {
 		runtime.Durability = &pager.Durability{Every: groupN}
@@ -168,7 +168,7 @@ func openStore(path, scheme string, block, groupN int, crashDir string) (*core.S
 			}
 			return nil, nil, false, fmt.Errorf("recover %s: %w", path, err)
 		}
-		return core.NewSyncStore(st), fb, true, nil
+		return st, fb, true, nil
 	}
 	opts := runtime
 	opts.BlockSize = block
@@ -199,7 +199,7 @@ func openStore(path, scheme string, block, groupN int, crashDir string) (*core.S
 		st.Close()
 		return nil, nil, false, fmt.Errorf("initial save: %w", err)
 	}
-	return core.NewSyncStore(st), fb, false, nil
+	return st, fb, false, nil
 }
 
 func fatal(err error) {

@@ -547,44 +547,9 @@ func TestBenchMetricsEndpoint(t *testing.T) {
 // boxclient, drain with SIGTERM, and verify the store offline — the ack
 // contract says everything acked before the drain must be on disk.
 func TestServeCLI(t *testing.T) {
-	dir := t.TempDir()
-	box := filepath.Join(dir, "served.box")
-	cmd := exec.Command(tool(t, "boxserve"),
-		"-store", box, "-addr", "127.0.0.1:0")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	killed := false
-	defer func() {
-		if !killed {
-			cmd.Process.Kill()
-		}
-	}()
-
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if line := sc.Text(); strings.HasPrefix(line, "serving : ") {
-			addr = strings.Fields(line)[2]
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("no serving address announced (scanner err: %v)", sc.Err())
-	}
-	var serveOut strings.Builder
-	drained := make(chan struct{})
-	go func() {
-		for sc.Scan() {
-			serveOut.WriteString(sc.Text() + "\n")
-		}
-		close(drained)
-	}()
+	box := filepath.Join(t.TempDir(), "served.box")
+	srv := startServe(t, "-store", box)
+	addr := srv.addr
 
 	out := run(t, "boxclient", "-addr", addr, "insert-first")
 	if !strings.Contains(out, "start LID 1, end LID 2") {
@@ -608,27 +573,7 @@ func TestServeCLI(t *testing.T) {
 		t.Fatalf("load should ack every op on a clean transport:\n%s", out)
 	}
 
-	// SIGTERM: the drain must finish in-flight work and close the store.
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	killed = true
-	// Wait closes the stdout pipe, so it must not run before the reader has
-	// seen EOF: the clean-close line would be lost.
-	waitDone := make(chan error, 1)
-	go func() { <-drained; waitDone <- cmd.Wait() }()
-	select {
-	case err := <-waitDone:
-		if err != nil {
-			t.Fatalf("boxserve did not drain cleanly: %v\n%s", err, serveOut.String())
-		}
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill()
-		t.Fatal("boxserve did not exit after SIGTERM")
-	}
-	if !strings.Contains(serveOut.String(), "closed  : store synced and released") {
-		t.Fatalf("no clean-close line:\n%s", serveOut.String())
-	}
+	srv.stop(t)
 
 	// Acked ⇒ durable: the offline store must hold everything and pass fsck.
 	out = run(t, "boxfsck", "-v", box)
@@ -639,6 +584,104 @@ func TestServeCLI(t *testing.T) {
 	if !strings.Contains(out, "all structural invariants hold") {
 		t.Fatalf("inspect after serve:\n%s", out)
 	}
+}
+
+// served is a boxserve subprocess started by startServe.
+type served struct {
+	cmd     *exec.Cmd
+	addr    string
+	out     strings.Builder // stdout after the serving line, complete once drained closes
+	drained chan struct{}
+}
+
+// startServe starts boxserve on a loopback port with the given flags and
+// returns once it announces its address.
+func startServe(t *testing.T, args ...string) *served {
+	t.Helper()
+	s := &served{drained: make(chan struct{})}
+	s.cmd = exec.Command(tool(t, "boxserve"), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	stdout, err := s.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cmd.Stderr = os.Stderr
+	if err := s.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if s.cmd.ProcessState == nil {
+			s.cmd.Process.Kill()
+		}
+	})
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		if line := sc.Text(); strings.HasPrefix(line, "serving : ") {
+			s.addr = strings.Fields(line)[2]
+			break
+		}
+	}
+	if s.addr == "" {
+		t.Fatalf("no serving address announced (scanner err: %v)", sc.Err())
+	}
+	go func() {
+		for sc.Scan() {
+			s.out.WriteString(sc.Text() + "\n")
+		}
+		close(s.drained)
+	}()
+	return s
+}
+
+// stop sends SIGINT: the drain must finish in-flight work and close the
+// store, and boxserve must exit 0 with its clean-close line.
+func (s *served) stop(t *testing.T) {
+	t.Helper()
+	if err := s.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	// Wait closes the stdout pipe, so it must not run before the reader has
+	// seen EOF: the clean-close line would be lost.
+	waitDone := make(chan error, 1)
+	go func() { <-s.drained; waitDone <- s.cmd.Wait() }()
+	select {
+	case err := <-waitDone:
+		if err != nil {
+			t.Fatalf("boxserve did not drain cleanly: %v\n%s", err, s.out.String())
+		}
+	case <-time.After(15 * time.Second):
+		s.cmd.Process.Kill()
+		t.Fatal("boxserve did not exit after SIGTERM")
+	}
+	if !strings.Contains(s.out.String(), "closed  : store synced and released") {
+		t.Fatalf("no clean-close line:\n%s", s.out.String())
+	}
+}
+
+// TestServeCrashDirServesAfterFailedOp runs boxserve with -crashdir, which
+// installs the flight recorder beside the store's registered health gauges.
+// A lookup of an unknown LID must come back as its typed error — the op
+// dumps a crash file on its own goroutine without wedging the store — and
+// the next requests must be served.
+func TestServeCrashDirServesAfterFailedOp(t *testing.T) {
+	dir := t.TempDir()
+	crashDir := filepath.Join(dir, "crash")
+	srv := startServe(t, "-store", filepath.Join(dir, "served.box"), "-crashdir", crashDir)
+	run(t, "boxclient", "-addr", srv.addr, "insert-first")
+	out, code := runExit(t, "boxclient", "-addr", srv.addr, "-timeout", "5s", "lookup", "99")
+	if code == 0 || !strings.Contains(out, "unknown or deleted LID") {
+		t.Fatalf("lookup of an unknown LID: exit %d, want the typed unknown-LID error:\n%s", code, out)
+	}
+	if out := run(t, "boxclient", "-addr", srv.addr, "-timeout", "5s", "lookup", "1"); !strings.Contains(out, "LID 1 = label") {
+		t.Fatalf("lookup after the failed one:\n%s", out)
+	}
+	if out := run(t, "boxclient", "-addr", srv.addr, "-timeout", "5s", "insert", "2"); !strings.Contains(out, "start LID 3, end LID 4") {
+		t.Fatalf("insert after the failed lookup:\n%s", out)
+	}
+	dumps, err := filepath.Glob(filepath.Join(crashDir, "crash-*.json"))
+	if err != nil || len(dumps) != 1 {
+		t.Fatalf("crash dumps = %v (%v), want one for the failed lookup", dumps, err)
+	}
+	srv.stop(t)
 }
 
 // TestServeTermOnServingLine signals boxserve the instant it announces

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"boxes/internal/order"
 	"boxes/internal/pager"
@@ -132,25 +134,18 @@ func TestApplyBatchAtomicOnFailure(t *testing.T) {
 // clean prefix of batches after the group is cut — never a partial batch.
 func TestApplyBatchGroupPrefix(t *testing.T) {
 	st, fb, root := openDurableBatch(t, &pager.Durability{Every: 8})
-	st.SetDeferredDurability(true)
 
-	// Queue three batches into one held group; tickets stay pending.
+	// Queue three batches into one held group.
 	before := fb.WALStats()
-	fb.HoldGroupCommit(true)
-	var tickets []*pager.CommitTicket
-	for i := 0; i < 3; i++ {
-		if _, err := st.ApplyBatch([]Op{
+	for i, err := range queueBehindHold(t, fb, 3, func(int) error {
+		_, err := st.ApplyBatch([]Op{
 			{Kind: OpInsertBefore, LID: root.End},
 			{Kind: OpInsertBefore, LID: root.Start},
-		}); err != nil {
+		})
+		return err
+	}) {
+		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
-		}
-		tickets = append(tickets, st.TakeTicket())
-	}
-	fb.HoldGroupCommit(false)
-	for i, tk := range tickets {
-		if err := tk.Wait(); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
 
@@ -178,6 +173,66 @@ func TestApplyBatchGroupPrefix(t *testing.T) {
 		t.Fatalf("reopened count = %d, want %d", got, want)
 	}
 	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queueBehindHold runs n writes from goroutines while the group committer
+// is held, waits until all n transactions sit in its queue (each writer
+// then waits for its ticket outside the store lock), releases the
+// committer and returns the writes' errors.
+func queueBehindHold(t *testing.T, fb *pager.FileBackend, n int, write func(i int) error) []error {
+	t.Helper()
+	fb.HoldGroupCommit(true)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = write(i)
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	queued := 0
+	for queued < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		queued = fb.GroupQueueStats().QueueDepth
+	}
+	fb.HoldGroupCommit(false)
+	wg.Wait()
+	if queued < n {
+		t.Fatalf("only %d of %d writes reached the held commit queue in 10 s", queued, n)
+	}
+	return errs
+}
+
+// TestLoadBatchedCoalesces checks that a sequential LoadBatched over a
+// group-committing store still shares fsyncs: it waits only for its last
+// batch's ticket, so the committer groups the stream.
+func TestLoadBatchedCoalesces(t *testing.T) {
+	fb, err := pager.CreateFileOpts(filepath.Join(t.TempDir(), "load.boxes"), pager.FileOptions{BlockSize: 512, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Options{
+		Scheme: SchemeWBox, BlockSize: 512,
+		Backend: fb, Durable: true, Durability: &pager.Durability{Every: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := fb.WALStats()
+	if _, err := st.LoadBatched(xmlgen.TwoLevel(400), 4); err != nil {
+		t.Fatal(err)
+	}
+	ws := fb.WALStats()
+	commits, groups := ws.Commits-before.Commits, ws.GroupCommits-before.GroupCommits
+	if groups == 0 || groups >= commits {
+		t.Fatalf("%d batch commits flushed in %d groups, want fewer groups than commits", commits, groups)
+	}
+	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,10 +91,10 @@ type Options struct {
 	// Durability starts the backend's group committer (WAL group commit):
 	// concurrently committing operations coalesce into a single WAL fsync.
 	// Requires Durable and a backend that supports group commit
-	// (pager.FileBackend). Mutators then return once their transaction is
-	// queued; the commit ticket (TakeTicket, or SyncStore's automatic wait)
-	// resolves when it is durable. Nil keeps synchronous per-operation
-	// commits.
+	// (pager.FileBackend). A mutator queues its transaction under the store
+	// lock and waits for it to become durable after releasing the lock, so
+	// the next writer's transaction can join the same group. Nil keeps
+	// synchronous per-operation commits.
 	Durability *pager.Durability
 
 	// Metrics routes the store's measurements into an existing registry,
@@ -119,8 +120,19 @@ type Options struct {
 	SlowOpThreshold time.Duration
 }
 
-// Store is a dynamic order-based labeling service for one XML document.
+// Store is a dynamic order-based labeling service for one XML document,
+// safe for concurrent use. Its read/write lock lets lookups (Lookup,
+// LookupSpan, Compare, OrdinalLookup), Health, the scalar getters and
+// Backup's block copy run concurrently under the read side, each pinning
+// blocks in a read op of its own (pager.ReadOp), while mutators, Load,
+// LoadBatched, Save, CheckInvariants, ClearDegraded, ResetStats and Close
+// serialize under the write side. A mutator waits for its commit ticket
+// after releasing the lock, so with group commit (Options.Durability)
+// concurrently queued transactions share one WAL fsync; it returns nil only
+// once its transaction is durable. Lock acquisition waits are recorded as
+// the lock_wait_read / lock_wait_write phase of the op that paid for them.
 type Store struct {
+	mu         sync.RWMutex
 	opts       Options
 	store      *pager.Store
 	labeler    order.Labeler
@@ -130,20 +142,10 @@ type Store struct {
 	schemeIdx  int // this scheme's ledger row in reg
 	flight     *obs.FlightRecorder
 
-	// deferred makes mutators return before their group-commit ticket
-	// resolves; the caller collects it with TakeTicket (SyncStore waits
-	// after releasing its write lock, so concurrent writers coalesce).
-	deferred bool
-
-	// Phase-attribution state, guarded by the exclusive writer section:
-	// extraNs accumulates transact()'s instrumented sections (meta_persist,
-	// fsync_wait) so end() can subtract them from the residual structure
-	// phase; pendingLockWait is the write-lock acquisition wait SyncStore
-	// parked for the next begin() to attribute; lastOp is the most recent
-	// exclusive op, for attributing deferred ticket waits after end().
-	extraNs         int64
-	pendingLockWait int64
-	lastOp          obs.Op
+	// extraNs accumulates transact()'s instrumented sections (meta_persist)
+	// so end() can subtract them from the residual structure phase. It is
+	// guarded by the write lock.
+	extraNs int64
 
 	// deg is non-nil in read-only degraded mode (see resilience.go).
 	deg atomic.Pointer[degradedInfo]
@@ -308,21 +310,15 @@ type opMeasure struct {
 // begin opens a per-operation measurement against the store's registry,
 // snapshotting the pager's cumulative I/O counters and phase time.
 //
-// Every operation except a lookup on the shared read path runs in the
-// exclusive writer section (the single-goroutine contract, or under a
-// SyncStore write lock), so installing it as the registry's writer op is
-// race-free: concurrent shared-mode readers are statically lookups and
-// never touch the slot.
+// Every operation except a lookup runs under the write lock, so installing
+// it as the registry's writer op is race-free: the lookups that run
+// concurrently under the read lock never touch the slot.
 func (s *Store) begin(op obs.Op) opMeasure {
 	st := s.store.Stats()
-	m := opMeasure{op: op, excl: op != obs.OpLookup || !s.store.Shared()}
+	m := opMeasure{op: op, excl: op != obs.OpLookup}
 	if m.excl {
 		s.reg.SetWriterCell(s.schemeIdx, op)
 		s.extraNs = 0 // sections timed outside a measured op (Save) are not this op's
-		if w := s.pendingLockWait; w != 0 {
-			s.pendingLockWait = 0
-			s.reg.ObservePhase(op, obs.PhaseLockWaitWrite, time.Duration(w))
-		}
 	}
 	if tr := s.reg.Tracer(); tr.Enabled() {
 		m.sp = tr.StartOp(s.schemeName, op, !m.excl)
@@ -336,10 +332,9 @@ func (s *Store) begin(op obs.Op) opMeasure {
 // operation's charge, and the wall time not covered by any instrumented
 // phase (backend I/O, commit, meta persist, ticket wait) is attributed to
 // the residual "structure" phase — in-memory structure work. The residual
-// is exact when operations run sequentially; under concurrent shared-mode
-// readers the pager's phase counters are global, so a writer overlapping
-// readers under-counts its residual (clamped at zero), never over-counts
-// a phase.
+// is exact when operations run sequentially; under concurrent lookups the
+// pager's phase counters are global, so an op overlapping others
+// under-counts its residual (clamped at zero), never over-counts a phase.
 func (s *Store) end(m opMeasure, err error) {
 	st := s.store.Stats()
 	d := s.reg.End(m.ctx, st.Reads, st.Writes, err)
@@ -347,7 +342,6 @@ func (s *Store) end(m opMeasure, err error) {
 	var extra int64
 	if m.excl {
 		extra = s.extraNs
-		s.lastOp = m.op
 		s.reg.ClearWriterOp()
 	}
 	resid := int64(d) - delta.Total() - extra
@@ -376,9 +370,9 @@ func (s *Store) notePhase(ph obs.Phase, start time.Time) {
 // backend transaction — or, when fn or the metadata rewrite fails, in none:
 // the operation is aborted, nothing of it reaches the backend, and
 // noteFaults rolls the labeler back to the committed metadata. The commit
-// ticket of a group-committing backend stays parked in the pager for
-// TakeTicket when durability is deferred; otherwise it is waited for here.
-// Without persist (a non-durable store's mutators) it just runs fn.
+// ticket of a group-committing backend stays parked in the pager; exclusive
+// takes it and the caller waits for it once the lock is released. Without
+// persist (a non-durable store's mutators) it just runs fn.
 func (s *Store) transact(persist bool, fn func() error) error {
 	if err := s.readOnlyErr(); err != nil {
 		return err
@@ -397,57 +391,124 @@ func (s *Store) transact(persist bool, fn func() error) error {
 	}
 	if err != nil {
 		s.store.AbortOp()
-	} else if err = s.store.EndOp(); err == nil && !s.deferred {
-		if t := s.store.TakeTicket(); t != nil {
-			t0 := time.Now()
-			err = t.Wait()
-			s.notePhase(obs.PhaseFsyncWait, t0)
-		}
+	} else {
+		err = s.store.EndOp()
 	}
 	s.noteFaults(err)
 	return err
 }
 
+// exclusive runs fn as the measured operation op under the write lock,
+// recording the lock wait as op's lock_wait_write phase. It returns, with
+// the lock released, fn's error and the commit ticket fn's transaction
+// left parked (nil without group commit) for the caller to settle.
+func (s *Store) exclusive(op obs.Op, fn func() error) (*pager.CommitTicket, error) {
+	start := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reg.ObservePhase(op, obs.PhaseLockWaitWrite, time.Since(start))
+	c := s.begin(op)
+	err := fn()
+	s.end(c, err)
+	return s.store.TakeTicket(), err
+}
+
+// settle waits, outside the lock, for the commit ticket t of op's
+// transaction, recording the wait as op's fsync_wait phase. A commit that
+// fails after the lock was released latches the fault and enters degraded
+// mode under a fresh write lock (the rollback touches the labeler, which
+// lookups may be using).
+func (s *Store) settle(op obs.Op, t *pager.CommitTicket, err error) error {
+	if t == nil {
+		return err
+	}
+	t0 := time.Now()
+	werr := t.Wait()
+	d := time.Since(t0)
+	s.reg.ObservePhase(op, obs.PhaseFsyncWait, d)
+	if tr := s.reg.Tracer(); tr.Enabled() {
+		tr.RecordSpan(obs.LaneWriter, obs.PhaseFsyncWait.String(), 0, t0, d, 0, werr)
+	}
+	if werr == nil {
+		return err
+	}
+	s.store.NoteWriteFault(werr)
+	s.mu.Lock()
+	s.noteFaults(werr)
+	s.mu.Unlock()
+	if err == nil {
+		err = werr
+	}
+	return err
+}
+
+// write runs fn as the exclusive operation op and returns once its
+// transaction is durable.
+func (s *Store) write(op obs.Op, fn func() error) error {
+	t, err := s.exclusive(op, fn)
+	return s.settle(op, t, err)
+}
+
 // mutate runs one element-level mutation as its own transaction, measured
 // under the obs.Op kind the calling mutator reports as.
 func (s *Store) mutate(kind obs.Op, op Op) (OpResult, error) {
-	c := s.begin(kind)
 	var res OpResult
-	err := s.transact(s.opts.Durable, func() error { return s.applyOne(&op, &res) })
-	s.end(c, err)
+	err := s.write(kind, func() error {
+		return s.transact(s.opts.Durable, func() error { return s.applyOne(&op, &res) })
+	})
 	return res, err
 }
 
-// SetDeferredDurability controls when mutators wait for their group-commit
-// ticket. Off (the default), every mutator blocks until its transaction is
-// durable — same semantics as synchronous commit. On, mutators return once
-// the transaction is queued and the caller is responsible for collecting
-// the ticket with TakeTicket; SyncStore turns this on and waits after
-// releasing its write lock, so concurrent writers share one fsync.
-func (s *Store) SetDeferredDurability(on bool) { s.deferred = on }
+// rlock takes the read lock, recording the wait as the lookup row's
+// lock_wait_read phase.
+func (s *Store) rlock() {
+	start := time.Now()
+	s.mu.RLock()
+	s.reg.ObservePhase(obs.OpLookup, obs.PhaseLockWaitRead, time.Since(start))
+}
 
-// TakeTicket returns (and clears) the commit ticket of the most recent
-// deferred mutation, or nil. Nil tickets Wait as immediate success.
-func (s *Store) TakeTicket() *pager.CommitTicket { return s.store.TakeTicket() }
-
-// Stats returns the block I/O counters accumulated so far.
+// Stats returns the block I/O counters accumulated so far. They are
+// atomic; no lock is taken.
 func (s *Store) Stats() pager.IOStats { return s.store.Stats() }
 
 // ResetStats zeroes the I/O counters.
-func (s *Store) ResetStats() { s.store.ResetStats() }
+func (s *Store) ResetStats() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.store.ResetStats()
+}
 
 // Blocks reports the number of allocated blocks (structure + LIDF).
-func (s *Store) Blocks() uint64 { return s.store.NumBlocks() }
+func (s *Store) Blocks() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.store.NumBlocks()
+}
 
-// Count, Height, LabelBits, and the update operations delegate to the
-// scheme.
+// Count, Height and LabelBits read the scheme under the read lock.
 
-func (s *Store) Count() uint64  { return s.labeler.Count() }
-func (s *Store) Height() int    { return s.labeler.Height() }
-func (s *Store) LabelBits() int { return s.labeler.LabelBits() }
+func (s *Store) Count() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.labeler.Count()
+}
+
+func (s *Store) Height() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.labeler.Height()
+}
+
+func (s *Store) LabelBits() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.labeler.LabelBits()
+}
 
 // Lookup returns the current label of lid.
 func (s *Store) Lookup(lid order.LID) (order.Label, error) {
+	s.rlock()
+	defer s.mu.RUnlock()
 	c := s.begin(obs.OpLookup)
 	v, err := s.labeler.Lookup(lid)
 	s.end(c, err)
@@ -455,8 +516,10 @@ func (s *Store) Lookup(lid order.LID) (order.Label, error) {
 }
 
 // LookupSpan returns both labels of an element. On W-BOX-O this costs two
-// I/Os total (LIDF + one leaf); elsewhere it is two lookups.
+// I/Os total (LIDF + one leaf); elsewhere it is two lookups in one read op.
 func (s *Store) LookupSpan(e order.ElemLIDs) (query.Span, error) {
+	s.rlock()
+	defer s.mu.RUnlock()
 	c := s.begin(obs.OpLookup)
 	sp, err := s.lookupSpan(e)
 	s.end(c, err)
@@ -534,6 +597,8 @@ func (s *Store) InsertSubtreeBefore(lidOld order.LID, tree *xmlgen.Tree) ([]orde
 // which costs fewer I/Os than two lookups when the tags are close; on the
 // other schemes it compares the two label values.
 func (s *Store) Compare(a, b order.LID) (int, error) {
+	s.rlock()
+	defer s.mu.RUnlock()
 	c := s.begin(obs.OpLookup)
 	v, err := s.compare(a, b)
 	s.end(c, err)
@@ -565,6 +630,8 @@ func (s *Store) compare(a, b order.LID) (int, error) {
 // OrdinalLookup returns the exact document position of a tag (requires
 // Ordinal support).
 func (s *Store) OrdinalLookup(lid order.LID) (uint64, error) {
+	s.rlock()
+	defer s.mu.RUnlock()
 	c := s.begin(obs.OpLookup)
 	v, err := s.labeler.OrdinalLookup(lid)
 	s.end(c, err)
@@ -573,10 +640,7 @@ func (s *Store) OrdinalLookup(lid order.LID) (uint64, error) {
 
 // CheckInvariants validates the structure (used by tests and boxload).
 func (s *Store) CheckInvariants() error {
-	c := s.begin(obs.OpCheck)
-	err := s.labeler.CheckInvariants()
-	s.end(c, err)
-	return err
+	return s.write(obs.OpCheck, s.labeler.CheckInvariants)
 }
 
 // Document couples a Store with the per-element LIDs of a loaded tree,
@@ -592,13 +656,13 @@ func (s *Store) Load(tree *xmlgen.Tree) (*Document, error) {
 	if tree == nil || tree.Root == nil {
 		return nil, errors.New("core: empty tree")
 	}
-	c := s.begin(obs.OpBulkLoad)
 	var elems []order.ElemLIDs
-	err := s.transact(s.opts.Durable, func() (err error) {
-		elems, err = s.labeler.BulkLoad(tree.TagStream())
-		return err
+	err := s.write(obs.OpBulkLoad, func() error {
+		return s.transact(s.opts.Durable, func() (err error) {
+			elems, err = s.labeler.BulkLoad(tree.TagStream())
+			return err
+		})
 	})
-	s.end(c, err)
 	if err != nil {
 		return nil, err
 	}
@@ -638,3 +702,13 @@ func (d *Document) SpansOf(name string) ([]query.Span, error) {
 	query.SortSpansByStart(out)
 	return out, nil
 }
+
+// SyncStore is Store, which is safe for concurrent use itself.
+//
+// Deprecated: use Store.
+type SyncStore = Store
+
+// NewSyncStore returns st.
+//
+// Deprecated: Store is safe for concurrent use; use it directly.
+func NewSyncStore(st *Store) *SyncStore { return st }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestLedgerLiveScrape is the acceptance check for the cost ledger's
-// concurrency story: writer goroutines mutate a SyncStore while scraper
+// concurrency story: writer goroutines mutate a Store while scraper
 // goroutines hit /metrics and /debug/heat over real HTTP. At every instant
 // the relaxed conservation invariant (counterSum >= cellSum >= total) must
 // hold in what a scraper observes, and at quiescence the strict form —
@@ -23,11 +23,10 @@ import (
 // Run under -race this also proves the ledger and heat paths are data-race
 // free against concurrent scrapes.
 func TestLedgerLiveScrape(t *testing.T) {
-	base, err := Open(Options{Scheme: SchemeWBox, Ordinal: true, BlockSize: 512})
+	st, err := Open(Options{Scheme: SchemeWBox, Ordinal: true, BlockSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewSyncStore(base)
 	doc, err := st.Load(xmlgen.TwoLevel(300))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestLedgerLiveScrape(t *testing.T) {
 	}
 
 	// Quiescent: exact balance, including the pager I/O cross-check.
-	if err := st.Unwrap().CheckLedger(true); err != nil {
+	if err := st.CheckLedger(true); err != nil {
 		t.Fatalf("strict conservation at quiescence: %v", err)
 	}
 	// The workload's inserts must show up in the label heat map and its

@@ -30,10 +30,10 @@ var lookupSchemes = []struct {
 }
 
 // lookupFixture is a loaded store of elems elements (8 KB blocks; height 2
-// in both trees from a few thousand up) and its tag LIDs in random order. With reader set lookups go
-// through SyncStore's shared reader path (no pin map); otherwise through
-// the plain Store, where every lookup is a pinned pager operation.
-func lookupFixture(tb testing.TB, opts Options, elems int, file, reader bool) (lookup func(order.LID) (order.Label, error), lids []order.LID) {
+// in both trees from a few thousand up) and its tag LIDs in random order.
+// Every lookup takes the store's read lock and pins through a read op of
+// its own, the path boxserve serves.
+func lookupFixture(tb testing.TB, opts Options, elems int, file bool) (lookup func(order.LID) (order.Label, error), lids []order.LID) {
 	tb.Helper()
 	if file {
 		fb, err := pager.CreateFile(filepath.Join(tb.TempDir(), "lookup.box"), pager.DefaultBlockSize)
@@ -55,9 +55,6 @@ func lookupFixture(tb testing.TB, opts Options, elems int, file, reader bool) (l
 		lids = append(lids, e.Start, e.End)
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(lids), func(i, j int) { lids[i], lids[j] = lids[j], lids[i] })
-	if reader {
-		return NewSyncStore(st).Lookup, lids
-	}
 	return st.Lookup, lids
 }
 
@@ -69,57 +66,53 @@ func BenchmarkLookup(b *testing.B) {
 	defer func() { pager.HookPoisonFrames = true }()
 	for _, sc := range lookupSchemes {
 		for _, backend := range []string{"mem", "file"} {
-			for _, path := range []string{"pin", "reader"} {
-				b.Run(sc.name+"/"+backend+"/"+path, func(b *testing.B) {
-					lookup, lids := lookupFixture(b, sc.opts, 20000, backend == "file", path == "reader")
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						v, err := lookup(lids[i%len(lids)])
-						if err != nil {
-							b.Fatal(err)
-						}
-						lookupSink = v
+			b.Run(sc.name+"/"+backend, func(b *testing.B) {
+				lookup, lids := lookupFixture(b, sc.opts, 20000, backend == "file")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v, err := lookup(lids[i%len(lids)])
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					lookupSink = v
+				}
+			})
 		}
 	}
 }
 
 // TestLookupAllocCeilings pins what the borrowed-frame read path bought: a
-// BOX lookup allocates nothing over a MemBackend on either path and at
+// BOX lookup allocates nothing over a MemBackend and at
 // most once over a FileBackend, and a naive-8 lookup — which still builds
 // its big.Int label — allocates nothing of block size.
 func TestLookupAllocCeilings(t *testing.T) {
 	for _, sc := range lookupSchemes {
 		for _, file := range []bool{false, true} {
-			for _, reader := range []bool{false, true} {
-				lookup, lids := lookupFixture(t, sc.opts, 4000, file, reader)
-				i := 0
-				run := func() {
-					if _, err := lookup(lids[i%len(lids)]); err != nil {
-						t.Fatal(err)
-					}
-					i++
+			lookup, lids := lookupFixture(t, sc.opts, 4000, file)
+			i := 0
+			run := func() {
+				if _, err := lookup(lids[i%len(lids)]); err != nil {
+					t.Fatal(err)
 				}
-				const runs = 200
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				allocs := testing.AllocsPerRun(runs, run)
-				runtime.ReadMemStats(&m1)
-				bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1)
-				ceiling, maxBytes := 0.0, 64.0
-				if file {
-					ceiling = 1
-				}
-				if sc.opts.Scheme == SchemeNaive {
-					ceiling, maxBytes = 8, 1024
-				}
-				if allocs > ceiling || bytes > maxBytes {
-					t.Errorf("%s file=%v reader=%v: %.1f allocs and %.0f B per lookup, ceilings %.0f and %.0f B",
-						sc.name, file, reader, allocs, bytes, ceiling, maxBytes)
-				}
+				i++
+			}
+			const runs = 200
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			allocs := testing.AllocsPerRun(runs, run)
+			runtime.ReadMemStats(&m1)
+			bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1)
+			ceiling, maxBytes := 0.0, 64.0
+			if file {
+				ceiling = 1
+			}
+			if sc.opts.Scheme == SchemeNaive {
+				ceiling, maxBytes = 8, 1024
+			}
+			if allocs > ceiling || bytes > maxBytes {
+				t.Errorf("%s file=%v: %.1f allocs and %.0f B per lookup, ceilings %.0f and %.0f B",
+					sc.name, file, allocs, bytes, ceiling, maxBytes)
 			}
 		}
 	}

@@ -35,12 +35,22 @@ var ErrNoSavedStore = errors.New("core: backend holds no saved store")
 // inside one pager operation, so on a WAL-enabled FileBackend the whole
 // save is a single atomic transaction; on a FileBackend the file is also
 // synced. With Options.Durable every mutating operation already persists
-// metadata, so explicit Saves are only needed for non-durable stores.
+// metadata, so explicit Saves are only needed for non-durable stores. Save
+// runs under the write lock, commit wait included: the file sync after it
+// drains the group committer anyway.
 func (s *Store) Save() error {
 	if s.meta == nil {
 		return ErrNotPersistent
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.transact(true, func() error { return nil })
+	if err == nil {
+		if err = s.store.TakeTicket().Wait(); err != nil {
+			s.store.NoteWriteFault(err)
+			s.noteFaults(err)
+		}
+	}
 	if err == nil {
 		if fb, ok := s.store.Backend().(*pager.FileBackend); ok {
 			if err = fb.Sync(); err != nil {

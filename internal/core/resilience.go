@@ -31,11 +31,14 @@ func (s *Store) DegradedCause() error {
 }
 
 // ClearDegraded returns the store to read-write mode and clears the pager's
-// write-fault latch. Call it only after the underlying device has been
-// repaired (or the store reopened over a healthy backend): the in-memory
-// state was rolled back to the last committed metadata on entry, so leaving
-// degraded mode resumes exactly from the durable prefix.
+// write-fault latch, under the write lock. Call it only after the
+// underlying device has been repaired (or the store reopened over a healthy
+// backend): the in-memory state was rolled back to the last committed
+// metadata on entry, so leaving degraded mode resumes exactly from the
+// durable prefix.
 func (s *Store) ClearDegraded() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.deg.Store(nil)
 	s.store.ClearWriteFault()
 }
@@ -72,8 +75,8 @@ type poisoner interface{ Poisoned() error }
 //     already restored its header to the pre-op snapshot, so the next op
 //     runs against exactly the committed prefix.
 //
-// It must run in the writer's exclusive section (it rolls the labeler
-// back to committed state).
+// It must run under the write lock (it rolls the labeler back to committed
+// state).
 func (s *Store) noteFaults(opErr error) {
 	if wf := s.store.WriteFault(); wf != nil {
 		s.enterDegraded(wf)
@@ -169,20 +172,16 @@ func unwrapBackend(b pager.Backend) pager.Backend {
 // an identical store — restore is a plain file copy, no replay needed. The
 // store must be file-backed. A durable store's metadata is already
 // committed per operation; a non-durable store Saves first so the snapshot
-// is resumable. The caller must exclude concurrent mutators (SyncStore's
-// Backup does); the group-commit committer may keep running.
+// is resumable. The block copy runs under the read lock, so lookups (and
+// the group-commit committer) keep running and only mutators wait.
 func (s *Store) Backup(path string) error {
 	if !s.opts.Durable {
 		if err := s.Save(); err != nil {
 			return err
 		}
 	}
-	return s.backupNoSave(path)
-}
-
-// backupNoSave snapshots without the non-durable Save (SyncStore performs
-// that under its write lock before taking the read-locked copy).
-func (s *Store) backupNoSave(path string) error {
+	s.rlock()
+	defer s.mu.RUnlock()
 	fb, ok := unwrapBackend(s.store.Backend()).(*pager.FileBackend)
 	if !ok {
 		return errors.New("core: backup requires a file-backed store")
@@ -190,9 +189,11 @@ func (s *Store) backupNoSave(path string) error {
 	return fb.BackupTo(path)
 }
 
-// Close releases the store: pending group commits are drained and the
-// backend is closed. Durable stores are consistent at every operation
-// boundary; non-durable stores must Save first to be resumable.
+// Close releases the store under the write lock: pending group commits are
+// drained and the backend is closed. Durable stores are consistent at every
+// operation boundary; non-durable stores must Save first to be resumable.
 func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.store.Close()
 }

@@ -148,8 +148,8 @@ func validateExposition(t *testing.T, body string) {
 }
 
 // TestMetricsScrapeRace races /metrics and /debug/spans scrapes against
-// active writers and shared-path readers on a durable group-commit
-// SyncStore — including one scrape taken while the committer is
+// active writers and readers on a durable group-commit Store — including
+// one scrape taken while the committer is
 // deliberately held mid-group. Every scrape must stay parseable with a
 // single # TYPE per family. Run under -race this is the satellite
 // concurrency gate for the span/phase instrumentation.
@@ -159,14 +159,13 @@ func TestMetricsScrapeRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Open(Options{
+	st, err := Open(Options{
 		Scheme: SchemeBBox, BlockSize: 512, Backend: fb,
 		Durable: true, Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewSyncStore(base)
 	doc, err := st.Load(xmlgen.TwoLevel(150))
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +288,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 }
 
-// TestBatchTraceCoalescing drives deferred ApplyBatch transactions into a
+// TestBatchTraceCoalescing drives concurrent ApplyBatch transactions into a
 // held group committer and asserts the trace shows the coalescing: several
 // batch op spans (each with per-positional-op child spans) whose commit
 // resolves in ONE commit_group span covering multiple transactions, with
@@ -313,22 +312,19 @@ func TestBatchTraceCoalescing(t *testing.T) {
 	}
 	tr := st.MetricsRegistry().Tracer()
 	tr.Start(obs.TraceOptions{})
-	st.SetDeferredDurability(true)
 
-	fb.HoldGroupCommit(true)
 	ops := make([]Op, 8)
 	for i := range ops {
 		ops[i] = Op{Kind: OpInsertBefore, LID: root.End}
 	}
 	const batches = 4
-	for b := 0; b < batches; b++ {
-		if _, err := st.ApplyBatch(ops); err != nil {
+	for _, err := range queueBehindHold(t, fb, batches, func(int) error {
+		_, err := st.ApplyBatch(ops)
+		return err
+	}) {
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	fb.HoldGroupCommit(false)
-	if err := st.TakeTicket().Wait(); err != nil {
-		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -12,14 +12,13 @@ import (
 	"boxes/internal/xmlgen"
 )
 
-// TestSyncStoreConcurrentUse hammers a SyncStore from several goroutines;
-// run under -race this verifies the serialization wrapper.
+// TestSyncStoreConcurrentUse hammers a Store from several goroutines; run
+// under -race this verifies the store lock and the readers' own pin sets.
 func TestSyncStoreConcurrentUse(t *testing.T) {
-	base, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512})
+	st, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewSyncStore(base)
 	doc, err := st.Load(xmlgen.TwoLevel(500))
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +70,9 @@ func TestSyncStoreConcurrentUse(t *testing.T) {
 
 // TestSyncStoreConcurrentBatchReaders is the group-commit concurrency
 // property test: one writer streams ApplyBatch transactions into a durable
-// file-backed SyncStore while reader goroutines race it on the shared read
-// path. Under -race this exercises the RWMutex split, the pager's shared
-// mode, and the WAL group-commit overlay (readers may observe blocks whose
+// file-backed Store while reader goroutines race it with lookups. Under
+// -race this exercises the store lock, the readers' own pin sets, and the
+// WAL group-commit overlay (readers may observe blocks whose
 // group is still being flushed). Readers assert order invariants that must
 // hold at every batch boundary: spans never invert and an element's start
 // ordinal precedes its end ordinal.
@@ -91,7 +90,7 @@ func concurrentBatchReaders(t *testing.T, cacheBlocks int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Open(Options{
+	st, err := Open(Options{
 		Scheme: SchemeWBox, Ordinal: true, BlockSize: 512,
 		Backend: fb, Durable: true, CacheBlocks: cacheBlocks,
 		Durability: &pager.Durability{Every: 8},
@@ -99,7 +98,6 @@ func concurrentBatchReaders(t *testing.T, cacheBlocks int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewSyncStore(base)
 	doc, err := st.Load(xmlgen.TwoLevel(200))
 	if err != nil {
 		t.Fatal(err)

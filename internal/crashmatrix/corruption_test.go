@@ -216,7 +216,7 @@ func TestCorruptionWALTail(t *testing.T) {
 
 // TestConcurrentLookupsAfterRecovery is the -race walk: crash a durable
 // store mid-workload, recover it, fsck it, then hammer the recovered
-// store through a SyncStore from concurrent readers while a writer keeps
+// store from concurrent readers while a writer keeps
 // inserting. Run with `go test -race` (the CI race job does).
 func TestConcurrentLookupsAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -258,11 +258,10 @@ func TestConcurrentLookupsAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fb.Close()
-	plain, err := core.OpenExisting(fb, runtimeOpts())
+	ss, err := core.OpenExisting(fb, runtimeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := core.NewSyncStore(plain)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)

@@ -263,15 +263,15 @@ func TestPermanentWriteFaultDegrades(t *testing.T) {
 	}
 }
 
-// syncWorld mirrors world over a SyncStore, for scripts driven from a
+// syncWorld mirrors world over a shared Store, for scripts driven from a
 // writer goroutine while other goroutines read or back up.
 type syncWorld struct {
-	ss     *core.SyncStore
+	ss     *core.Store
 	oracle *order.Oracle
 	elems  []order.ElemLIDs
 }
 
-// syncScriptOp is scriptOp routed through the SyncStore's locked mutators.
+// syncScriptOp is scriptOp routed through the Store's locked mutators.
 func syncScriptOp(w *syncWorld, j int) error {
 	if j == 3 {
 		e := w.elems[len(w.elems)-1]
@@ -321,11 +321,10 @@ func TestHotBackupDuringWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := core.OpenExisting(fb, runtimeOpts())
+			ss, err := core.OpenExisting(fb, runtimeOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss := core.NewSyncStore(st)
 
 			var done atomic.Int32
 			werrc := make(chan error, 1)
@@ -411,7 +410,7 @@ func TestHotBackupDuringWorkload(t *testing.T) {
 }
 
 // TestCorruptReadsTypedUnderConcurrentReaders corrupts every data block
-// under a live SyncStore and hammers it from concurrent readers: every
+// under a live Store and hammers it from concurrent readers: every
 // lookup must either return the exact pre-corruption label or fail with
 // the typed pager.ErrCorrupt — never a wrong or partial label. A mutation
 // racing the readers hits the corruption on its write path and must flip
@@ -428,11 +427,10 @@ func TestCorruptReadsTypedUnderConcurrentReaders(t *testing.T) {
 	}
 	defer fb.Close()
 	// Caching off and no block LRU: reads must reach the (corrupt) disk.
-	st, err := core.OpenExisting(fb, core.Options{Durable: true})
+	ss, err := core.OpenExisting(fb, core.Options{Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := core.NewSyncStore(st)
 
 	// Expected labels before corruption; no mutation succeeds afterwards,
 	// so they stay the only admissible lookup answers.

@@ -121,7 +121,10 @@ func snapHist(h *hist) HistSnapshot {
 }
 
 // Snapshot copies the registry's current state.
-func (r *Registry) Snapshot() Snapshot {
+func (r *Registry) Snapshot() Snapshot { return r.snapshot(false) }
+
+// snapshot is Snapshot with the gauges gathered as gatherGauges(inOp).
+func (r *Registry) snapshot(inOp bool) Snapshot {
 	s := Snapshot{
 		Ops:      make(map[string]OpSnapshot, numOps),
 		Counters: make(map[string]uint64, numCounters),
@@ -159,7 +162,7 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Phases[rn][ph.String()] = hs
 		}
 	}
-	s.Gauges = r.GatherGauges()
+	s.Gauges = r.gatherGauges(inOp)
 	return s
 }
 

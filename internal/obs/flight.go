@@ -85,7 +85,9 @@ const crashDumpVersion = 1
 //
 // Gauge collection at dump time runs the registry's registered collectors;
 // they walk structures that may be mid-failure, so collectors tolerate
-// errors and the dump records whatever could be gathered.
+// errors and the dump records whatever could be gathered. A dump at OpEnd
+// runs on the failing operation's goroutine, which still holds the store's
+// lock, so it gathers through CollectGaugesInOp (see InOpCollector).
 type FlightRecorder struct {
 	reg  *Registry
 	ring *RingHook
@@ -146,7 +148,7 @@ func (f *FlightRecorder) OpEnd(ev Event) {
 	if ev.Err == nil {
 		return
 	}
-	f.dump(ev, nil)
+	f.dump(ev, nil, true)
 }
 
 // DumpFailure writes a crash dump for a failure that is not a traced
@@ -160,10 +162,12 @@ func (f *FlightRecorder) DumpFailure(stage string, err error, tags map[string]st
 	if err == nil {
 		return
 	}
-	f.dump(Event{Scheme: stage, Op: OpCheck, Err: err}, tags)
+	f.dump(Event{Scheme: stage, Op: OpCheck, Err: err}, tags, false)
 }
 
-func (f *FlightRecorder) dump(ev Event, tags map[string]string) {
+// dump writes one crash file; inOp says it runs inside the failing
+// operation (OpEnd), which selects the collectors' in-op gauge path.
+func (f *FlightRecorder) dump(ev Event, tags map[string]string, inOp bool) {
 	f.mu.Lock()
 	if f.limit >= 0 && f.dumps >= f.limit {
 		f.mu.Unlock()
@@ -178,7 +182,7 @@ func (f *FlightRecorder) dump(ev Event, tags map[string]string) {
 	for i, re := range events {
 		recs[i] = toEventRecord(re)
 	}
-	snap := f.reg.Snapshot() // includes one gauge collection
+	snap := f.reg.snapshot(inOp) // includes one gauge collection
 	d := CrashDump{
 		Version: crashDumpVersion,
 		Time:    time.Now(),

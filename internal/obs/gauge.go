@@ -78,11 +78,21 @@ func (g GaugeValue) Key() string { return g.Name + g.LabelString() }
 // Collectors are invoked on the scraping goroutine. Structures in this
 // repository follow a single-writer discipline, so register a collector
 // for a live store only if scrapes are serialized against updates (see
-// core.SyncStore) or the store is quiescent; collectors must tolerate
-// failure mid-walk (e.g. injected I/O errors) by returning what they have,
-// typically with a *_walk_errors gauge recording the interruption.
+// core.Store.RegisterHealthGauges) or the store is quiescent; collectors
+// must tolerate failure mid-walk (e.g. injected I/O errors) by returning
+// what they have, typically with a *_walk_errors gauge recording the
+// interruption.
 type Collector interface {
 	CollectGauges() []GaugeValue
+}
+
+// InOpCollector is a Collector that takes a lock of its own per scrape and
+// so has a second entry point for gauges gathered on an operation's own
+// goroutine — a flight-recorder dump at OpEnd — where the operation already
+// holds that lock and taking it again would deadlock.
+type InOpCollector interface {
+	Collector
+	CollectGaugesInOp() []GaugeValue
 }
 
 // CollectorFunc adapts a function to the Collector interface.
@@ -105,7 +115,11 @@ func (r *Registry) RegisterCollector(c Collector) {
 
 // GatherGauges evaluates every registered collector, in registration
 // order, and returns the concatenated samples.
-func (r *Registry) GatherGauges() []GaugeValue {
+func (r *Registry) GatherGauges() []GaugeValue { return r.gatherGauges(false) }
+
+// gatherGauges is GatherGauges; inOp selects CollectGaugesInOp on the
+// collectors that have it.
+func (r *Registry) gatherGauges(inOp bool) []GaugeValue {
 	if r == nil {
 		return nil
 	}
@@ -115,7 +129,11 @@ func (r *Registry) GatherGauges() []GaugeValue {
 	r.mu.Unlock()
 	var out []GaugeValue
 	for _, c := range cs {
-		out = append(out, c.CollectGauges()...)
+		if ic, ok := c.(InOpCollector); ok && inOp {
+			out = append(out, ic.CollectGaugesInOp()...)
+		} else {
+			out = append(out, c.CollectGauges()...)
+		}
 	}
 	return out
 }

@@ -15,7 +15,7 @@ import (
 // WAL: restore is plain file copy (or opening the backup directly), no
 // replay needed.
 //
-// The caller must exclude writers for the duration (a SyncStore read lock
+// The caller must exclude writers for the duration (core.Store's read lock
 // does); the group-commit committer may keep applying already-committed
 // transactions concurrently — those are part of the snapshot either way,
 // served from the overlay before the apply and from disk after.

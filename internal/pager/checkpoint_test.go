@@ -76,7 +76,7 @@ func TestAcknowledgedImagesAcrossCheckpoint(t *testing.T) {
 
 // TestCheckpointUnderConcurrentReaders runs the committer through several
 // bound-triggered checkpoints while readers, excluded only for the moment a
-// transaction is staged and enqueued (the SyncStore discipline), keep
+// transaction is staged and enqueued (core.Store's lock discipline), keep
 // reading every block: each read must be a whole image of one version, and
 // versions must never run backwards — a reader that went to the file before
 // the checkpoint had written the block, or lost an image enqueued after the

@@ -1,5 +1,5 @@
 // Package serve is the network service layer: a gateway (Server) that
-// owns one durable core.SyncStore and speaks a length-prefixed native
+// owns one durable core.Store and speaks a length-prefixed native
 // protocol, and the matching Client with retries, deadlines, and
 // idempotent reconnect. The layer is robustness-first:
 //

@@ -20,7 +20,7 @@ type testEnv struct {
 	t     *testing.T
 	path  string
 	fb    *pager.FileBackend
-	store *core.SyncStore
+	store *core.Store
 	srv   *Server
 	addr  string
 	met   *Metrics
@@ -44,7 +44,7 @@ func startEnv(t *testing.T, o envOptions) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Open(core.Options{
+	store, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
 		Backend: fb, Durable: true,
 		Durability: &pager.Durability{Every: 8},
@@ -52,7 +52,6 @@ func startEnv(t *testing.T, o envOptions) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := core.NewSyncStore(base)
 	met := NewMetrics()
 	srv, err := NewServer(Config{
 		Store: store, Metrics: met,
@@ -528,7 +527,7 @@ func TestServeNilMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Open(core.Options{
+	store, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
 		Backend: fb, Durable: true,
 		Durability: &pager.Durability{Every: 8},
@@ -536,7 +535,6 @@ func TestServeNilMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := core.NewSyncStore(base)
 	srv, err := NewServer(Config{Store: store}) // no Metrics
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // the store's lifecycle — the caller closes it after Shutdown returns, so
 // tests and the sweep can inspect the store the server just served.
 type Config struct {
-	Store *core.SyncStore
+	Store *core.Store
 
 	// QueueDepth bounds the write admission queue; a full queue sheds
 	// requests with StatusOverload instead of queuing unboundedly.

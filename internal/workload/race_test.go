@@ -20,11 +20,11 @@ import (
 // a borrowed frame after releasing it sees garbage, deterministically.
 func init() { pager.HookPoisonFrames = true }
 
-// syncDoc adapts a core.SyncStore to workload.View for the single writer
+// syncDoc adapts a core.Store to workload.View for the single writer
 // goroutine: elems is writer-private state (never shared), and every label
 // read goes through the store's read lock.
 type syncDoc struct {
-	st    *core.SyncStore
+	st    *core.Store
 	elems []order.ElemLIDs // start-tag document order, writer-only
 }
 
@@ -85,7 +85,7 @@ func (d *syncDoc) apply(op workload.Op) error {
 }
 
 // TestSyncStoreZipfReadersVsChurnWriter races zipfian-skewed reader
-// goroutines against a churn writer on a durable file-backed SyncStore,
+// goroutines against a churn writer on a durable file-backed Store,
 // with one durable close/reopen in the middle. Under -race this exercises
 // the read/write lock split while the writer repeatedly crosses the
 // tombstone-heavy delete bursts of the churn source (the regime that
@@ -116,7 +116,7 @@ func zipfReadersVsChurnWriter(t *testing.T, cacheBlocks int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Open(core.Options{
+	st, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
 		Backend: fb, Durable: true, CacheBlocks: cacheBlocks,
 		Durability: &pager.Durability{Every: 8},
@@ -124,7 +124,6 @@ func zipfReadersVsChurnWriter(t *testing.T, cacheBlocks int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := core.NewSyncStore(base)
 	doc, err := st.Load(xmlgen.TwoLevel(96))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +245,7 @@ func zipfReadersVsChurnWriter(t *testing.T, cacheBlocks int) {
 	if got, want := re.Count(), uint64(2*len(d.elems)); got != want {
 		t.Fatalf("reopened count = %d, want %d (%d live elements)", got, want, len(d.elems))
 	}
-	st = core.NewSyncStore(re)
+	st = re
 	d.st = st
 	for pos := range d.elems { // labels survived the reopen in order
 		if pos == 0 {
