@@ -289,3 +289,60 @@ func TestFileReadAllocations(t *testing.T) {
 		t.Errorf("file-backed Read allocates %.1f times per block, want its one copy", n)
 	}
 }
+
+// A ReadOp counts each block once however often it views it — past its
+// in-place pins too — and keeps every frame valid until End, after which
+// the frames are back on the (poisoning) free list. Begun inside an
+// exclusive operation it reads through that operation's pins, staged
+// writes included, and counts nothing the operation already fetched.
+func TestReadOpPinsEachBlockOnce(t *testing.T) {
+	s := NewMemStore(128)
+	ids := storeWithBlocks(t, s, 2*readPins)
+	before := s.Stats()
+	r := s.BeginRead()
+	var frames [][]byte
+	for pass := 0; pass < 2; pass++ {
+		for i, id := range ids {
+			buf, err := r.View(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] != byte(i+1) {
+				t.Fatalf("pass %d: block %d reads %#x, want %#x", pass, id, buf[0], i+1)
+			}
+			if pass == 0 {
+				frames = append(frames, buf)
+			} else if &buf[0] != &frames[i][0] {
+				t.Fatalf("block %d: a revisit got a different frame", id)
+			}
+		}
+	}
+	if got := s.Stats().Sub(before).Reads; got != uint64(len(ids)) {
+		t.Fatalf("%d reads for %d blocks viewed twice, want one each", got, len(ids))
+	}
+	r.End()
+	if frames[0][0] != 0xDB || frames[len(frames)-1][0] != 0xDB {
+		t.Fatal("End did not return the frames to the free list")
+	}
+
+	s.BeginOp()
+	if err := s.Write(ids[0], filled(s.BlockSize(), 0x77)); err != nil {
+		t.Fatal(err)
+	}
+	before = s.Stats()
+	r = s.BeginRead()
+	buf, err := r.View(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 0x77 {
+		t.Fatalf("a read op inside an operation reads %#x, want the staged 0x77", buf[0])
+	}
+	r.End()
+	if got := s.Stats().Sub(before).Reads; got != 0 {
+		t.Fatalf("reading a staged block counted %d reads", got)
+	}
+	if err := s.EndOp(); err != nil {
+		t.Fatal(err)
+	}
+}
