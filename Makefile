@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint microbench check crash-matrix resilience-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
+.PHONY: all build test race lint microbench check flake-check crash-matrix resilience-matrix fsck fuzz-smoke sim-smoke sim-seeds trace-smoke heat-smoke serve-smoke zoo experiments experiments-paper-scale clean
 
 all: build test
 
@@ -37,6 +37,16 @@ check:
 # readers-vs-batch-writer group-commit test in internal/core.
 race:
 	$(GO) test -race ./...
+
+# Flake hunt: the packages whose tests race goroutines, timers and
+# subprocesses, run FLAKE_COUNT times each. A test that fails once here in
+# 50 runs fails a single tier-1 run about 1 time in 50; CHANGES.md records
+# each failure this has found with its mechanism. Minutes, not seconds, so
+# it is a manual or scheduled job (.github/workflows/flake-check.yml), not
+# part of check.
+FLAKE_COUNT ?= 50
+flake-check:
+	$(GO) test -count=$(FLAKE_COUNT) ./internal/core ./internal/serve ./internal/workload ./cmd
 
 # Fuzzing on a smoke budget: every native fuzz target gets coverage-guided
 # input generation on top of its committed seed corpus (go test -fuzz takes
