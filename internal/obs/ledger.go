@@ -158,8 +158,8 @@ func (r *Registry) snapLedger() ledgerWindowSnap {
 
 // SchemeIndex interns a scheme name into a ledger row and returns its
 // index. The first scheme registered (via SetScheme at store open, or the
-// first Begin) gets row 0 — the row unattributed shared-path work defaults
-// to. The read path is one atomic pointer load plus a map lookup.
+// first Begin) gets row 0 — the row read-op I/O and unattributed work
+// default to. The read path is one atomic pointer load plus a map lookup.
 func (r *Registry) SchemeIndex(name string) int {
 	if r == nil {
 		return 0
@@ -230,9 +230,9 @@ func (r *Registry) CostRelabeled(n uint64) {
 }
 
 // CostIO attributes one block I/O (write=false: read) to the current
-// operation and samples the block heat map. Callers on the shared read
-// path (reader=true) are statically lookups on the registry's first
-// scheme; exclusive-path callers resolve through the writer slot.
+// operation and samples the block heat map. A read op's reads
+// (reader=true) are statically lookups on the registry's first scheme;
+// exclusive-path callers resolve through the writer slot.
 func (r *Registry) CostIO(reader, write bool, block uint64) {
 	if r == nil {
 		return

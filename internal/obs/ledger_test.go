@@ -21,7 +21,7 @@ func TestLedgerAttribution(t *testing.T) {
 	r.CostRelabeled(10)      // direct cost, no structural counter
 	r.CostIO(false, true, 5) // exclusive-path write
 	r.ClearWriterOp()
-	r.CostIO(true, false, 3) // shared read path: row 0, lookup
+	r.CostIO(true, false, 3) // a read op's read: row 0, lookup
 
 	cells := map[string]uint64{}
 	for _, c := range r.LedgerCells() {

@@ -26,7 +26,7 @@ import (
 // From enqueue (group commit) or from the WAL fsync (inline commit) until
 // the checkpoint that applies them, committed images live in an overlay map
 // consulted by readRaw, so the writer immediately reads its own committed
-// state and concurrent shared-path readers never observe a block
+// state and concurrent read ops never observe a block
 // mid-overwrite. Entries are removed — under the same lock — only after
 // the checkpoint's in-place writes complete, which orders "file holds the
 // new image" before "readers go to the file", and only up to the highest

@@ -9,7 +9,7 @@ import (
 // frames and never writes to one: get hands out the resident frame, put
 // replaces it, and a replaced or evicted frame is left to the collector, so
 // a reader still viewing it keeps its bytes. All methods are safe for
-// concurrent use: the shared read path hits the cache from many goroutines.
+// concurrent use: read ops hit the cache from many goroutines.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
