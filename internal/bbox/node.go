@@ -51,12 +51,16 @@ func (n *node) size() uint64 {
 	return s
 }
 
+// readNode decodes block blk, read in a read op of its own: inside an
+// update that is the update's pins, outside one (the health and fsck
+// walks, which visit each node once) a frame released after decoding.
 func (l *Labeler) readNode(blk pager.BlockID) (*node, error) {
-	buf, err := l.store.View(blk)
+	r := l.store.BeginRead()
+	defer r.End()
+	buf, err := r.View(blk)
 	if err != nil {
 		return nil, err
 	}
-	defer l.store.Release(buf)
 	return l.decodeNode(blk, buf)
 }
 
