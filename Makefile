@@ -34,7 +34,7 @@ check:
 
 # The whole suite under the race detector, including the concurrent
 # lookups-over-a-recovered-store walk in internal/crashmatrix and the
-# readers-vs-batch-writer group-commit test in internal/core.
+# readers-vs-batch-writer test in internal/core.
 race:
 	$(GO) test -race ./...
 
@@ -102,15 +102,15 @@ sim-seeds:
 # The crash-point sweep: every durable scheme (the four BOX worlds;
 # naive-k is in-memory only), every raw write point of a scripted
 # durable workload — its commits, its mid-script checkpoint, the appends
-# that overwrite the reused log, its Close — full cuts and torn writes, on
-# the inline and the group-commit path; double crashes during redo (of one
-# cut's log and of a 40-commit log); ENOSPC at every write point; the
+# that overwrite the reused log, its Close — full cuts and torn writes, per
+# operation and in ApplyBatch transactions; double crashes during redo (of
+# one cut's log and of a 40-commit log); ENOSPC at every write point; the
 # corruption byte-flip matrix. Then the pager's own checkpoint matrix: the
-# same cuts on its scripted workload, the group flush through Close, and
-# the stale-generation log scans.
+# same cuts on its scripted workload, the checkpoint through Close, and the
+# stale-generation log scans.
 crash-matrix:
 	$(GO) test ./internal/crashmatrix -v
-	$(GO) test ./internal/pager -run 'TestCrashPointSweep|TestGroupCommitCrashPrefix|TestScanWALStaleTail|TestGenerationZeroLogRedoes|TestCheckpoint' -v
+	$(GO) test ./internal/pager -run 'TestCrashPointSweep|TestScanWALStaleTail|TestGenerationZeroLogRedoes|TestCheckpoint' -v
 
 # The runtime fault-tolerance sweep: transient write faults at every k-th
 # raw write on all four durable scheme workloads, each failing its op with a clean
@@ -201,15 +201,16 @@ serve-smoke:
 	@echo "serve-smoke: faults absorbed, no op failed, drain clean, store fsck-clean"
 
 # Span-tracing smoke: a durable element-wise load in ApplyBatch
-# transactions of 8 under group commit of 8, with the Chrome trace exporter
-# on (the artifact CI uploads; load it in Perfetto — each fsync span
-# resolves a group of batch spans), plus the null-span guarantee that
-# disabled tracing costs zero allocations on the op path.
+# transactions of 64, with the Chrome trace exporter on (the artifact CI
+# uploads; load it in Perfetto — each batch span on the writer lane holds
+# its 64 insert spans and the one fsync that makes them durable), plus the
+# null-span guarantee that disabled tracing costs zero allocations on the
+# op path.
 trace-smoke:
 	$(GO) run ./cmd/boxgen -elements 2000 -seed 1 > /tmp/boxes-trace.xml
 	rm -f /tmp/boxes-trace.box /tmp/boxes-trace.box.*
-	$(GO) run ./cmd/boxload -scheme bbox -save /tmp/boxes-trace.box -durable -group-commit 8 -batch 8 \
-		-trace trace-group-commit.json /tmp/boxes-trace.xml
+	$(GO) run ./cmd/boxload -scheme bbox -save /tmp/boxes-trace.box -durable -batch 64 \
+		-trace trace-batch.json /tmp/boxes-trace.xml
 	$(GO) test ./internal/obs -run 'TestTracerDisabledIsNullAndAllocFree' -count=1 -v
 	$(GO) test ./internal/core -run 'TestPhaseCoverageDurable|TestBatchTraceCoalescing' -count=1 -v
 

@@ -62,12 +62,6 @@ type (
 	BatchOpKind = core.OpKind
 	// BatchOpResult is the positional outcome of one BatchOp.
 	BatchOpResult = core.OpResult
-	// Durability tunes WAL group commit (Options.Durability): Every is the
-	// target group size, MaxDelay the longest a queued transaction waits
-	// for company before its group flushes anyway.
-	Durability = pager.Durability
-	// CommitTicket resolves when a queued transaction is durable.
-	CommitTicket = pager.CommitTicket
 )
 
 // ErrReadOnly is returned by mutations once a permanent write fault has

@@ -8,7 +8,7 @@
 //	boxload -scheme bbox -join open_auction,increase doc.xml
 //	boxload -scheme wboxo -twig '//open_auction//bidder/increase' doc.xml
 //	boxgen -elements 50000 | boxload -scheme bbox -ordinal -
-//	boxgen -elements 2000 | boxload -scheme bbox -save doc.box -durable -batch 8 -group-commit 8 -
+//	boxgen -elements 2000 | boxload -scheme bbox -save doc.box -durable -batch 64 -
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 		runFsck  = flag.Bool("fsck", false, "with -save: close the store and run an offline fsck over the file")
 		durable  = flag.Bool("durable", false, "with -save: route every mutation through the write-ahead log")
 		batch    = flag.Int("batch", 0, "load element-wise in ApplyBatch transactions of N inserts (0 = one bulk load)")
-		groupN   = flag.Int("group-commit", 0, "with -durable: coalesce up to N transactions per WAL fsync")
 		metrics  = flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (\":0\" picks a port)")
 		trace    = flag.String("trace", "", "record spans and write a Chrome trace-event JSON file (open in Perfetto)")
 		slowOp   = flag.Duration("slow-op", 0, "log operations slower than this and keep their span trees (e.g. 5ms)")
@@ -92,13 +91,7 @@ func main() {
 	if *durable && *saveTo == "" {
 		fatal(fmt.Errorf("-durable needs -save (the WAL lives next to the store file)"))
 	}
-	if *groupN > 0 && !*durable {
-		fatal(fmt.Errorf("-group-commit needs -durable (it batches WAL fsyncs)"))
-	}
 	opts.Durable = *durable
-	if *groupN > 0 {
-		opts.Durability = &pager.Durability{Every: *groupN}
-	}
 	var fb *pager.FileBackend
 	if *saveTo != "" {
 		var err error
@@ -161,12 +154,7 @@ func main() {
 	fmt.Printf("load i/o: %v\n", loadIO)
 	if *durable {
 		ws := fb.WALStats()
-		groupSize := 0.0
-		if ws.GroupCommits > 0 {
-			groupSize = float64(ws.GroupedTxns) / float64(ws.GroupCommits)
-		}
-		fmt.Printf("wal     : %d commits, %d fsyncs, %d grouped txns in %d groups (mean %.2f txns/group)\n",
-			ws.Commits, ws.Syncs, ws.GroupedTxns, ws.GroupCommits, groupSize)
+		fmt.Printf("wal     : %d commits, %d fsyncs, %d checkpoints\n", ws.Commits, ws.Syncs, ws.Checkpoints)
 	}
 
 	if *check {
@@ -256,8 +244,7 @@ func main() {
 		}
 	}
 	// -fsck already closed the backend to hand the file to the checker;
-	// otherwise shut down cleanly: drain any queued group commits, sync,
-	// and release the files.
+	// otherwise shut down cleanly: checkpoint, sync and release the files.
 	if !(*saveTo != "" && *runFsck) {
 		if err := st.Close(); err != nil {
 			fatal(fmt.Errorf("close: %w", err))

@@ -1,14 +1,14 @@
 // Command boxserve serves a durable labeling store over the native
 // length-prefixed protocol: one process owns the store file and its WAL,
 // and any number of boxclient connections get ordered-label operations
-// with per-request deadlines, bounded admission, group-committed writes,
-// and a graceful drain on SIGTERM (in-flight ops finish and ack; new work
+// with per-request deadlines, bounded admission, batched writes (queued
+// writes commit together, one WAL fsync per batch), and a graceful drain on SIGTERM (in-flight ops finish and ack; new work
 // is rejected with a typed draining status).
 //
 // Usage:
 //
 //	boxserve -store doc.box -addr :4280
-//	boxserve -store doc.box -addr :4280 -metrics :9100 -group-commit 8
+//	boxserve -store doc.box -addr :4280 -metrics :9100 -batch-max 32
 //	boxserve -store doc.box -fault-kth 5 -fault-mode crash   # smoke/chaos
 //
 // The store file is created on first start and recovered (WAL replay) on
@@ -40,9 +40,8 @@ func main() {
 		storePath = flag.String("store", "", "store file (created if absent, recovered if present)")
 		scheme    = flag.String("scheme", "wbox", "labeling scheme for a NEW store: wbox | wboxo | bbox")
 		block     = flag.Int("block", 8192, "block size in bytes for a NEW store")
-		groupN    = flag.Int("group-commit", 8, "coalesce up to N transactions per WAL fsync")
 		queue     = flag.Int("queue", 256, "admission queue depth; beyond it writes are shed with a typed overload status")
-		batchMax  = flag.Int("batch-max", 32, "max queued writes group-committed as one WAL transaction")
+		batchMax  = flag.Int("batch-max", 32, "max queued writes committed as one WAL transaction")
 		metrics   = flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (\":0\" picks a port)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-drain hard deadline on SIGTERM/SIGINT")
 		crashDir  = flag.String("crashdir", "", "write flight-recorder crash dumps to this directory on op errors")
@@ -56,7 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	store, fb, recovered, err := openStore(*storePath, *scheme, *block, *groupN, *crashDir)
+	store, fb, recovered, err := openStore(*storePath, *scheme, *block, *crashDir)
 	if err != nil {
 		fatal(err)
 	}
@@ -149,12 +148,9 @@ func main() {
 
 // openStore creates the store file on first start or recovers it (WAL
 // replay plus saved metadata) on restart. Either way the result is a
-// durable, group-committing Store.
-func openStore(path, scheme string, block, groupN int, crashDir string) (*core.Store, *pager.FileBackend, bool, error) {
+// durable Store.
+func openStore(path, scheme string, block int, crashDir string) (*core.Store, *pager.FileBackend, bool, error) {
 	runtime := core.Options{Durable: true, CrashDir: crashDir}
-	if groupN > 0 {
-		runtime.Durability = &pager.Durability{Every: groupN}
-	}
 	if _, err := os.Stat(path); err == nil {
 		fb, err := pager.OpenFile(path)
 		if err != nil {

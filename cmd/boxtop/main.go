@@ -166,14 +166,11 @@ func pollHeat(client *http.Client, base string) (*obs.HeatDebugPayload, error) {
 }
 
 // gaugePrefixes selects the /metrics families worth a dashboard line: the
-// WAL/group-commit behavior the trace view exists to explain.
+// WAL and admission-queue behavior the trace view exists to explain.
 var gaugePrefixes = []string{
 	"pager_wal_syncs_per_commit",
-	"pager_wal_group_size",
 	"pager_wal_size_bytes",
 	"pager_checkpoints_total",
-	"pager_gc_queue_depth",
-	"pager_gc_overlay_blocks",
 	"serve_queue_depth",
 	"serve_shed_total",
 	"serve_conns_active",

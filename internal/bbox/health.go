@@ -33,22 +33,31 @@ func (l *Labeler) CollectGauges() []obs.GaugeValue {
 	}
 
 	t := obs.NewTreeStats(l.height)
-	if root, err := l.readNode(l.root); err != nil {
-		t.AddError()
-	} else {
-		l.healthNode(root, l.height-1, true, t)
-	}
+	l.healthNode(l.root, l.height-1, true, t)
 	return append(gs, t.Gauges()...)
 }
 
-// healthNode records one node's statistics and recurses. B-BOX nodes do
+// healthNode records block blk's statistics and recurses. B-BOX nodes do
 // not store their level, so it is threaded down the walk (leaves at 0).
-func (l *Labeler) healthNode(n *node, level int, isRoot bool, t *obs.TreeStats) {
+// The count and children are read in place through the layout accessors,
+// so a scrape's walk allocates no node.
+func (l *Labeler) healthNode(blk pager.BlockID, level int, isRoot bool, t *obs.TreeStats) {
+	r := l.store.BeginRead()
+	defer r.End()
+	buf, err := r.View(blk)
+	var leaf bool
+	var count int
+	if err == nil {
+		leaf, count, _, err = l.header(blk, buf)
+	}
+	if err != nil {
+		t.AddError()
+		return
+	}
 	capacity, minOcc := l.p.Fanout, l.p.MinFanout
-	if n.leaf {
+	if leaf {
 		capacity, minOcc = l.p.LeafCap, l.p.MinLeaf
 	}
-	count := n.count()
 	occ := float64(count) / float64(capacity)
 	// Slack to the nearest occupancy threshold: a node splits when it
 	// reaches capacity and (unless it is the root) underflows below minOcc.
@@ -63,16 +72,8 @@ func (l *Labeler) healthNode(n *node, level int, isRoot bool, t *obs.TreeStats) 
 		}
 	}
 	t.Observe(level, occ, slack, true)
-	if n.leaf {
-		return
-	}
-	for i := range n.ents {
-		child, err := l.readNode(n.ents[i].child)
-		if err != nil {
-			t.AddError()
-			continue
-		}
-		l.healthNode(child, level-1, false, t)
+	for i := 0; i < count && !leaf; i++ {
+		l.healthNode(entChild(buf, l.entOff(i)), level-1, false, t)
 	}
 }
 

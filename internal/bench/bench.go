@@ -43,7 +43,7 @@ func (c Config) attach(name string, store *pager.Store) {
 	if c.Metrics == nil {
 		return
 	}
-	store.SetObserver(c.Metrics)
+	store.SetObserver(c.Metrics, name)
 	c.Metrics.SetScheme(name)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"boxes/internal/obs"
 	"boxes/internal/order"
-	"boxes/internal/pager"
 	"boxes/internal/query"
 	"boxes/internal/xmlgen"
 )
@@ -121,21 +120,11 @@ func (s *Store) ApplyBatch(ops []Op) ([]OpResult, error) {
 // detected before the first op runs. Servers use this to shed queued work
 // on deadline without ever cancelling mid-WAL-commit.
 func (s *Store) ApplyBatchCtx(ctx context.Context, ops []Op) ([]OpResult, error) {
-	results, t, err := s.applyBatch(ctx, ops)
-	if err = s.settle(obs.OpBatch, t, err); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// applyBatch is ApplyBatchCtx minus the durability wait: it returns the
-// commit ticket (nil without group commit) for the caller to settle.
-func (s *Store) applyBatch(ctx context.Context, ops []Op) ([]OpResult, *pager.CommitTicket, error) {
 	if len(ops) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	results := make([]OpResult, len(ops))
-	t, err := s.exclusive(obs.OpBatch, func() error {
+	err := s.write(obs.OpBatch, func() error {
 		return s.transact(s.opts.Durable, func() error {
 			for i := range ops {
 				if cerr := ctx.Err(); cerr != nil {
@@ -143,7 +132,7 @@ func (s *Store) applyBatch(ctx context.Context, ops []Op) ([]OpResult, *pager.Co
 				}
 				// With span recording on, each positional op is a child span
 				// of the batch, so a trace shows the individual inserts that
-				// later coalesce under one fsync.
+				// share its one fsync.
 				sp := s.reg.Tracer().StartAuto(false, ops[i].Kind.String())
 				err := s.applyOne(&ops[i], &results[i])
 				sp.End(err)
@@ -154,7 +143,10 @@ func (s *Store) applyBatch(ctx context.Context, ops []Op) ([]OpResult, *pager.Co
 			return nil
 		})
 	})
-	return results, t, err
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // applyOne is the one dispatch of an Op onto the labeler, for single-op
@@ -210,11 +202,6 @@ func (s *Store) applyOne(op *Op, res *OpResult) error {
 // element's parent is always applied before the element references the
 // parent's end tag; the returned Document's Elems are still indexed by
 // preorder element index, exactly like Load's.
-//
-// With group commit, LoadBatched waits only for its last batch's ticket:
-// commits are ordered and a failed group poisons every later commit, so
-// the last ticket settles them all, and the committer coalesces the stream
-// of batches into groups meanwhile.
 func (s *Store) LoadBatched(tree *xmlgen.Tree, batchSize int) (*Document, error) {
 	if tree == nil || tree.Root == nil {
 		return nil, errors.New("core: empty tree")
@@ -230,8 +217,7 @@ func (s *Store) LoadBatched(tree *xmlgen.Tree, batchSize int) (*Document, error)
 	elems := make([]order.ElemLIDs, len(nodes))
 	applied := make([]bool, len(nodes))
 
-	ctx := context.Background()
-	res, last, err := s.applyBatch(ctx, []Op{{Kind: OpInsertFirst}})
+	res, err := s.ApplyBatch([]Op{{Kind: OpInsertFirst}})
 	if err != nil {
 		return nil, err
 	}
@@ -244,11 +230,10 @@ func (s *Store) LoadBatched(tree *xmlgen.Tree, batchSize int) (*Document, error)
 		if len(ops) == 0 {
 			return nil
 		}
-		res, t, err := s.applyBatch(ctx, ops)
+		res, err := s.ApplyBatch(ops)
 		if err != nil {
 			return err
 		}
-		last = t
 		for i := range ops {
 			elems[owners[i]] = res[i].Elem
 			applied[owners[i]] = true
@@ -280,9 +265,6 @@ func (s *Store) LoadBatched(tree *xmlgen.Tree, batchSize int) (*Document, error)
 		}
 	}
 	if err := flush(); err != nil {
-		return nil, err
-	}
-	if err := s.settle(obs.OpBatch, last, nil); err != nil {
 		return nil, err
 	}
 	return &Document{Store: s, Tree: tree, Elems: elems}, nil

@@ -2,10 +2,9 @@ package core
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"boxes/internal/order"
 	"boxes/internal/pager"
@@ -14,7 +13,7 @@ import (
 
 // openDurableBatch creates a durable file-backed WBox store for the batch
 // tests and bootstraps one element.
-func openDurableBatch(t *testing.T, dur *pager.Durability) (*Store, *pager.FileBackend, order.ElemLIDs) {
+func openDurableBatch(t *testing.T) (*Store, *pager.FileBackend, order.ElemLIDs) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "batch.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
@@ -23,7 +22,7 @@ func openDurableBatch(t *testing.T, dur *pager.Durability) (*Store, *pager.FileB
 	}
 	st, err := Open(Options{
 		Scheme: SchemeWBox, BlockSize: 512,
-		Backend: fb, Durable: true, Durability: dur,
+		Backend: fb, Durable: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +38,7 @@ func openDurableBatch(t *testing.T, dur *pager.Durability) (*Store, *pager.FileB
 // mutations commit as ONE WAL transaction — one commit record, one
 // durability point, and no other fsync or in-place write — instead of N.
 func TestApplyBatchOneTransaction(t *testing.T) {
-	st, fb, root := openDurableBatch(t, nil)
+	st, fb, root := openDurableBatch(t)
 	defer fb.Close()
 
 	before := fb.WALStats()
@@ -82,7 +81,7 @@ func TestApplyBatchOneTransaction(t *testing.T) {
 // a batch fails, nothing of the batch reaches the backend — a reopened
 // store shows the exact pre-batch state.
 func TestApplyBatchAtomicOnFailure(t *testing.T) {
-	st, fb, root := openDurableBatch(t, nil)
+	st, fb, root := openDurableBatch(t)
 	countBefore := st.Count()
 
 	ops := []Op{
@@ -129,111 +128,67 @@ func TestApplyBatchAtomicOnFailure(t *testing.T) {
 	}
 }
 
-// TestApplyBatchGroupPrefix verifies group-commit crash semantics at the
-// core level: several batches queued into one held group recover as a
-// clean prefix of batches after the group is cut — never a partial batch.
+// TestApplyBatchGroupPrefix verifies the crash semantics of a stream of
+// batches at the core level: each batch is one WAL transaction, so a log
+// cut anywhere inside batch k recovers exactly the batches before it —
+// never a partial batch.
 func TestApplyBatchGroupPrefix(t *testing.T) {
-	st, fb, root := openDurableBatch(t, &pager.Durability{Every: 8})
+	st, fb, root := openDurableBatch(t)
+	defer fb.Close()
 
-	// Queue three batches into one held group.
+	const batches = 3
 	before := fb.WALStats()
-	for i, err := range queueBehindHold(t, fb, 3, func(int) error {
-		_, err := st.ApplyBatch([]Op{
+	sizes := []uint64{before.SizeBytes}
+	for i := 0; i < batches; i++ {
+		if _, err := st.ApplyBatch([]Op{
 			{Kind: OpInsertBefore, LID: root.End},
 			{Kind: OpInsertBefore, LID: root.Start},
-		})
-		return err
-	}) {
-		if err != nil {
+		}); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
+		sizes = append(sizes, fb.WALStats().SizeBytes)
 	}
-
 	stats := fb.WALStats()
-	if g, n := stats.GroupCommits-before.GroupCommits, stats.GroupedTxns-before.GroupedTxns; g != 1 || n != 3 {
-		t.Fatalf("3 held batches flushed as %d groups of %d txns, want 1 group of 3", g, n)
+	if c, s := stats.Commits-before.Commits, stats.Syncs-before.Syncs; c != batches || s != batches || stats.Checkpoints != before.Checkpoints {
+		t.Fatalf("%d batches made %d commits and %d WAL fsyncs (checkpoints %d -> %d), want %d of each and no checkpoint",
+			batches, c, s, before.Checkpoints, stats.Checkpoints, batches)
 	}
-	if got, want := st.Count(), uint64(2+3*4); got != want {
-		t.Fatalf("count = %d, want %d", got, want)
-	}
+
+	// Copy the live store's files, cut the copied log halfway into each
+	// batch's transaction, and reopen: the batches before it survive whole.
 	path := fb.Path()
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fb2, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb2.Close()
-	re, err := OpenExisting(fb2, Options{Durable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := re.Count(), uint64(2+3*4); got != want {
-		t.Fatalf("reopened count = %d, want %d", got, want)
-	}
-	if err := re.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// queueBehindHold runs n writes from goroutines while the group committer
-// is held, waits until all n transactions sit in its queue (each writer
-// then waits for its ticket outside the store lock), releases the
-// committer and returns the writes' errors.
-func queueBehindHold(t *testing.T, fb *pager.FileBackend, n int, write func(i int) error) []error {
-	t.Helper()
-	fb.HoldGroupCommit(true)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = write(i)
-		}(i)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	queued := 0
-	for queued < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		queued = fb.GroupQueueStats().QueueDepth
-	}
-	fb.HoldGroupCommit(false)
-	wg.Wait()
-	if queued < n {
-		t.Fatalf("only %d of %d writes reached the held commit queue in 10 s", queued, n)
-	}
-	return errs
-}
-
-// TestLoadBatchedCoalesces checks that a sequential LoadBatched over a
-// group-committing store still shares fsyncs: it waits only for its last
-// batch's ticket, so the committer groups the stream.
-func TestLoadBatchedCoalesces(t *testing.T) {
-	fb, err := pager.CreateFileOpts(filepath.Join(t.TempDir(), "load.boxes"), pager.FileOptions{BlockSize: 512, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(Options{
-		Scheme: SchemeWBox, BlockSize: 512,
-		Backend: fb, Durable: true, Durability: &pager.Durability{Every: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	before := fb.WALStats()
-	if _, err := st.LoadBatched(xmlgen.TwoLevel(400), 4); err != nil {
-		t.Fatal(err)
-	}
-	ws := fb.WALStats()
-	commits, groups := ws.Commits-before.Commits, ws.GroupCommits-before.GroupCommits
-	if groups == 0 || groups >= commits {
-		t.Fatalf("%d batch commits flushed in %d groups, want fewer groups than commits", commits, groups)
-	}
-	if err := st.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for k := 1; k <= batches; k++ {
+		dir := t.TempDir()
+		cut := filepath.Join(dir, "cut.boxes")
+		for _, ext := range []string{"", ".crc", ".wal"} {
+			b, err := os.ReadFile(path + ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ext == ".wal" {
+				b = b[:sizes[k-1]+(sizes[k]-sizes[k-1])/2]
+			}
+			if err := os.WriteFile(cut+ext, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fb2, err := pager.OpenFileOpts(cut, pager.FileOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenExisting(fb2, Options{Durable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := re.Count(), uint64(2+(k-1)*4); got != want {
+			t.Fatalf("log cut inside batch %d: reopened count = %d, want %d", k, got, want)
+		}
+		if err := re.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -88,13 +88,11 @@ type Options struct {
 	// (not naive-k: ErrNotPersistent). Costs one blob rewrite per update.
 	Durable bool
 
-	// Durability starts the backend's group committer (WAL group commit):
-	// concurrently committing operations coalesce into a single WAL fsync.
-	// Requires Durable and a backend that supports group commit
-	// (pager.FileBackend). A mutator queues its transaction under the store
-	// lock and waits for it to become durable after releasing the lock, so
-	// the next writer's transaction can join the same group. Nil keeps
-	// synchronous per-operation commits.
+	// Durability is ignored: every durable operation commits inline, WAL
+	// append and fsync under the write lock. Coalesce writes with
+	// ApplyBatch instead.
+	//
+	// Deprecated: leave it nil.
 	Durability *pager.Durability
 
 	// Metrics routes the store's measurements into an existing registry,
@@ -126,11 +124,10 @@ type Options struct {
 // Backup's block copy run concurrently under the read side, each pinning
 // blocks in a read op of its own (pager.ReadOp), while mutators, Load,
 // LoadBatched, Save, CheckInvariants, ClearDegraded, ResetStats and Close
-// serialize under the write side. A mutator waits for its commit ticket
-// after releasing the lock, so with group commit (Options.Durability)
-// concurrently queued transactions share one WAL fsync; it returns nil only
-// once its transaction is durable. Lock acquisition waits are recorded as
-// the lock_wait_read / lock_wait_write phase of the op that paid for them.
+// serialize under the write side. A mutator commits before it releases the
+// lock, so it returns nil only once its transaction is durable. Lock
+// acquisition waits are recorded as the lock_wait_read / lock_wait_write
+// phase of the op that paid for them.
 type Store struct {
 	mu         sync.RWMutex
 	opts       Options
@@ -177,7 +174,7 @@ func Open(opts Options) (*Store, error) {
 		reg.Tracer().Start(obs.TraceOptions{SlowOp: opts.SlowOpThreshold, SlowLogger: slog.Default()})
 	}
 
-	popts := []pager.Option{pager.WithObserver(reg)}
+	popts := []pager.Option{pager.WithObserver(reg, opts.Scheme.String())}
 	if opts.CacheBlocks > 0 {
 		popts = append(popts, pager.WithCache(opts.CacheBlocks))
 	}
@@ -229,23 +226,6 @@ func Open(opts Options) (*Store, error) {
 		}
 		if _, ok := backend.(pager.MetaRooter); !ok {
 			return nil, errors.New("core: Durable requires a backend that persists metadata (pager.MetaRooter)")
-		}
-	}
-	if opts.Durability != nil {
-		if !opts.Durable {
-			return nil, errors.New("core: Durability (group commit) requires Durable")
-		}
-		gs, ok := backend.(interface {
-			StartGroupCommit(pager.Durability) error
-			GroupCommitEnabled() bool
-		})
-		if !ok {
-			return nil, errors.New("core: Durability requires a backend with group commit (pager.FileBackend)")
-		}
-		if !gs.GroupCommitEnabled() {
-			if err := gs.StartGroupCommit(*opts.Durability); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -330,7 +310,7 @@ func (s *Store) begin(op obs.Op) opMeasure {
 
 // end closes a measurement: the I/O accumulated since begin is the
 // operation's charge, and the wall time not covered by any instrumented
-// phase (backend I/O, commit, meta persist, ticket wait) is attributed to
+// phase (backend I/O, commit, meta persist) is attributed to
 // the residual "structure" phase — in-memory structure work. The residual
 // is exact when operations run sequentially; under concurrent lookups the
 // pager's phase counters are global, so an op overlapping others
@@ -369,9 +349,8 @@ func (s *Store) notePhase(ph obs.Phase, start time.Time) {
 // the structural writes, the metadata, and the meta root land in one atomic
 // backend transaction — or, when fn or the metadata rewrite fails, in none:
 // the operation is aborted, nothing of it reaches the backend, and
-// noteFaults rolls the labeler back to the committed metadata. The commit
-// ticket of a group-committing backend stays parked in the pager; exclusive
-// takes it and the caller waits for it once the lock is released. Without
+// noteFaults rolls the labeler back to the committed metadata. A commit
+// failure is handled here too, under the caller's write lock. Without
 // persist (a non-durable store's mutators) it just runs fn.
 func (s *Store) transact(persist bool, fn func() error) error {
 	if err := s.readOnlyErr(); err != nil {
@@ -398,11 +377,10 @@ func (s *Store) transact(persist bool, fn func() error) error {
 	return err
 }
 
-// exclusive runs fn as the measured operation op under the write lock,
-// recording the lock wait as op's lock_wait_write phase. It returns, with
-// the lock released, fn's error and the commit ticket fn's transaction
-// left parked (nil without group commit) for the caller to settle.
-func (s *Store) exclusive(op obs.Op, fn func() error) (*pager.CommitTicket, error) {
+// write runs fn as the measured operation op under the write lock,
+// recording the lock wait as op's lock_wait_write phase. A durable fn
+// commits inside it, so write returns once the transaction is durable.
+func (s *Store) write(op obs.Op, fn func() error) error {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -410,43 +388,7 @@ func (s *Store) exclusive(op obs.Op, fn func() error) (*pager.CommitTicket, erro
 	c := s.begin(op)
 	err := fn()
 	s.end(c, err)
-	return s.store.TakeTicket(), err
-}
-
-// settle waits, outside the lock, for the commit ticket t of op's
-// transaction, recording the wait as op's fsync_wait phase. A commit that
-// fails after the lock was released latches the fault and enters degraded
-// mode under a fresh write lock (the rollback touches the labeler, which
-// lookups may be using).
-func (s *Store) settle(op obs.Op, t *pager.CommitTicket, err error) error {
-	if t == nil {
-		return err
-	}
-	t0 := time.Now()
-	werr := t.Wait()
-	d := time.Since(t0)
-	s.reg.ObservePhase(op, obs.PhaseFsyncWait, d)
-	if tr := s.reg.Tracer(); tr.Enabled() {
-		tr.RecordSpan(obs.LaneWriter, obs.PhaseFsyncWait.String(), 0, t0, d, 0, werr)
-	}
-	if werr == nil {
-		return err
-	}
-	s.store.NoteWriteFault(werr)
-	s.mu.Lock()
-	s.noteFaults(werr)
-	s.mu.Unlock()
-	if err == nil {
-		err = werr
-	}
 	return err
-}
-
-// write runs fn as the exclusive operation op and returns once its
-// transaction is durable.
-func (s *Store) write(op obs.Op, fn func() error) error {
-	t, err := s.exclusive(op, fn)
-	return s.settle(op, t, err)
 }
 
 // mutate runs one element-level mutation as its own transaction, measured

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -327,5 +328,29 @@ func TestCrashDumpInsideOpDoesNotDeadlock(t *testing.T) {
 				t.Errorf("dump gauges missing boxes_tree_height: %d gauges", len(d.Gauges))
 			}
 		})
+	}
+}
+
+// TestHealthAllocCeiling: the health walk, which every /metrics scrape of a
+// served store pays, reads node counts and weights in place, so one
+// Health() of a 100k-element in-memory BOX allocates no node (a decoded
+// W-BOX leaf alone is tens of KB).
+func TestHealthAllocCeiling(t *testing.T) {
+	for _, sc := range []Scheme{SchemeWBox, SchemeBBox} {
+		st, err := Open(Options{Scheme: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Load(xmlgen.TwoLevel(100_000)); err != nil {
+			t.Fatal(err)
+		}
+		const runs, maxBytes = 3, 64 << 10
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		testing.AllocsPerRun(runs, func() { st.Health() })
+		runtime.ReadMemStats(&m1)
+		if bytes := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1); bytes > maxBytes {
+			t.Errorf("%v: one Health() over %d blocks allocates %d B, ceiling %d B", sc, st.Blocks(), bytes, maxBytes)
+		}
 	}
 }

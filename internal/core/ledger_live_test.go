@@ -159,3 +159,51 @@ func TestLedgerLiveScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLedgerReadOpsChargeTheirStore: two stores of different schemes share
+// one registry, and a lookup's block reads land in the lookup cell of the
+// store that ran it, not in the registry's first row.
+func TestLedgerReadOpsChargeTheirStore(t *testing.T) {
+	reg := obs.NewRegistry()
+	wst, err := Open(Options{Scheme: SchemeWBox, BlockSize: 512, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bst, err := Open(Options{Scheme: SchemeBBox, BlockSize: 512, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wst.Load(xmlgen.TwoLevel(50)); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := bst.Load(xmlgen.TwoLevel(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookupReads := func(scheme string) uint64 {
+		for _, c := range reg.LedgerCells() {
+			if c.Scheme == scheme && c.Op == "lookup" && c.Kind == "block_reads" {
+				return c.Value
+			}
+		}
+		return 0
+	}
+	w0, b0 := lookupReads("W-BOX"), lookupReads("B-BOX")
+	r0 := bst.Stats().Reads
+	if _, err := bst.Lookup(doc.Elems[7].Start); err != nil {
+		t.Fatal(err)
+	}
+	reads := bst.Stats().Reads - r0
+	if reads == 0 {
+		t.Fatal("the B-BOX lookup read no block")
+	}
+	if got := lookupReads("B-BOX") - b0; got != reads {
+		t.Errorf("{B-BOX, lookup} was charged %d block reads for a lookup that read %d", got, reads)
+	}
+	if got := lookupReads("W-BOX") - w0; got != 0 {
+		t.Errorf("{W-BOX, lookup} was charged %d block reads of the B-BOX lookup", got)
+	}
+	if err := reg.CheckLedger(true); err != nil {
+		t.Error(err)
+	}
+}

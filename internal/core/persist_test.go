@@ -247,7 +247,6 @@ func TestOpenExistingHonoursRuntimeOptions(t *testing.T) {
 	st2, err := OpenExisting(fb2, Options{
 		Scheme:          SchemeNaive, // overridden by the saved metadata
 		Durable:         true,
-		Durability:      &pager.Durability{Every: 1},
 		CacheBlocks:     4,
 		Metrics:         reg,
 		CrashDir:        dir,
@@ -273,9 +272,6 @@ func TestOpenExistingHonoursRuntimeOptions(t *testing.T) {
 	}
 	if !hasCapacity {
 		t.Error("CacheBlocks: no pager_cache_capacity gauge after reopen")
-	}
-	if !fb2.GroupCommitEnabled() {
-		t.Error("Durability: group commit is off after reopen")
 	}
 	if _, err := st2.InsertElementBefore(order.LID(1 << 40)); err == nil {
 		t.Fatal("insert before a LID that does not exist succeeded")

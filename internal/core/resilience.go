@@ -133,9 +133,6 @@ func (s *Store) enterDegraded(cause error) {
 		return
 	}
 	s.reg.Inc(obs.CtrCoreDegraded)
-	// A group commit that aborted asynchronously (after its EndOp returned)
-	// may have left pre-abort images in the pager's LRU cache.
-	s.store.InvalidateCache()
 	if s.opts.Durable && !errors.Is(cause, pager.ErrPoisoned) {
 		if err := s.restoreCommittedMeta(); err != nil {
 			s.deg.Store(&degradedInfo{cause: fmt.Errorf("%v; metadata rollback also failed: %v", cause, err)})
@@ -172,8 +169,8 @@ func unwrapBackend(b pager.Backend) pager.Backend {
 // an identical store — restore is a plain file copy, no replay needed. The
 // store must be file-backed. A durable store's metadata is already
 // committed per operation; a non-durable store Saves first so the snapshot
-// is resumable. The block copy runs under the read lock, so lookups (and
-// the group-commit committer) keep running and only mutators wait.
+// is resumable. The block copy runs under the read lock, so lookups keep
+// running and only mutators wait.
 func (s *Store) Backup(path string) error {
 	if !s.opts.Durable {
 		if err := s.Save(); err != nil {
@@ -189,9 +186,9 @@ func (s *Store) Backup(path string) error {
 	return fb.BackupTo(path)
 }
 
-// Close releases the store under the write lock: pending group commits are
-// drained and the backend is closed. Durable stores are consistent at every
-// operation boundary; non-durable stores must Save first to be resumable.
+// Close releases the store under the write lock and closes the backend.
+// Durable stores are consistent at every operation boundary; non-durable
+// stores must Save first to be resumable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

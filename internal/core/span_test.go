@@ -148,10 +148,8 @@ func validateExposition(t *testing.T, body string) {
 }
 
 // TestMetricsScrapeRace races /metrics and /debug/spans scrapes against
-// active writers and readers on a durable group-commit Store — including
-// one scrape taken while the committer is
-// deliberately held mid-group. Every scrape must stay parseable with a
-// single # TYPE per family. Run under -race this is the satellite
+// active writers and readers on a durable Store. Every scrape must stay
+// parseable with a single # TYPE per family. Run under -race this is the satellite
 // concurrency gate for the span/phase instrumentation.
 func TestMetricsScrapeRace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scrape.boxes")
@@ -161,7 +159,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 	st, err := Open(Options{
 		Scheme: SchemeBBox, BlockSize: 512, Backend: fb,
-		Durable: true, Durability: &pager.Durability{Every: 8},
+		Durable: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,24 +260,6 @@ func TestMetricsScrapeRace(t *testing.T) {
 		t.Fatal("no scrapes validated")
 	}
 
-	// Scrape mid-group-commit: hold the committer, let a mutation enqueue
-	// (it blocks on its ticket), scrape, then release.
-	fb.HoldGroupCommit(true)
-	insertDone := make(chan error, 1)
-	go func() {
-		_, err := st.InsertElementBefore(doc.Elems[0].Start)
-		insertDone <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the txn reach the queue
-	body, err := scrape("/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	validateExposition(t, body)
-	fb.HoldGroupCommit(false)
-	if err := <-insertDone; err != nil {
-		t.Fatal(err)
-	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +268,10 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 }
 
-// TestBatchTraceCoalescing drives concurrent ApplyBatch transactions into a
-// held group committer and asserts the trace shows the coalescing: several
-// batch op spans (each with per-positional-op child spans) whose commit
-// resolves in ONE commit_group span covering multiple transactions, with
-// queue_wait spans linking each transaction back to its op span.
+// TestBatchTraceCoalescing drives concurrent ApplyBatch transactions and
+// asserts the trace shows each batch coalescing its ops under one commit:
+// every batch op span carries one child span per positional op and exactly
+// one fsync span, all on the writer lane, the only lane a writer uses.
 func TestBatchTraceCoalescing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coalesce.boxes")
 	fb, err := pager.CreateFileOpts(path, pager.FileOptions{BlockSize: 512, NoSync: true})
@@ -301,7 +280,7 @@ func TestBatchTraceCoalescing(t *testing.T) {
 	}
 	st, err := Open(Options{
 		Scheme: SchemeBBox, BlockSize: 512, Backend: fb,
-		Durable: true, Durability: &pager.Durability{Every: 8},
+		Durable: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,11 +297,15 @@ func TestBatchTraceCoalescing(t *testing.T) {
 		ops[i] = Op{Kind: OpInsertBefore, LID: root.End}
 	}
 	const batches = 4
-	for _, err := range queueBehindHold(t, fb, batches, func(int) error {
-		_, err := st.ApplyBatch(ops)
-		return err
-	}) {
-		if err != nil {
+	errs := make(chan error, batches)
+	for i := 0; i < batches; i++ {
+		go func() {
+			_, err := st.ApplyBatch(ops)
+			errs <- err
+		}()
+	}
+	for i := 0; i < batches; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,26 +315,25 @@ func TestBatchTraceCoalescing(t *testing.T) {
 
 	spans := tr.Spans()
 	batchSpans := map[uint64]bool{}
-	childInserts := 0
-	var maxGroup int
-	queueWaits := 0
 	for _, sp := range spans {
-		switch sp.Name {
-		case "batch":
+		if sp.Name == "batch" {
 			batchSpans[sp.ID] = true
-		case "commit_group":
-			if sp.N > maxGroup {
-				maxGroup = sp.N
-			}
-		case "queue_wait":
-			if sp.Parent != 0 {
-				queueWaits++
-			}
 		}
 	}
+	childInserts := 0
+	fsyncs := map[uint64]int{}
 	for _, sp := range spans {
-		if sp.Name == "insert-before" && batchSpans[sp.Parent] {
+		if !batchSpans[sp.Parent] {
+			continue
+		}
+		if sp.Lane != 0 {
+			t.Errorf("batch child %q on lane %d, want the writer lane", sp.Name, sp.Lane)
+		}
+		switch sp.Name {
+		case "insert-before":
 			childInserts++
+		case "fsync":
+			fsyncs[sp.Parent]++
 		}
 	}
 	if len(batchSpans) != batches {
@@ -360,11 +342,10 @@ func TestBatchTraceCoalescing(t *testing.T) {
 	if childInserts != batches*len(ops) {
 		t.Errorf("want %d per-positional-op child spans, got %d", batches*len(ops), childInserts)
 	}
-	if maxGroup < 2 {
-		t.Errorf("no commit group coalesced multiple transactions (max group size %d)", maxGroup)
-	}
-	if queueWaits < 2 {
-		t.Errorf("want queue_wait spans parented to op spans, got %d", queueWaits)
+	for id := range batchSpans {
+		if fsyncs[id] != 1 {
+			t.Errorf("batch span %d has %d fsync children, want its one commit's", id, fsyncs[id])
+		}
 	}
 
 	var b strings.Builder
@@ -385,10 +366,8 @@ func TestBatchTraceCoalescing(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"writer", "committer", "commit-queue"} {
-		if !lanes[want] {
-			t.Errorf("trace missing lane %q (have %v)", want, lanes)
-		}
+	if !lanes["writer"] || len(lanes) != 1 {
+		t.Errorf("trace lanes %v, want the writer lane alone", lanes)
 	}
 }
 

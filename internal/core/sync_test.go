@@ -68,13 +68,13 @@ func TestSyncStoreConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestSyncStoreConcurrentBatchReaders is the group-commit concurrency
+// TestSyncStoreConcurrentBatchReaders is the batch-commit concurrency
 // property test: one writer streams ApplyBatch transactions into a durable
 // file-backed Store while reader goroutines race it with lookups. Under
 // -race this exercises the store lock, the readers' own pin sets, and the
-// WAL group-commit overlay (readers may observe blocks whose
-// group is still being flushed). Readers assert order invariants that must
-// hold at every batch boundary: spans never invert and an element's start
+// committed images readers are served ahead of the data file until a
+// checkpoint applies them. Readers assert order invariants that must hold
+// at every batch boundary: spans never invert and an element's start
 // ordinal precedes its end ordinal.
 //
 // The lru-on run repeats it with the pager's LRU enabled: reader views are
@@ -93,7 +93,6 @@ func concurrentBatchReaders(t *testing.T, cacheBlocks int) {
 	st, err := Open(Options{
 		Scheme: SchemeWBox, Ordinal: true, BlockSize: 512,
 		Backend: fb, Durable: true, CacheBlocks: cacheBlocks,
-		Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +205,8 @@ func concurrentBatchReaders(t *testing.T, cacheBlocks int) {
 	}
 
 	// The whole history must be recoverable from disk: every ApplyBatch
-	// ticket resolved before its caller returned, so the reopened store
-	// holds exactly the final count.
+	// was durable before its caller returned, so the reopened store holds
+	// exactly the final count.
 	fb2, err := pager.OpenFileOpts(path, pager.FileOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)

@@ -12,15 +12,6 @@ import (
 	"boxes/internal/pager"
 )
 
-// groupRuntimeOpts is runtimeOpts with WAL group commit enabled: all
-// commits route through the committer goroutine, so the sweep proves the
-// async commit path preserves the recovery contract.
-func groupRuntimeOpts() core.Options {
-	rt := runtimeOpts()
-	rt.Durability = &pager.Durability{Every: 4}
-	return rt
-}
-
 const batchScriptOps = 4
 
 // batchScriptOp applies the j-th scripted ApplyBatch (two inserts and a
@@ -61,7 +52,7 @@ func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems [
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.OpenExisting(fb, groupRuntimeOpts())
+	st, err := core.OpenExisting(fb, runtimeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +71,12 @@ func goldenGroupRun(t *testing.T, path string, baseLIDs []order.LID, baseElems [
 	return snapshots, ctrl.Writes()
 }
 
-// TestCrashMatrixGroupCommit extends the crash matrix to ApplyBatch under
-// WAL group commit: every scheme, a scripted workload of multi-op batches,
-// power cut at every write point of the committer goroutine — and of the
-// checkpoints the writer runs once it has drained, mid-script and at Close
-// — full cuts and torn half-writes. The recovered store must sit at an exact BATCH
-// boundary — all completed batches plus possibly the in-flight one if its
+// TestCrashMatrixGroupCommit extends the crash matrix to ApplyBatch, the
+// one layer that groups operations into a commit: every scheme, a scripted
+// workload of multi-op batches committed inline, power cut at every write
+// point of the commits and of the checkpoints, mid-script and at Close —
+// full cuts and torn half-writes. The recovered store must sit at an exact
+// BATCH boundary — all completed batches plus possibly the in-flight one if its
 // commit record was durable — never at a partial batch: a batch's
 // mutations share one WAL transaction, so recovery replays all of it or
 // none of it.
@@ -117,7 +108,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: open: %v", tag, err)
 					}
-					st, err := core.OpenExisting(fb, groupRuntimeOpts())
+					st, err := core.OpenExisting(fb, runtimeOpts())
 					if err != nil {
 						t.Fatalf("%s: OpenExisting: %v", tag, err)
 					}

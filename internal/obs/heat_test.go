@@ -73,9 +73,9 @@ func TestHeatGrowFoldsExactly(t *testing.T) {
 // means the same key range in all of them.
 func TestHeatSharedScale(t *testing.T) {
 	r := NewRegistry()
-	r.CostIO(true, false, 40)
-	r.CostIO(true, true, 40)
-	r.CostIO(true, false, 4000) // forces shift 4: 4000>>4 = 250
+	r.CostIO(0, false, 40)
+	r.CostIO(0, true, 40)
+	r.CostIO(0, false, 4000) // forces shift 4: 4000>>4 = 250
 
 	snap := r.HeatDebug().Block
 	if snap.Shift != 4 {
@@ -122,8 +122,8 @@ func TestHeatGauges(t *testing.T) {
 // point.
 func TestHeatBlockSpaceFedByCostIO(t *testing.T) {
 	r := NewRegistry()
-	r.CostIO(true, false, 9)
-	r.CostIO(false, true, 9)
+	r.CostIO(0, false, 9)
+	r.CostIO(-1, true, 9)
 
 	snap := r.HeatDebug().Block
 	if got := snap.Series[heatSeriesBlockReads].Counts[9]; got != 1 {

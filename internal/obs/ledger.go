@@ -158,8 +158,7 @@ func (r *Registry) snapLedger() ledgerWindowSnap {
 
 // SchemeIndex interns a scheme name into a ledger row and returns its
 // index. The first scheme registered (via SetScheme at store open, or the
-// first Begin) gets row 0 — the row read-op I/O and unattributed work
-// default to. The read path is one atomic pointer load plus a map lookup.
+// first Begin) gets row 0 — the row unattributed work defaults to. The read path is one atomic pointer load plus a map lookup.
 func (r *Registry) SchemeIndex(name string) int {
 	if r == nil {
 		return 0
@@ -229,16 +228,16 @@ func (r *Registry) CostRelabeled(n uint64) {
 	r.costAdd(CostRelabeledRecs, n)
 }
 
-// CostIO attributes one block I/O (write=false: read) to the current
-// operation and samples the block heat map. A read op's reads
-// (reader=true) are statically lookups on the registry's first scheme;
-// exclusive-path callers resolve through the writer slot.
-func (r *Registry) CostIO(reader, write bool, block uint64) {
+// CostIO attributes one block I/O (write=false: read) to the operation
+// that did it and samples the block heat map. A read op's I/O is a lookup
+// on row, the ledger row of the store that ran it (SchemeIndex); I/O on
+// the exclusive path passes row < 0 and resolves through the writer slot.
+func (r *Registry) CostIO(row int, write bool, block uint64) {
 	if r == nil {
 		return
 	}
-	s, o := 0, OpLookup
-	if !reader {
+	s, o := row, OpLookup
+	if row < 0 {
 		s, o = r.writerCell()
 	}
 	k, series := CostBlockReads, heatSeriesBlockReads

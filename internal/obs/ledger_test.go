@@ -17,11 +17,11 @@ func TestLedgerAttribution(t *testing.T) {
 	}
 
 	r.SetWriterCell(row, OpInsert)
-	r.Inc(CtrWBoxSplits)     // counter-fed cost
-	r.CostRelabeled(10)      // direct cost, no structural counter
-	r.CostIO(false, true, 5) // exclusive-path write
+	r.Inc(CtrWBoxSplits)  // counter-fed cost
+	r.CostRelabeled(10)   // direct cost, no structural counter
+	r.CostIO(-1, true, 5) // exclusive-path write
 	r.ClearWriterOp()
-	r.CostIO(true, false, 3) // a read op's read: row 0, lookup
+	r.CostIO(row, false, 3) // a read op's read: its row, lookup
 
 	cells := map[string]uint64{}
 	for _, c := range r.LedgerCells() {

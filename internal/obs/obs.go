@@ -118,11 +118,8 @@ const (
 	// CtrPagerWALFrames counts block images appended to the write-ahead log.
 	CtrPagerWALFrames
 	// CtrPagerWALSyncs counts write-ahead log fsyncs — the durability
-	// points. Group commit amortizes several transactions over one.
+	// points, one per commit, plus one per checkpoint's log reset.
 	CtrPagerWALSyncs
-	// CtrPagerWALGroups counts commit groups flushed by the group-commit
-	// committer (each covers one or more transactions and one WAL fsync).
-	CtrPagerWALGroups
 	// CtrPagerCheckpoints counts checkpoints: the logged images applied in
 	// place, data and sidecar fsynced, the log reset.
 	CtrPagerCheckpoints
@@ -190,7 +187,6 @@ var counterNames = [numCounters]string{
 	CtrPagerWALCommits:       "pager_wal_commits_total",
 	CtrPagerWALFrames:        "pager_wal_frames_total",
 	CtrPagerWALSyncs:         "pager_wal_syncs_total",
-	CtrPagerWALGroups:        "pager_wal_groups_total",
 	CtrPagerCheckpoints:      "pager_checkpoints_total",
 	CtrPagerChecksumFailures: "pager_checksum_failures_total",
 	CtrCoreDegraded:          "core_degraded_transitions_total",

@@ -3,11 +3,11 @@
 // Two instruments share one phase taxonomy:
 //
 //   - Phase histograms are ALWAYS ON: every instrumented section (a backend
-//     block read, a WAL fsync, a commit-ticket wait, ...) adds its duration
+//     block read, a WAL fsync, a metadata rewrite, ...) adds its duration
 //     to a fixed-bucket histogram keyed by (row, phase), where the row is
 //     the operation kind the section ran under — or the auxiliary "wal"
-//     row for the committer goroutine's work, which belongs to no single
-//     operation. The cost is one time.Now pair plus an atomic histogram
+//     row for the commit protocol's own sections (frame write, fsync,
+//     checkpoint). The cost is one time.Now pair plus an atomic histogram
 //     add per section.
 //
 //   - Span RECORDING is opt-in (Tracer.Start, boxbench/boxload -trace, or a
@@ -56,19 +56,11 @@ const (
 	// PhaseBlockWrite is backend block flush time (EndOp flushes and
 	// write-through writes).
 	PhaseBlockWrite
-	// PhaseWALCommit is the synchronous commit call at EndOp: the inline
-	// WAL append and fsync (plus the checkpoint it may trigger), or just
-	// the enqueue under group commit.
+	// PhaseWALCommit is the commit call at EndOp: the WAL append and fsync
+	// (plus the checkpoint it may trigger).
 	PhaseWALCommit
 	// PhaseMetaPersist is the durable-mode metadata blob rewrite.
 	PhaseMetaPersist
-	// PhaseFsyncWait is the commit-ticket wait: time until the group
-	// committer made the operation durable (includes its queue wait).
-	PhaseFsyncWait
-	// PhaseQueueWait is a transaction's wait in the group-commit queue,
-	// enqueue to committer pickup (recorded on the "wal" row; the op-level
-	// fsync_wait already contains it).
-	PhaseQueueWait
 	// PhaseFrameWrite is WAL frame + commit-record append time ("wal" row).
 	PhaseFrameWrite
 	// PhaseFsync is the WAL fsync itself — the durability point ("wal" row).
@@ -90,8 +82,6 @@ var phaseNames = [numPhases]string{
 	PhaseBlockWrite:    "block_write",
 	PhaseWALCommit:     "wal_commit",
 	PhaseMetaPersist:   "meta_persist",
-	PhaseFsyncWait:     "fsync_wait",
-	PhaseQueueWait:     "queue_wait",
 	PhaseFrameWrite:    "frame_write",
 	PhaseFsync:         "fsync",
 	PhaseCheckpoint:    "checkpoint",
@@ -114,8 +104,9 @@ func Phases() []Phase {
 	return out
 }
 
-// Phase rows: one per operation kind, plus an auxiliary row for the
-// group-commit committer, whose work belongs to no single operation.
+// Phase rows: one per operation kind, plus an auxiliary "wal" row for the
+// commit protocol's sections (frame write, fsync, checkpoint), which nest
+// inside an operation's wal_commit phase or run at Sync and Close.
 const (
 	rowWAL       = int(numOps)
 	numPhaseRows = int(numOps) + 1
@@ -144,7 +135,7 @@ func (r *Registry) ObservePhase(op Op, ph Phase, d time.Duration) {
 	r.phases[op][ph].observe(uint64(d))
 }
 
-// ObservePhaseWAL records a committer-side phase on the "wal" row.
+// ObservePhaseWAL records a commit-protocol section on the "wal" row.
 func (r *Registry) ObservePhaseWAL(ph Phase, d time.Duration) {
 	if r == nil || ph >= numPhases {
 		return
@@ -220,14 +211,9 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
-// Reserved lane names. Lane 0 is always the writer lane; reader goroutines
-// get per-goroutine lanes; the committer and its queue get dedicated lanes
-// so group-commit coalescing is visible in a trace.
-const (
-	LaneWriter    = "writer"
-	LaneCommitter = "committer"
-	LaneQueue     = "commit-queue"
-)
+// LaneWriter names lane 0, the exclusive writer's: its operations, their
+// commits and checkpoints. Reader goroutines get per-goroutine lanes.
+const LaneWriter = "writer"
 
 // SpanRecord is one completed span.
 type SpanRecord struct {
@@ -238,7 +224,7 @@ type SpanRecord struct {
 	Scheme string    `json:"scheme,omitempty"`
 	Start  time.Time `json:"start"`
 	Dur    int64     `json:"duration_ns"`
-	N      int       `json:"n,omitempty"` // payload count (group size, blocks flushed, ...)
+	N      int       `json:"n,omitempty"` // payload count (commits a checkpoint covered, images applied, ...)
 	Err    string    `json:"error,omitempty"`
 }
 
@@ -336,15 +322,6 @@ func (t *Tracer) Stop() {
 // Enabled reports whether spans are being recorded. This is the null-span
 // fast path: one atomic load.
 func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
-
-// WriterSpanID returns the ID of the current writer-rooted operation span
-// (0 when none, or when tracing is off). Used to parent queue-wait spans.
-func (t *Tracer) WriterSpanID() uint64 {
-	if !t.Enabled() {
-		return 0
-	}
-	return t.writerSpan.Load()
-}
 
 // Span is an open span handle, passed by value. The zero Span is a null
 // span: End does nothing.
@@ -454,32 +431,17 @@ func (t *Tracer) StartAuto(reader bool, name string) Span {
 	return sp
 }
 
-// StartLane opens a span on a named lane (committer, commit-queue, ...) with an
-// explicit parent (0 for none).
-func (t *Tracer) StartLane(lane, name string, parent uint64) Span {
-	if !t.Enabled() {
-		return Span{}
-	}
-	sp := Span{t: t, id: t.nextID.Add(1), parent: parent, start: time.Now(), name: name}
-	t.mu.Lock()
-	sp.lane = t.laneLocked(lane)
-	t.mu.Unlock()
-	return sp
-}
-
-// RecordSpan records an already-measured interval as a completed span on a
-// named lane — for waits whose start and duration are only known after the
-// fact (queue waits measured at committer pickup).
-func (t *Tracer) RecordSpan(lane, name string, parent uint64, start time.Time, d time.Duration, n int, err error) {
-	if !t.Enabled() {
+// RecordChild records an already-measured interval as a completed child of
+// sp on sp's lane, carrying the count n — for sections nested in a span
+// other than the current operation's (a checkpoint's apply). A null span
+// records nothing.
+func (sp Span) RecordChild(name string, start time.Time, d time.Duration, n int) {
+	t := sp.t
+	if t == nil || !t.on.Load() {
 		return
 	}
-	rec := SpanRecord{ID: t.nextID.Add(1), Parent: parent, Name: name, Start: start, Dur: int64(d), N: n}
-	if err != nil {
-		rec.Err = err.Error()
-	}
+	rec := SpanRecord{ID: t.nextID.Add(1), Parent: sp.id, Lane: sp.lane, Name: name, Start: start, Dur: int64(d), N: n}
 	t.mu.Lock()
-	rec.Lane = t.laneLocked(lane)
 	t.pushLocked(rec)
 	t.mu.Unlock()
 }

@@ -40,15 +40,15 @@ func TestPhaseHistogramRows(t *testing.T) {
 
 func TestPhaseExposition(t *testing.T) {
 	r := NewRegistry()
-	r.ObservePhase(OpInsert, PhaseFsyncWait, 3*time.Millisecond)
-	r.ObservePhaseWAL(PhaseQueueWait, time.Millisecond)
+	r.ObservePhase(OpInsert, PhaseWALCommit, 3*time.Millisecond)
+	r.ObservePhaseWAL(PhaseFsync, time.Millisecond)
 	out := r.String()
 	if n := strings.Count(out, "# TYPE boxes_phase_duration_seconds histogram"); n != 1 {
 		t.Fatalf("want exactly one # TYPE for the phase family, got %d", n)
 	}
 	for _, want := range []string{
-		`boxes_phase_duration_seconds_bucket{op="insert",phase="fsync_wait",le="+Inf"} 1`,
-		`boxes_phase_duration_seconds_count{op="wal",phase="queue_wait"} 1`,
+		`boxes_phase_duration_seconds_bucket{op="insert",phase="wal_commit",le="+Inf"} 1`,
+		`boxes_phase_duration_seconds_count{op="wal",phase="fsync"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -121,16 +121,13 @@ func TestTracerSpanHierarchyAndLanes(t *testing.T) {
 	tr.Start(TraceOptions{Capacity: 128})
 
 	op := tr.StartOp("B-BOX", OpInsert, false)
-	if tr.WriterSpanID() != op.ID() {
-		t.Fatalf("writer span not installed")
-	}
 	child := tr.StartAuto(false, "block_write")
 	child.End(nil)
-	tr.RecordSpan(LaneQueue, "queue_wait", op.ID(), time.Now(), time.Millisecond, 0, nil)
-	g := tr.StartLane(LaneCommitter, "commit_group", 0)
-	g.EndCount(3, nil)
+	cp := tr.StartAuto(false, "checkpoint")
+	cp.RecordChild("apply", time.Now(), time.Millisecond, 3)
+	cp.End(nil)
 	op.End(nil)
-	if tr.WriterSpanID() != 0 {
+	if after := tr.StartAuto(false, "after"); after.parent != 0 {
 		t.Fatal("writer span not cleared at op end")
 	}
 
@@ -147,11 +144,11 @@ func TestTracerSpanHierarchyAndLanes(t *testing.T) {
 	if byName["block_write"].Parent != op.ID() {
 		t.Errorf("child not parented to writer op: %+v", byName["block_write"])
 	}
-	if byName["queue_wait"].Parent != op.ID() {
-		t.Errorf("queue wait not parented to enqueuing op")
+	if byName["checkpoint"].Parent != op.ID() {
+		t.Errorf("checkpoint not parented to the writer op")
 	}
-	if byName["commit_group"].N != 3 {
-		t.Errorf("commit_group payload count lost: %+v", byName["commit_group"])
+	if a := byName["apply"]; a.Parent != cp.ID() || a.N != 3 || a.Lane != 0 {
+		t.Errorf("apply not a writer-lane child of the checkpoint with its count: %+v", a)
 	}
 	if byName["block_read"].Parent != reader.ID() {
 		t.Errorf("reader child not parented to reader op")
@@ -164,10 +161,8 @@ func TestTracerSpanHierarchyAndLanes(t *testing.T) {
 	for _, l := range lanes {
 		laneSet[l] = true
 	}
-	for _, want := range []string{LaneWriter, LaneQueue, LaneCommitter} {
-		if !laneSet[want] {
-			t.Errorf("lane %q missing from %v", want, lanes)
-		}
+	if !laneSet[LaneWriter] || len(lanes) != 2 {
+		t.Errorf("want the writer lane and one reader lane, got %v", lanes)
 	}
 	if byName["insert"].Lane != 0 {
 		t.Error("writer op should sit on lane 0")
@@ -185,7 +180,7 @@ func TestSlowOpCapture(t *testing.T) {
 	fast := tr.StartOp("W-BOX", OpLookup, false)
 	fast.End(nil)
 	slow := tr.StartOp("W-BOX", OpInsert, false)
-	child := tr.StartAuto(false, "fsync_wait")
+	child := tr.StartAuto(false, "fsync")
 	time.Sleep(2 * time.Millisecond)
 	child.End(nil)
 	slow.End(nil)
@@ -199,7 +194,7 @@ func TestSlowOpCapture(t *testing.T) {
 	}
 	found := false
 	for _, s := range got[0].Tree {
-		if s.Name == "fsync_wait" {
+		if s.Name == "fsync" {
 			found = true
 		}
 	}
@@ -216,8 +211,8 @@ func TestWriteChromeTrace(t *testing.T) {
 	child := tr.StartAuto(false, "frame_write")
 	child.End(nil)
 	op.EndCount(0, errors.New("bad"))
-	g := tr.StartLane(LaneCommitter, "commit_group", 0)
-	g.EndCount(2, nil)
+	rd := tr.StartOp("B-BOX", OpLookup, true)
+	rd.EndCount(2, nil)
 
 	var b strings.Builder
 	if err := WriteChromeTrace(&b, tr); err != nil {
@@ -241,13 +236,13 @@ func TestWriteChromeTrace(t *testing.T) {
 			}
 		}
 	}
-	if meta < 2 { // writer lane + committer lane
+	if meta < 2 { // writer lane + reader lane
 		t.Errorf("want thread_name metadata per lane, got %d", meta)
 	}
 	if dur != 3 {
 		t.Errorf("want 3 duration events, got %d", dur)
 	}
-	for _, want := range []string{"insert", "frame_write", "commit_group"} {
+	for _, want := range []string{"insert", "frame_write", "lookup"} {
 		if !names[want] {
 			t.Errorf("trace missing span %q", want)
 		}

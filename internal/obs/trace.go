@@ -20,12 +20,10 @@ type chromeEvent struct {
 
 // WriteChromeTrace renders the tracer's recorded spans as Chrome
 // trace-event JSON, loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Each lane becomes one named thread, so the writer,
-// per-reader goroutines, the group-commit committer and its queue render
-// as parallel tracks — group-commit coalescing appears as
-// several op spans on the writer lane overlapping one fsync span on the
-// committer lane. Timestamps are microseconds relative to the earliest
-// recorded span.
+// chrome://tracing. Each lane becomes one named thread, so the writer and
+// the per-reader goroutines render as parallel tracks; a batch's op spans
+// and its one fsync nest under the batch span on the writer lane.
+// Timestamps are microseconds relative to the earliest recorded span.
 func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	spans := t.Spans()
 	lanes := t.Lanes()

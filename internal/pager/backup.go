@@ -7,18 +7,17 @@ import (
 
 // BackupTo writes a consistent logical snapshot of the store to a fresh
 // file at path (plus its .crc / .wal sidecars, matching the source's
-// geometry). Every block image is read through readRaw —
-// which consults the group-commit overlay and verifies checksums — so the
-// copy reflects exactly the committed state at the moment of the call and
-// a corrupt source block aborts the backup rather than propagating rot.
+// geometry). Every block image is read through readRaw — which serves
+// committed images no checkpoint has applied yet and verifies checksums —
+// so the copy reflects exactly the committed state at the moment of the
+// call and a corrupt source block aborts the backup rather than
+// propagating rot.
 // The destination gets a freshly computed checksum sidecar and an empty
 // WAL: restore is plain file copy (or opening the backup directly), no
 // replay needed.
 //
 // The caller must exclude writers for the duration (core.Store's read lock
-// does); the group-commit committer may keep applying already-committed
-// transactions concurrently — those are part of the snapshot either way,
-// served from the overlay before the apply and from disk after.
+// does): commits and checkpoints run only on the writer.
 func (fb *FileBackend) BackupTo(path string) error {
 	if fb.closed {
 		return ErrClosed

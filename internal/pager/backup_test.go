@@ -117,14 +117,10 @@ func TestBackupRoundTrip(t *testing.T) {
 	}
 }
 
-// A backup sees through the group-commit overlay: transactions committed
-// but not yet applied in place are part of the snapshot.
+// A backup sees committed images no checkpoint has applied yet: they are
+// served from the checkpoint's debt, so they are part of the snapshot.
 func TestBackupIncludesOverlayState(t *testing.T) {
 	_, fb, ids := backupStore(t, 4)
-	if err := fb.StartGroupCommit(Durability{Every: 8}); err != nil {
-		t.Fatal(err)
-	}
-	fb.HoldGroupCommit(true)
 	img := make([]byte, backupBS)
 	for i := range img {
 		img[i] = 0xE7
@@ -133,21 +129,16 @@ func TestBackupIncludesOverlayState(t *testing.T) {
 	if err := fb.WriteBlock(ids[0], img); err != nil {
 		t.Fatal(err)
 	}
-	tk, err := fb.CommitBatchAsync()
-	if err != nil {
+	if err := fb.CommitBatch(); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := fb.unapplied[ids[0]]; !ok {
+		t.Fatal("the committed image was applied at once; the test needs it unapplied")
 	}
 
 	bpath := filepath.Join(t.TempDir(), "backup.box")
 	if err := fb.BackupTo(bpath); err != nil {
 		t.Fatalf("backup: %v", err)
-	}
-	fb.HoldGroupCommit(false)
-	if err := tk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.StopGroupCommit(); err != nil {
-		t.Fatal(err)
 	}
 
 	bfb, err := OpenFile(bpath)
@@ -160,7 +151,7 @@ func TestBackupIncludesOverlayState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, img) {
-		t.Fatal("backup missed the overlay-resident committed image")
+		t.Fatal("backup missed the unapplied committed image")
 	}
 }
 

@@ -12,75 +12,65 @@ import (
 )
 
 // TestAcknowledgedImagesAcrossCheckpoint: every reader of committed state —
-// ReadBlock and BackupTo — sees an acknowledged image while only the log and
-// the overlay hold it, and the same image once a checkpoint has moved it
-// into the data file and emptied the overlay. On both commit paths.
+// ReadBlock and BackupTo — sees an acknowledged image while only the log
+// and the checkpoint's debt hold it, and the same image once a checkpoint
+// has moved it into the data file and paid the debt.
 func TestAcknowledgedImagesAcrossCheckpoint(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "ack.box")
-		scriptSetup(t, path, FileOptions{})
-		fb, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := NewStore(fb)
-		if group {
-			if err := fb.StartGroupCommit(Durability{Every: 4}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 1; i <= scriptOps; i++ {
-			if err := scriptOp(st, i); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.TakeTicket().Wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := captureState(t, fb)
-		if want.counter != scriptOps {
-			t.Fatalf("group=%v: counter %d before the checkpoint, want %d", group, want.counter, scriptOps)
-		}
-		check := func(when string, overlayBlocks int) {
-			t.Helper()
-			if n := fb.GroupQueueStats().OverlayBlocks; n != overlayBlocks {
-				t.Fatalf("group=%v, %s: %d overlay blocks, want %d", group, when, n, overlayBlocks)
-			}
-			if got := captureState(t, fb); !statesEqual(got, want) {
-				t.Fatalf("group=%v, %s: reads differ from the acknowledged state", group, when)
-			}
-			bak := filepath.Join(dir, when+".bak")
-			if err := fb.BackupTo(bak); err != nil {
-				t.Fatalf("group=%v, %s: backup: %v", group, when, err)
-			}
-			b, err := OpenFile(bak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
-			if got := captureState(t, b); !statesEqual(got, want) {
-				t.Fatalf("group=%v, %s: backup differs from the acknowledged state", group, when)
-			}
-		}
-		check("logged", 5)
-		if err := fb.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		check("checkpointed", 0)
-		if err := st.Close(); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ack.box")
+	scriptSetup(t, path, FileOptions{})
+	fb, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(fb)
+	for i := 1; i <= scriptOps; i++ {
+		if err := scriptOp(st, i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	want := captureState(t, fb)
+	if want.counter != scriptOps {
+		t.Fatalf("counter %d before the checkpoint, want %d", want.counter, scriptOps)
+	}
+	check := func(when string, unapplied int) {
+		t.Helper()
+		if n := len(fb.unapplied); n != unapplied {
+			t.Fatalf("%s: %d unapplied images, want %d", when, n, unapplied)
+		}
+		if got := captureState(t, fb); !statesEqual(got, want) {
+			t.Fatalf("%s: reads differ from the acknowledged state", when)
+		}
+		bak := filepath.Join(dir, when+".bak")
+		if err := fb.BackupTo(bak); err != nil {
+			t.Fatalf("%s: backup: %v", when, err)
+		}
+		b, err := OpenFile(bak)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if got := captureState(t, b); !statesEqual(got, want) {
+			t.Fatalf("%s: backup differs from the acknowledged state", when)
+		}
+	}
+	check("logged", 5)
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpointed", 0)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestCheckpointUnderConcurrentReaders runs the committer through several
-// bound-triggered checkpoints while readers, excluded only for the moment a
-// transaction is staged and enqueued (core.Store's lock discipline), keep
-// reading every block: each read must be a whole image of one version, and
-// versions must never run backwards — a reader that went to the file before
-// the checkpoint had written the block, or lost an image enqueued after the
-// checkpoint took its list, would show an older one.
+// TestCheckpointUnderConcurrentReaders runs several bound-triggered
+// checkpoints while readers, excluded only while a transaction stages and
+// commits (core.Store's lock discipline: the commit and any checkpoint it
+// triggers run under the write lock), keep reading every block: each read
+// must be a whole image of one version, and versions must never run
+// backwards — a reader served from the file before the checkpoint had
+// written the block, or from a debt paid too early, would show an older one.
 func TestCheckpointUnderConcurrentReaders(t *testing.T) {
 	const (
 		bs     = 8192
@@ -99,9 +89,6 @@ func TestCheckpointUnderConcurrentReaders(t *testing.T) {
 		}
 	}
 	if err := fb.CommitBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.StartGroupCommit(Durability{Every: 4}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +131,6 @@ func TestCheckpointUnderConcurrentReaders(t *testing.T) {
 	}
 
 	img := make([]byte, bs)
-	var tickets []*CommitTicket
 	for v := uint64(1); v <= txns; v++ {
 		binary.LittleEndian.PutUint64(img, v)
 		copy(img[8:], bytes.Repeat([]byte{byte(v)}, bs-8))
@@ -155,22 +141,9 @@ func TestCheckpointUnderConcurrentReaders(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tk, err := fb.CommitBatchAsync()
+		err := fb.CommitBatch()
 		lock.Unlock()
 		if err != nil {
-			t.Fatal(err)
-		}
-		// Stay a few transactions ahead of the committer, so checkpoints
-		// run with images enqueued but not yet logged.
-		if tickets = append(tickets, tk); len(tickets) > 3 {
-			if err := tickets[0].Wait(); err != nil {
-				t.Fatal(err)
-			}
-			tickets = tickets[1:]
-		}
-	}
-	for _, tk := range tickets {
-		if err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +172,7 @@ func TestCheckpointUnderConcurrentReaders(t *testing.T) {
 
 // TestCheckpointObservability: a checkpoint counts itself, times itself as
 // the "wal" row's checkpoint phase with the apply inside it, and traces as
-// one committer-lane span carrying the commits it covered whose apply child
+// one writer-lane span carrying the commits it covered whose apply child
 // carries the images it wrote.
 func TestCheckpointObservability(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "obs.box")
@@ -209,7 +182,7 @@ func TestCheckpointObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	st := NewStore(fb, WithObserver(reg))
+	st := NewStore(fb, WithObserver(reg, "test"))
 	defer st.Close()
 	reg.Tracer().Start(obs.TraceOptions{})
 	if _, _, err := scriptRun(st, fb, afterOps3And7); err != nil {

@@ -74,8 +74,7 @@ var ErrNoSpace = faults.ErrNoSpace
 // ErrPoisoned is returned by every commit attempted after a commit
 // failed past a point where the durable state became ambiguous — a
 // failed fsync (the kernel may have dropped the dirty pages: fsyncgate),
-// a failed group flush, or a checkpoint that failed partway through its
-// apply or its log reset. Accepting further commits in such a state could
+// or a checkpoint that failed partway through its apply or its log reset. Accepting further commits in such a state could
 // reset a WAL whose images were never applied, silently corrupting the
 // store; instead the backend fails every later commit and checkpoint
 // fast and the path must be reopened, which resolves the ambiguity by
@@ -93,34 +92,34 @@ type WALStats struct {
 	HeaderWrites  uint64 // header rewrites
 	Checkpoints   uint64 // applies of the logged images followed by a log reset
 
-	// Syncs counts WAL fsyncs — the durability points (one per transaction
-	// when committing synchronously, one per group otherwise) plus one per
-	// checkpoint for its log reset. They are counted even under NoSync so
+	// Syncs counts WAL fsyncs — the durability points, one per transaction,
+	// plus one per checkpoint for its log reset. They are counted even under NoSync so
 	// benchmarks measure the fsync *pattern* without paying a CI runner's
 	// fsync latency.
 	Syncs uint64
 	// DataSyncs counts data/sidecar fsyncs: two per checkpoint.
 	DataSyncs uint64
-	// GroupCommits counts commit groups flushed by the group-commit
-	// committer; GroupedTxns sums their sizes, so GroupedTxns/GroupCommits
-	// is the mean group size.
+	// GroupCommits and GroupedTxns both count durable commits: every
+	// commit is a group of one.
+	//
+	// Deprecated: use Commits. Kept for callers that still derive a mean
+	// group size from them (it is 1).
 	GroupCommits uint64
 	GroupedTxns  uint64
 
 	// SizeBytes is the WAL's append offset — the live part of the log: a
 	// point-in-time gauge, not a cumulative counter. It grows with every
 	// commit and drops to the header size at a checkpoint, so it never
-	// passes WALCheckpointBytes by more than one commit group.
+	// passes WALCheckpointBytes by more than one commit.
 	SizeBytes uint64
 }
 
-// MeanGroupSize returns the average number of transactions per flushed
-// commit group (0 before the first group).
-func (w WALStats) MeanGroupSize() float64 {
-	if w.GroupCommits == 0 {
-		return 0
-	}
-	return float64(w.GroupedTxns) / float64(w.GroupCommits)
+// Durability is the type of core.Options.Durability, which nothing reads:
+// every commit runs inline on the writer.
+//
+// Deprecated: core.Open ignores Options.Durability.
+type Durability struct {
+	Every int
 }
 
 // WriteAmplification is physical bytes written (WAL + data + checksums)
@@ -138,7 +137,7 @@ func (w WALStats) WriteAmplification(blockSize int) float64 {
 // RecoveryInfo reports what OpenFile found in the write-ahead log.
 type RecoveryInfo struct {
 	Replayed       bool  // one or more committed transactions were applied at open
-	ReplayedTxns   int   // committed transactions replayed (a group-commit prefix)
+	ReplayedTxns   int   // committed transactions replayed
 	ReplayedFrames int   // block images the replay wrote
 	DiscardedBytes int64 // uncommitted WAL tail discarded at open
 	SidecarRebuilt bool  // the checksum sidecar was missing and rebuilt
@@ -176,21 +175,21 @@ type FileBackend struct {
 	walSize  int64              // current WAL append offset
 	walSizeA atomic.Int64       // mirror of walSize for lock-free WALStats scrapes
 
-	// The log's single appender — the committer goroutine while group
-	// commit runs, the exclusive writer otherwise — owns the rest of the
+	// The exclusive writer, the log's one appender, owns the rest of the
 	// WAL state: the generation mixed into every record checksum, the
 	// encode buffer, and what the next checkpoint owes the data file (the
-	// newest logged image of each block, the last logged header, the
-	// commits and the highest overlay seq they cover).
+	// newest logged image of each block, the last logged header and the
+	// commits they cover). readRaw serves unapplied images ahead of the
+	// data file; the caller's lock keeps readers out while the writer
+	// commits or checkpoints.
 	walGen    uint32
 	enc       []byte
 	unapplied map[BlockID][]byte
 	cpHdr     walHeaderState
 	cpCommits int
-	cpSeq     uint64
 
 	recovery RecoveryInfo
-	statsMu  sync.Mutex // stats are written by the committer goroutine too
+	statsMu  sync.Mutex // WALStats scrapes run beside the writer
 	stats    WALStats
 	obs      *obs.Registry // nil-safe
 	closed   bool
@@ -201,8 +200,6 @@ type FileBackend struct {
 	// commit fails fast with it; see ErrPoisoned.
 	poisonMu sync.Mutex
 	poison   error
-
-	gc groupState // group-commit machinery (see group.go)
 }
 
 // CreateFile creates (or truncates) a file-backed store at path with the
@@ -540,7 +537,7 @@ func (fb *FileBackend) recoverWAL() error {
 		fb.restoreHeaderState(last.hdr)
 		// Redo writes every logged image in append order — no newest-per-
 		// block merge — so a cut during recovery itself meets the same write
-		// points whatever the group structure of the log was.
+		// points whatever the transaction structure of the log was.
 		var images []walImage
 		for _, txn := range txns {
 			if err := validateWALImages(txn, fb.blockSize); err != nil {
@@ -568,7 +565,7 @@ func (fb *FileBackend) recoverWAL() error {
 func (fb *FileBackend) RecoveryInfo() RecoveryInfo { return fb.recovery }
 
 // WALStats reports cumulative durability I/O counters. Safe to call
-// concurrently with a running group committer.
+// concurrently with the writer.
 func (fb *FileBackend) WALStats() WALStats {
 	fb.statsMu.Lock()
 	defer fb.statsMu.Unlock()
@@ -579,8 +576,8 @@ func (fb *FileBackend) WALStats() WALStats {
 
 // setWALSize moves the WAL append offset and its atomic mirror together.
 // The offset itself is only touched with the backend quiescent (open,
-// recovery) or from the single committing goroutine, but WALStats scrapes
-// race with the committer, so they read the mirror.
+// recovery) or by the writer, but WALStats scrapes run beside the writer,
+// so they read the mirror.
 func (fb *FileBackend) setWALSize(n int64) {
 	fb.walSize = n
 	fb.walSizeA.Store(n)
@@ -600,9 +597,8 @@ func (fb *FileBackend) writeHeader() error {
 	return fb.writeHeaderState(fb.headerState())
 }
 
-// writeHeaderState writes a specific header snapshot in place — the group
-// committer persists the last *committed* transaction's header, which may
-// trail the live in-memory fields.
+// writeHeaderState writes a specific header snapshot in place — a
+// checkpoint persists the last *logged* header.
 func (fb *FileBackend) writeHeaderState(st walHeaderState) error {
 	hdr := fb.encBuf()[:fileHeaderSize]
 	copy(hdr[:8], fileMagic[:])
@@ -624,8 +620,8 @@ func (fb *FileBackend) writeHeaderState(st walHeaderState) error {
 }
 
 // encBuf is the buffer every WAL record and store header is rendered into
-// before its one raw write; it belongs to the log's single appender, which
-// is also the only goroutine that checkpoints.
+// before its one raw write; it belongs to the writer, the log's one
+// appender, which also checkpoints.
 func (fb *FileBackend) encBuf() []byte {
 	if fb.enc == nil {
 		fb.enc = make([]byte, walFrameSize(fb.blockSize))
@@ -847,14 +843,7 @@ func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) erro
 		fb.restoreHeaderState(pre)
 		return err
 	}
-	if fb.gc.on.Load() {
-		// While group commit runs every commit funnels through the
-		// committer goroutine — the WAL's single appender — and this
-		// synchronous path just waits for its group.
-		return fb.gcSyncCommit(stage)
-	}
-	txn := walTxn{images: sortedImages(stage), hdr: fb.headerState()}
-	durable, err := fb.commitWAL([]*walTxn{&txn}, 0, nil)
+	durable, err := fb.commitWAL(sortedImages(stage), fb.headerState())
 	if !durable {
 		fb.restoreHeaderState(pre)
 	}
@@ -862,13 +851,11 @@ func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) erro
 }
 
 // commitWAL is the commit half of the write-ahead protocol, the only place
-// it is written down: every transaction's block frames and its own commit
-// record are appended to the log — one raw write each — and one fsync makes
-// them all durable. That fsync is the end of the commit: the images are
-// recorded as owed to the data file and the caller acknowledges. The inline
-// commit path hands it one transaction, the group committer its whole
-// group together with seq, the highest overlay seq in it. Each
-// transaction's images must be sorted by block ID.
+// it is written down: the transaction's block frames (sorted by block ID)
+// and its commit record carrying hdr are appended to the log — one raw
+// write each — and one fsync makes them durable. That fsync is the end of
+// the commit: the images are recorded as owed to the data file and the
+// caller acknowledges.
 //
 // durable reports whether the WAL fsync — the durability point — was
 // passed. Before it nothing is decided and the failure policy is the
@@ -877,72 +864,62 @@ func (fb *FileBackend) commit(stage map[BlockID][]byte, pre walHeaderState) erro
 // After it the only thing that can fail is the checkpoint this commit may
 // have triggered by taking the log past WALCheckpointBytes.
 //
-// group is nil for an inline commit, whose "wal"-row phases (frame_write,
-// fsync) nest inside the operation's wal_commit phase and trace as
-// writer-lane children of the operation; the committer passes its
-// commit_group span, and the sections trace as committer-lane children of
-// it — several op spans resolving against a single fsync span.
-func (fb *FileBackend) commitWAL(txns []*walTxn, seq uint64, group *obs.Span) (durable bool, err error) {
+// The "wal"-row phases (frame_write, fsync) nest inside the operation's
+// wal_commit phase and trace as writer-lane children of the operation.
+func (fb *FileBackend) commitWAL(images []walImage, hdr walHeaderState) (durable bool, err error) {
 	t0 := time.Now()
-	logged, frames := 0, 0
-	for _, txn := range txns {
-		for _, img := range txn.images {
-			frame := encodeWALFrame(fb.encBuf(), img.id, img.data, fb.walGen)
-			if _, err := fb.wal.WriteAt(frame, fb.walSize+int64(logged)); err != nil {
-				return false, mapNoSpace(err)
-			}
-			logged += len(frame)
-		}
-		frames += len(txn.images)
-		rec := encodeWALCommit(fb.encBuf(), len(txn.images), txn.hdr, fb.walGen)
-		if _, err := fb.wal.WriteAt(rec, fb.walSize+int64(logged)); err != nil {
+	logged := 0
+	for _, img := range images {
+		frame := encodeWALFrame(fb.encBuf(), img.id, img.data, fb.walGen)
+		if _, err := fb.wal.WriteAt(frame, fb.walSize+int64(logged)); err != nil {
 			return false, mapNoSpace(err)
 		}
-		logged += len(rec)
+		logged += len(frame)
 	}
-	fb.walSection(group, obs.PhaseFrameWrite, t0, frames)
+	rec := encodeWALCommit(fb.encBuf(), len(images), hdr, fb.walGen)
+	if _, err := fb.wal.WriteAt(rec, fb.walSize+int64(logged)); err != nil {
+		return false, mapNoSpace(err)
+	}
+	logged += len(rec)
+	fb.walSection(nil, obs.PhaseFrameWrite, t0, len(images))
 	t0 = time.Now()
 	if err := fb.sync(fb.wal); err != nil {
 		return false, err
 	}
-	fb.walSection(group, obs.PhaseFsync, t0, 0)
+	fb.walSection(nil, obs.PhaseFsync, t0, 0)
 	fb.setWALSize(fb.walSize + int64(logged))
 	fb.statsMu.Lock()
-	fb.stats.Commits += uint64(len(txns))
-	fb.stats.Frames += uint64(frames)
+	fb.stats.Commits++
+	fb.stats.GroupCommits++
+	fb.stats.GroupedTxns++
+	fb.stats.Frames += uint64(len(images))
 	fb.stats.WALBytes += uint64(logged)
 	fb.statsMu.Unlock()
-	fb.obs.Add(obs.CtrPagerWALCommits, uint64(len(txns)))
-	fb.obs.Add(obs.CtrPagerWALFrames, uint64(frames))
+	fb.obs.Inc(obs.CtrPagerWALCommits)
+	fb.obs.Add(obs.CtrPagerWALFrames, uint64(len(images)))
 
 	if fb.unapplied == nil {
 		fb.unapplied = make(map[BlockID][]byte)
 	}
-	for _, txn := range txns {
-		for _, img := range txn.images {
-			fb.unapplied[img.id] = img.data
-		}
+	for _, img := range images {
+		fb.unapplied[img.id] = img.data
 	}
-	fb.cpHdr = txns[len(txns)-1].hdr
-	fb.cpCommits += len(txns)
-	if group == nil {
-		seq = fb.gcPublish(txns[0].images)
-	}
-	fb.cpSeq = seq
+	fb.cpHdr = hdr
+	fb.cpCommits++
 	if fb.walSize < WALCheckpointBytes {
 		return true, nil
 	}
-	return true, fb.checkpoint(group)
+	return true, fb.checkpoint()
 }
 
 // checkpoint pays the data file what the log holds: the newest logged image
 // of each block and the last logged header are applied in place and fsynced,
-// the log is reset in place, and the applied images leave the overlay. It
-// runs on the log's appender — after the commit that took the log past
-// WALCheckpointBytes, and at Sync, StopGroupCommit and Close. Any failure
-// poisons the backend: the log still holds every commit, and only a
-// reopen's redo can tell what the data file got.
-func (fb *FileBackend) checkpoint(group *obs.Span) error {
+// and the log is reset in place. It runs on the writer — after the commit
+// that took the log past WALCheckpointBytes, and at Sync and Close — and
+// traces as a writer-lane span. Any failure poisons the backend: the log
+// still holds every commit, and only a reopen's redo can tell what the data
+// file got.
+func (fb *FileBackend) checkpoint() error {
 	if err := fb.Poisoned(); err != nil {
 		return err
 	}
@@ -950,11 +927,7 @@ func (fb *FileBackend) checkpoint(group *obs.Span) error {
 		return nil
 	}
 	t0 := time.Now()
-	var parent uint64
-	if group != nil {
-		parent = group.ID()
-	}
-	sp := fb.obs.Tracer().StartLane(obs.LaneCommitter, "checkpoint", parent)
+	sp := fb.obs.Tracer().StartAuto(false, "checkpoint")
 	images := sortedImages(fb.unapplied)
 	err := fb.applyInPlace(images, fb.cpHdr)
 	fb.walSection(&sp, obs.PhaseApply, t0, len(images))
@@ -969,7 +942,6 @@ func (fb *FileBackend) checkpoint(group *obs.Span) error {
 	}
 	clear(fb.unapplied)
 	fb.cpCommits = 0
-	fb.gcDropApplied(fb.cpSeq)
 	fb.obs.Inc(obs.CtrPagerCheckpoints)
 	return nil
 }
@@ -995,9 +967,7 @@ func (fb *FileBackend) resetWAL() error {
 
 // applyInPlace is the in-place half of the protocol, shared by checkpoint
 // and open-time redo: each image and its checksum entry in the order
-// given, then the header, then the data and sidecar fsyncs. Concurrent
-// readers never see a block mid-overwrite: its image stays in the overlay,
-// which readRaw consults first, until the apply is done.
+// given, then the header, then the data and sidecar fsyncs.
 func (fb *FileBackend) applyInPlace(images []walImage, hdr walHeaderState) error {
 	for _, img := range images {
 		if _, err := fb.f.WriteAt(img.data, fb.offset(img.id)); err != nil {
@@ -1020,23 +990,18 @@ func (fb *FileBackend) applyInPlace(images []walImage, hdr walHeaderState) error
 }
 
 // walSection attributes one protocol section to its "wal"-row phase and,
-// when tracing, records it as a span carrying the count n: a committer-lane
-// child of parent, or of the writer's operation when parent is nil (see
-// commitWAL for the two shapes).
+// when tracing, records it as a writer-lane span: a child of parent
+// carrying the count n, or of the writer's operation when parent is nil.
 func (fb *FileBackend) walSection(parent *obs.Span, ph obs.Phase, start time.Time, n int) {
 	if fb.obs == nil {
 		return
 	}
 	d := time.Since(start)
 	fb.obs.ObservePhaseWAL(ph, d)
-	tr := fb.obs.Tracer()
-	if !tr.Enabled() {
-		return
-	}
 	if parent != nil {
-		tr.RecordSpan(obs.LaneCommitter, ph.String(), parent.ID(), start, d, n, nil)
+		parent.RecordChild(ph.String(), start, d, n)
 	} else {
-		tr.RecordAuto(false, ph.String(), start, d)
+		fb.obs.Tracer().RecordAuto(false, ph.String(), start, d)
 	}
 }
 
@@ -1053,9 +1018,8 @@ func sortedImages(stage map[BlockID][]byte) []walImage {
 }
 
 // readRaw fetches a block image: the open batch's staged copy first, then
-// the overlay (transactions committed but not yet checkpointed into the
-// data file — consulting it also keeps concurrent readers off blocks a
-// checkpoint is mid-overwrite), then the data file.
+// the newest committed image no checkpoint has applied yet, then the data
+// file.
 func (fb *FileBackend) readRaw(id BlockID, buf []byte) error {
 	if fb.inBatch {
 		if img, ok := fb.stage[id]; ok {
@@ -1063,7 +1027,8 @@ func (fb *FileBackend) readRaw(id BlockID, buf []byte) error {
 			return nil
 		}
 	}
-	if fb.gcReadOverlay(id, buf) {
+	if img, ok := fb.unapplied[id]; ok {
+		copy(buf, img)
 		return nil
 	}
 	if _, err := fb.f.ReadAt(buf, fb.offset(id)); err != nil {
@@ -1222,8 +1187,7 @@ func (fb *FileBackend) Sync() error {
 	if fb.inBatch {
 		return errors.New("pager: sync inside an open batch")
 	}
-	fb.gcDrain()
-	return fb.checkpoint(nil)
+	return fb.checkpoint()
 }
 
 // Close implements Backend: a final checkpoint, after which the log is
@@ -1236,10 +1200,7 @@ func (fb *FileBackend) Close() error {
 	if fb.inBatch {
 		fb.AbortBatch()
 	}
-	err := fb.StopGroupCommit() // drains and flushes any queued groups
-	if err == nil {
-		err = fb.checkpoint(nil)
-	}
+	err := fb.checkpoint()
 	if err == nil {
 		err = fb.wal.Truncate(walHeaderSize)
 	}

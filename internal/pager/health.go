@@ -36,32 +36,17 @@ func (s *Store) CollectGauges() []obs.GaugeValue {
 				st.WriteAmplification(s.backend.BlockSize())),
 			obs.G("pager_wal_syncs", "Write-ahead log fsyncs (one per durability point, one per checkpoint's log reset).", float64(st.Syncs)),
 			obs.G("pager_wal_data_syncs", "Data/sidecar fsyncs (two per checkpoint).", float64(st.DataSyncs)),
-			obs.G("pager_wal_group_commits", "Commit groups flushed by the group committer.", float64(st.GroupCommits)),
-			obs.G("pager_wal_group_size", "Mean transactions per flushed commit group.", st.MeanGroupSize()),
 			obs.G("pager_wal_size_bytes",
-				"Live bytes of the write-ahead log (grows between checkpoints, bounded by pager.WALCheckpointBytes plus one commit group).",
+				"Live bytes of the write-ahead log (grows between checkpoints, bounded by pager.WALCheckpointBytes plus one commit).",
 				float64(st.SizeBytes)),
 		)
 		if st.Commits > 0 {
 			gs = append(gs, obs.G("pager_wal_syncs_per_commit",
-				"WAL fsyncs per committed transaction (group commit amortizes below 1).",
+				"WAL fsyncs per committed transaction (checkpoint log resets take it above 1).",
 				float64(st.Syncs)/float64(st.Commits)))
 		}
 	}
-	if qs, ok := s.backend.(GroupQueueStatser); ok {
-		q := qs.GroupQueueStats()
-		gs = append(gs,
-			obs.G("pager_gc_queue_depth", "Transactions queued or in flight at the group committer.", float64(q.QueueDepth)),
-			obs.G("pager_gc_overlay_blocks", "Committed block images held in the overlay until the next checkpoint.", float64(q.OverlayBlocks)),
-		)
-	}
 	return gs
-}
-
-// GroupQueueStatser is implemented by backends with a commit queue and an
-// overlay (FileBackend). Store surfaces them as pager_gc_* gauges.
-type GroupQueueStatser interface {
-	GroupQueueStats() GroupQueueStats
 }
 
 // WALStatser is implemented by backends that track durability I/O

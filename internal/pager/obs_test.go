@@ -57,7 +57,7 @@ func TestEndOpFlushesInSortedOrder(t *testing.T) {
 
 func TestCacheHitMissCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := NewStore(NewMemBackend(512), WithCache(1), WithObserver(reg))
+	s := NewStore(NewMemBackend(512), WithCache(1), WithObserver(reg, "test"))
 	id1, err := s.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestInjectedFailureCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	sched := faults.NewSchedule(1)
 	sched.SetBudget(2)
-	s := NewStore(NewFaultBackend(NewMemBackend(512), sched), WithObserver(reg))
+	s := NewStore(NewFaultBackend(NewMemBackend(512), sched), WithObserver(reg, "test"))
 	id, err := s.Allocate() // op 1
 	if err != nil {
 		t.Fatal(err)

@@ -149,15 +149,15 @@ type Store struct {
 	cache   *lruCache
 	frames  chan []byte   // free list of block frames (see getFrame)
 	obs     *obs.Registry // optional; nil-safe via obs method receivers
+	row     int           // obs's ledger row for this store's read ops
 
 	// Writer-side state: guarded by the caller's exclusive section (the
 	// single-goroutine contract, or core.Store's write lock).
 	op        map[BlockID]opBlock // kept (cleared) across operations
 	flush     []BlockID           // EndOp's dirty-id scratch, likewise kept
 	opDepth   int
-	batchOpen bool          // a TxBackend batch is open (lazily, at first mutation)
-	ticket    *CommitTicket // pending group-commit ticket from the last EndOp
-	inOp      ReadOp        // what BeginRead returns inside an operation
+	batchOpen bool   // a TxBackend batch is open (lazily, at first mutation)
+	inOp      ReadOp // what BeginRead returns inside an operation
 	closed    bool
 
 	// Cumulative instrumented phase time (see PhaseStats): every timed
@@ -191,9 +191,10 @@ func WithCache(capacity int) Option {
 // WithObserver attaches a metrics registry: the store reports LRU cache
 // hits/misses and backend I/O errors into it, and every structure layered
 // on the store (LIDF, the BOXes) reaches the same registry through
-// Observer.
-func WithObserver(r *obs.Registry) Option {
-	return func(s *Store) { s.obs = r }
+// Observer. scheme names the store's ledger row, the one its read ops'
+// block I/O is charged to when several stores share r.
+func WithObserver(r *obs.Registry, scheme string) Option {
+	return func(s *Store) { s.obs, s.row = r, r.SchemeIndex(scheme) }
 }
 
 // NewStore creates a Store over backend.
@@ -230,8 +231,8 @@ func (s *Store) NumBlocks() uint64 { return s.backend.NumBlocks() }
 
 // SetObserver attaches (or, with nil, detaches) a metrics registry after
 // construction. See WithObserver.
-func (s *Store) SetObserver(r *obs.Registry) {
-	s.obs = r
+func (s *Store) SetObserver(r *obs.Registry, scheme string) {
+	s.obs, s.row = r, r.SchemeIndex(scheme)
 	if os, ok := s.backend.(observerSetter); ok {
 		os.SetObserver(r)
 	}
@@ -265,17 +266,21 @@ func (s *Store) ResetStats() {
 
 // countRead/countWrite bump the store's I/O counters and feed the cost
 // ledger and block heat map: the I/O is attributed to the operation in the
-// registry's writer slot (or, for a ReadOp's read, the lookup row) and
-// sampled at its block id. Counter first, ledger second — the order the
+// registry's writer slot (or, for a ReadOp's read, the lookup cell of the
+// store's own ledger row) and sampled at its block id. Counter first, ledger second — the order the
 // conservation invariant relies on.
 func (s *Store) countRead(id BlockID, reader bool) {
 	s.reads.Add(1)
-	s.obs.CostIO(reader, false, uint64(id))
+	row := -1
+	if reader {
+		row = s.row
+	}
+	s.obs.CostIO(row, false, uint64(id))
 }
 
 func (s *Store) countWrite(id BlockID) {
 	s.writes.Add(1)
-	s.obs.CostIO(false, true, uint64(id))
+	s.obs.CostIO(-1, true, uint64(id))
 }
 
 // PhaseNanos is a snapshot of the store's cumulative instrumented phase
@@ -448,16 +453,7 @@ func (s *Store) EndOp() error {
 			// the abort just rolled back on disk.
 			s.InvalidateCache()
 		} else {
-			// A group-committing backend queues the batch and parks its
-			// ticket for TakeTicket; otherwise the commit runs inline.
-			commit := tx.CommitBatch
-			if atx, ok := tx.(AsyncTxBackend); ok && atx.GroupCommitEnabled() {
-				commit = func() (e error) {
-					s.ticket, e = atx.CommitBatchAsync()
-					return e
-				}
-			}
-			if err := s.timedPhase(false, obs.PhaseWALCommit, &s.phaseCommit, commit); err != nil {
+			if err := s.timedPhase(false, obs.PhaseWALCommit, &s.phaseCommit, tx.CommitBatch); err != nil {
 				s.countIOError(err)
 				s.NoteWriteFault(err)
 				firstErr = err
@@ -492,24 +488,11 @@ func (s *Store) AbortOp() {
 
 // InvalidateCache empties the global LRU cache. The abort paths call it
 // because blocks flushed (and cached) ahead of a failed commit carry images
-// the abort rolled back on disk; degraded-mode entry calls it too, covering
-// group commits that abort asynchronously after EndOp already returned.
+// the abort rolled back on disk; degraded-mode entry calls it too.
 func (s *Store) InvalidateCache() {
 	if s.cache != nil {
 		s.cache.clear()
 	}
-}
-
-// TakeTicket returns (and clears) the commit ticket of the most recent
-// EndOp, or nil when the last operation committed synchronously. With
-// group commit enabled the operation is durable only once the ticket's
-// Wait returns; callers that must not lose acknowledged updates wait on
-// it — ideally after releasing their locks, so concurrent transactions
-// coalesce into one fsync.
-func (s *Store) TakeTicket() *CommitTicket {
-	t := s.ticket
-	s.ticket = nil
-	return t
 }
 
 // EndOpInto ends the current logical operation like EndOp, storing any

@@ -14,9 +14,8 @@ type writeFault struct{ err error }
 // re-issue it; ErrNoSpace is excluded too — a full disk aborts the op cleanly and the
 // store must stay writable for when space returns, so it never latches
 // degraded mode). The pager calls it on every failed mutation path —
-// immediate writes, EndOp flushes and commits, allocations and frees;
-// core also reports asynchronous commit-ticket failures here. Only the
-// first fault is kept.
+// immediate writes, EndOp flushes and commits, allocations and frees.
+// Only the first fault is kept.
 func (s *Store) NoteWriteFault(err error) {
 	if err == nil || faults.Classify(err) != faults.Permanent {
 		return

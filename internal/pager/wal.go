@@ -15,11 +15,14 @@ import (
 //  1. Append one block frame per staged image to <path>.wal, then a commit
 //     record carrying the frame count and the complete header state.
 //  2. fsync the WAL. The operation is durable and is acknowledged; its
-//     images are served to readers from the overlay (group.go) and are owed
-//     to the data file.
+//     images are owed to the data file, and readers are served them from
+//     that debt until the checkpoint pays it.
 //
-// Checkpoint — when the log passes WALCheckpointBytes, and at Sync,
-// StopGroupCommit and Close:
+// Both steps, and the checkpoint a commit may trigger, run inline on the
+// exclusive writer: the log has one appender and no commit queue.
+//
+// Checkpoint — when the log passes WALCheckpointBytes, and at Sync and
+// Close:
 //
 //  3. Apply the newest logged image of each block in place, update the
 //     checksum sidecar, write the last logged header, fsync data and sidecar.
@@ -43,10 +46,6 @@ import (
 // operation never happened). A frame whose checksum fails inside a
 // *committed* transaction is real corruption and surfaces as ErrCorrupt
 // rather than being silently dropped.
-//
-// Group commit (see group.go) appends several transactions — each with its
-// own commit record — before a single fsync. A crash anywhere inside the
-// group leaves exactly the committed prefix.
 
 // walMagic identifies a FileBackend write-ahead log file.
 var walMagic = [8]byte{'B', 'O', 'X', 'W', 'A', 'L', '0', '1'}

@@ -40,7 +40,7 @@ func TestServedWriteSyncCounts(t *testing.T) {
 	commits := after.Commits - before.Commits
 	checkpoints := after.Checkpoints - before.Checkpoints
 	if commits != writes || after.GroupCommits-before.GroupCommits != writes {
-		t.Fatalf("%d acknowledged writes from one closed-loop client made %d commits in %d groups, want %d of each",
+		t.Fatalf("%d acknowledged writes from one closed-loop client made %d commits in %d groups of one, want %d of each",
 			writes, commits, after.GroupCommits-before.GroupCommits, writes)
 	}
 	if got := after.Syncs - before.Syncs - checkpoints; got != commits {
@@ -62,4 +62,61 @@ func TestServedWriteSyncCounts(t *testing.T) {
 	if fi, err := os.Stat(env.path + ".wal"); err != nil || fi.Size() != 16 {
 		t.Fatalf("after Close the log is %v bytes (%v), want its 16-byte header", fi.Size(), err)
 	}
+}
+
+// TestServeBatcherCoalesces is the count gate on the one layer that
+// coalesces served writes: sixteen inserts, one per connection, queued
+// behind a held batcher are acknowledged by exactly one WAL commit and one
+// WAL fsync. Exact counts, no clock.
+func TestServeBatcherCoalesces(t *testing.T) {
+	env := startEnv(t, envOptions{})
+	ctx := context.Background()
+	c, err := Dial(env.addr, ClientOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root, err := c.InsertFirst(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns = 16
+	clients := make([]*Client, conns)
+	for i := range clients {
+		if clients[i], err = Dial(env.addr, ClientOptions{Timeout: 10 * time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
+
+	parked, release := env.holdBatcher()
+	defer release()
+	before := env.fb.WALStats()
+	errs := make(chan error, conns)
+	for _, cc := range clients {
+		go func() {
+			_, err := cc.Insert(ctx, root.End)
+			errs <- err
+		}()
+	}
+	<-parked // the batcher holds one insert; the other fifteen must queue
+	for deadline := time.Now().Add(10 * time.Second); len(env.srv.writeQ) < conns-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d inserts reached the queue behind the held batcher in 10 s", len(env.srv.writeQ), conns-1)
+		}
+	}
+	release()
+	for range conns {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := env.fb.WALStats()
+	if commits, syncs := after.Commits-before.Commits, after.Syncs-before.Syncs; commits != 1 || syncs != 1 {
+		t.Fatalf("%d queued inserts were acknowledged by %d WAL commits and %d WAL fsyncs, want one of each", conns, commits, syncs)
+	}
+	if got, want := env.store.Count(), uint64(2+2*conns); got != want {
+		t.Fatalf("store holds %d labels, want %d", got, want)
+	}
+	env.shutdown()
 }

@@ -14,7 +14,7 @@ import (
 // clients hammer inserts while the server is told to drain mid-batch;
 // every op acknowledged before or during the drain must be present in the
 // store afterwards (zero acked-op loss), the drain must finish within its
-// hard deadline, and the committer must shut down cleanly (store Close
+// hard deadline, and the store must shut down cleanly (store Close
 // succeeds, invariants hold).
 func TestDrainUnderConcurrentLoad(t *testing.T) {
 	env := startEnv(t, envOptions{batchMax: 8})
@@ -105,7 +105,7 @@ func TestDrainUnderConcurrentLoad(t *testing.T) {
 		}
 	}
 
-	// Clean committer shutdown: the store closes without error and the
+	// Clean shutdown: the store closes without error and the
 	// structure is intact.
 	if err := env.store.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after drain: %v", err)

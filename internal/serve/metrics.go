@@ -11,8 +11,8 @@ import (
 
 // rpcPhase partitions one request's server-side wall time. queue is the
 // wait in the admission queue before the batcher picked the op up, apply
-// is ApplyBatch including the group-commit durability wait (the ack
-// cannot precede it), respond is the response frame write.
+// is ApplyBatch including its WAL commit and fsync (the ack cannot precede
+// it), respond is the response frame write.
 type rpcPhase int
 
 const (

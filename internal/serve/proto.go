@@ -9,8 +9,8 @@
 //     never mid-WAL-commit (core.ApplyBatchCtx semantics);
 //   - admission is bounded: a full write queue sheds with a typed
 //     overload status instead of growing goroutines;
-//   - an acknowledged op is durable (the server replies only after the
-//     group-commit ticket resolves), and an unacknowledged op is atomic:
+//   - an acknowledged op is durable (the server replies only after its
+//     batch's WAL fsync), and an unacknowledged op is atomic:
 //     fully present or fully absent, never partial;
 //   - sessions carry per-op sequence numbers, so a client that loses an
 //     ack can re-send the same seq after reconnect and get exactly-once

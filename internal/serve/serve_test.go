@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +15,7 @@ import (
 	"boxes/internal/pager"
 )
 
-// testEnv is one served store: a durable group-committing W-BOX behind a
-// loopback listener.
+// testEnv is one served store: a durable W-BOX behind a loopback listener.
 type testEnv struct {
 	t     *testing.T
 	path  string
@@ -47,7 +47,6 @@ func startEnv(t *testing.T, o envOptions) *testEnv {
 	store, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
 		Backend: fb, Durable: true,
-		Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +71,25 @@ func startEnv(t *testing.T, o envOptions) *testEnv {
 	}
 	go func() { env.done <- srv.Serve(l) }()
 	return env
+}
+
+// holdBatcher parks the batcher with its next request in hand until
+// release runs (more than once is fine); parked is closed once it has
+// parked. It is the tests' stall latch.
+func (e *testEnv) holdBatcher() (parked <-chan struct{}, release func()) {
+	p, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	park := func() {
+		parkOnce.Do(func() { close(p) })
+		<-gate
+	}
+	e.srv.hold.Store(&park)
+	return p, func() {
+		releaseOnce.Do(func() {
+			e.srv.hold.Store(nil)
+			close(gate)
+		})
+	}
 }
 
 // shutdown drains the server and closes the store, asserting both are
@@ -174,8 +192,8 @@ func TestServeOverloadShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stall the committer so admitted writes pile up behind it.
-	env.fb.HoldGroupCommit(true)
+	// Stall the batcher so admitted writes pile up behind it.
+	_, release := env.holdBatcher()
 	type result struct{ err error }
 	results := make(chan result, 8)
 	noRetry := &faults.RetryPolicy{MaxAttempts: 1}
@@ -205,16 +223,16 @@ func TestServeOverloadShed(t *testing.T) {
 			}
 			if shed > 0 && i < 7 {
 				// Once shed is observed, unblock the rest.
-				env.fb.HoldGroupCommit(false)
+				release()
 			}
 		case <-deadline:
-			env.fb.HoldGroupCommit(false)
+			release()
 			t.Fatalf("timed out; %d shed, %d ok so far", shed, ok)
 		}
 	}
-	env.fb.HoldGroupCommit(false)
+	release()
 	if shed == 0 {
-		t.Fatal("no request was shed despite queue depth 1 and a held committer")
+		t.Fatal("no request was shed despite queue depth 1 and a held batcher")
 	}
 	if got := env.met.Shed.Load(); got == 0 {
 		t.Fatal("shed metric not incremented")
@@ -238,9 +256,9 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	}
 	before := env.store.Count()
 
-	// Occupy the batcher: one write blocks on the held committer, so the
-	// next one waits in the queue past its deadline.
-	env.fb.HoldGroupCommit(true)
+	// Occupy the batcher: one write parks it, so the next one waits in the
+	// queue past its deadline.
+	_, release := env.holdBatcher()
 	blocker := make(chan error, 1)
 	go func() {
 		cc, err := Dial(env.addr, ClientOptions{Timeout: 10 * time.Second})
@@ -265,11 +283,11 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	_, err = c2.Insert(short, root.End)
 	// The server restarts the remaining budget when it reads the frame, so
 	// its deadline ends later than the client's by the send-to-read
-	// latency. Hold the committer for the whole budget again, so that when
+	// latency. Hold the batcher for the whole budget again, so that when
 	// the batcher reaches the queued insert its server-side deadline has
 	// passed too.
 	time.Sleep(budget)
-	env.fb.HoldGroupCommit(false)
+	release()
 	if !errors.Is(err, ErrDeadlineExpired) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued op past deadline: %v; want deadline error", err)
 	}
@@ -406,20 +424,20 @@ func TestServeOverloadRetrySameSeq(t *testing.T) {
 	}
 	root := rootResp.Elem
 
-	// a's insert blocks in the held committer; b's fills the depth-1
-	// queue; c's is shed.
-	env.fb.HoldGroupCommit(true)
+	// a's insert parks the held batcher; b's fills the depth-1 queue; c's
+	// is shed.
+	_, release := env.holdBatcher()
 	a.send(&Request{Seq: 2, Op: OpInsert, LID: root.End})
 	time.Sleep(100 * time.Millisecond) // batcher picks a's op up
 	b.send(&Request{Seq: 1, Op: OpInsert, LID: root.End})
 	time.Sleep(100 * time.Millisecond) // b's op reaches the queue
 	shed := c.roundTrip(&Request{Seq: 1, Op: OpInsert, LID: root.End})
 	if shed.Status != StatusOverload {
-		env.fb.HoldGroupCommit(false)
+		release()
 		t.Fatalf("third insert status %s; want overload", statusName(shed.Status))
 	}
 
-	env.fb.HoldGroupCommit(false)
+	release()
 	if ra := a.recv(); ra.Status != StatusOK {
 		t.Fatalf("first insert: %s", ra.Msg)
 	}
@@ -447,7 +465,7 @@ func TestServeInFlightRetryAdoptsResult(t *testing.T) {
 	a := dialRaw(t, env.addr, 0)
 	defer a.conn.Close()
 
-	env.fb.HoldGroupCommit(true)
+	_, release := env.holdBatcher()
 	a.send(&Request{Seq: 1, Op: OpInsertFirst})
 	time.Sleep(100 * time.Millisecond) // seq 1 is now executing (pending)
 
@@ -459,7 +477,7 @@ func TestServeInFlightRetryAdoptsResult(t *testing.T) {
 	}
 	b.send(&Request{Seq: 1, Op: OpInsertFirst})
 	time.Sleep(100 * time.Millisecond) // the retry reaches the pending-wait
-	env.fb.HoldGroupCommit(false)
+	release()
 
 	ra := a.recv()
 	rb := b.recv()
@@ -530,7 +548,6 @@ func TestServeNilMetrics(t *testing.T) {
 	store, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
 		Backend: fb, Durable: true,
-		Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -653,8 +670,8 @@ func TestServeDrainFinishesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Park one write mid-commit, then drain around it.
-	env.fb.HoldGroupCommit(true)
+	// Park one write in the batcher, then drain around it.
+	_, release := env.holdBatcher()
 	inflight := make(chan error, 1)
 	go func() {
 		cc, err := Dial(env.addr, ClientOptions{Timeout: 10 * time.Second})
@@ -666,14 +683,14 @@ func TestServeDrainFinishesInFlight(t *testing.T) {
 		_, err = cc.Insert(context.Background(), root.End)
 		inflight <- err
 	}()
-	time.Sleep(100 * time.Millisecond) // let the insert reach the committer
+	time.Sleep(100 * time.Millisecond) // let the insert reach the batcher
 
 	shutCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	shutDone := make(chan error, 1)
 	go func() { shutDone <- env.srv.Shutdown(shutCtx) }()
 	time.Sleep(50 * time.Millisecond)
-	env.fb.HoldGroupCommit(false)
+	release()
 
 	if err := <-inflight; err != nil {
 		t.Fatalf("in-flight insert lost during drain: %v", err)

@@ -63,6 +63,11 @@ type Server struct {
 
 	wgConns   sync.WaitGroup // connection handlers
 	wgBatcher sync.WaitGroup // the batcher goroutine
+
+	// hold is nil except in tests, which install a function that parks the
+	// batcher with its next request in hand, before it drains the rest of
+	// the group.
+	hold atomic.Pointer[func()]
 }
 
 // connState tracks whether a connection handler is mid-request, so a
@@ -502,9 +507,10 @@ func errResponse(seq uint64, err error) *Response {
 // batcher is the single consumer of the write queue: it blocks for one
 // request, greedily drains up to BatchMax-1 more without blocking, drops
 // the ones whose deadline expired while queued, and commits the rest as
-// ONE ApplyBatch transaction — the group-commit path with batching done
-// before the WAL, not after. On a batch failure it degrades to per-request
-// application so one poisoned request cannot fail its neighbors.
+// ONE ApplyBatch transaction: one WAL commit and one fsync for the whole
+// group, the store's only coalescing of writes. On a batch failure it
+// degrades to per-request application so one poisoned request cannot fail
+// its neighbors.
 func (s *Server) batcher() {
 	defer s.wgBatcher.Done()
 	for {
@@ -521,6 +527,9 @@ func (s *Server) batcher() {
 					return
 				}
 			}
+		}
+		if h := s.hold.Load(); h != nil {
+			(*h)()
 		}
 		group := []*writeReq{first}
 		for len(group) < s.cfg.BatchMax {
@@ -611,7 +620,7 @@ func (s *Server) commitOne(wr *writeReq) {
 // response flush, then stop the batcher and close idle connections. The
 // ctx deadline is the hard escape hatch: when it fires, remaining
 // connections are force-closed. The store itself is NOT closed (the
-// caller owns it); its group committer drains on store Close.
+// caller owns it); every acknowledged op is already durable in its WAL.
 func (s *Server) Shutdown(ctx context.Context) error {
 	start := time.Now()
 	if !s.draining.CompareAndSwap(false, true) {

@@ -31,28 +31,40 @@ func (l *Labeler) CollectGauges() []obs.GaugeValue {
 	}
 
 	t := obs.NewTreeStats(l.height)
-	if root, err := l.readNode(l.root); err != nil {
-		t.AddError()
-	} else {
-		l.healthNode(root, true, t)
-	}
+	l.healthNode(l.root, true, t)
 	return append(gs, t.Gauges()...)
 }
 
-// healthNode records one node's statistics and recurses into its children.
-func (l *Labeler) healthNode(n *node, isRoot bool, t *obs.TreeStats) {
-	lv := int(n.level)
-	var occ float64
-	if n.isLeaf() {
-		occ = float64(len(n.recs)) / float64(l.p.LeafCap)
-	} else {
-		occ = float64(len(n.ents)) / float64(l.p.B)
+// healthNode records block blk's statistics and recurses into its
+// children. It reads the count, level and entry weights in place through
+// the layout accessors, so a scrape's walk allocates no node.
+func (l *Labeler) healthNode(blk pager.BlockID, isRoot bool, t *obs.TreeStats) {
+	r := l.store.BeginRead()
+	defer r.End()
+	buf, err := r.View(blk)
+	var count int
+	var level uint16
+	if err == nil {
+		count, level, _, err = l.header(blk, buf)
+	}
+	if err != nil {
+		t.AddError()
+		return
+	}
+	lv := int(level)
+	// A leaf's weight is its record count, an internal node's the sum of
+	// its entries' weights.
+	occ, weight := float64(count)/float64(l.p.LeafCap), uint64(count)
+	if level > 0 {
+		occ, weight = float64(count)/float64(l.p.B), 0
+		for i := 0; i < count; i++ {
+			weight += entWeight(buf, entOff(i))
+		}
 	}
 	// Slack to the nearest weight threshold: a node splits when its weight
 	// reaches weightLimit and (unless it is the root) violates balance when
 	// it sinks to weightMin, so the min of both distances is how close the
 	// node is to triggering structural work.
-	weight := n.weight()
 	slack, haveSlack := uint64(0), false
 	if limit, ok := l.p.weightLimit(lv); ok {
 		if weight < limit {
@@ -70,16 +82,8 @@ func (l *Labeler) healthNode(n *node, isRoot bool, t *obs.TreeStats) {
 		}
 	}
 	t.Observe(lv, occ, slack, haveSlack)
-	if n.isLeaf() {
-		return
-	}
-	for i := range n.ents {
-		child, err := l.readNode(n.ents[i].child)
-		if err != nil {
-			t.AddError()
-			continue
-		}
-		l.healthNode(child, false, t)
+	for i := 0; i < count && level > 0; i++ {
+		l.healthNode(entChild(buf, entOff(i)), false, t)
 	}
 }
 

@@ -119,7 +119,6 @@ func zipfReadersVsChurnWriter(t *testing.T, cacheBlocks int) {
 	st, err := core.Open(core.Options{
 		Scheme: core.SchemeWBox, BlockSize: 512,
 		Backend: fb, Durable: true, CacheBlocks: cacheBlocks,
-		Durability: &pager.Durability{Every: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +237,7 @@ func zipfReadersVsChurnWriter(t *testing.T, cacheBlocks int) {
 		t.Fatal(err)
 	}
 	defer fb2.Close()
-	re, err := core.OpenExisting(fb2, core.Options{Durable: true, CacheBlocks: cacheBlocks, Durability: &pager.Durability{Every: 8}})
+	re, err := core.OpenExisting(fb2, core.Options{Durable: true, CacheBlocks: cacheBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
