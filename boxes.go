@@ -51,11 +51,6 @@ type (
 	Document = core.Document
 	// Scheme selects the labeling structure.
 	Scheme = core.Scheme
-	// SyncStore is Store, which is safe for concurrent use itself: lookups
-	// run under a shared read lock, mutators exclusive.
-	//
-	// Deprecated: use Store.
-	SyncStore = core.Store
 	// BatchOp is one operation of a Store.ApplyBatch batch.
 	BatchOp = core.Op
 	// BatchOpKind selects a BatchOp's operation.
@@ -89,11 +84,6 @@ const (
 	BatchLookupSpan    = core.OpLookupSpan
 	BatchOrdinal       = core.OpOrdinalLookup
 )
-
-// NewSyncStore returns st.
-//
-// Deprecated: Store is safe for concurrent use; use it directly.
-func NewSyncStore(st *Store) *SyncStore { return st }
 
 // Labeling schemes.
 const (
@@ -134,23 +124,10 @@ type (
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of every recorded metric.
 	MetricsSnapshot = obs.Snapshot
-	// TraceHook receives a structured event around every operation;
-	// install one with Metrics.AddHook on the registry passed as
-	// Options.Metrics.
-	TraceHook = obs.TraceHook
-	// TraceEvent is the per-operation payload delivered to hooks.
-	TraceEvent = obs.Event
-	// RingHook is a bundled TraceHook keeping the last n events in memory.
-	RingHook = obs.RingHook
-	// SlogHook is a bundled TraceHook logging events through log/slog.
-	SlogHook = obs.SlogHook
 )
 
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// NewRingHook creates a trace hook retaining the last n events.
-func NewRingHook(n int) *RingHook { return obs.NewRingHook(n) }
 
 // MetricsHandler returns an http.Handler serving r's metrics in Prometheus
 // text format at /metrics, plus the pprof endpoints under /debug/pprof/.

@@ -53,9 +53,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// crashRing is how many recent op events the flight recorder retains.
-const crashRing = 64
-
 // Options configures a Store.
 type Options struct {
 	Scheme    Scheme
@@ -98,16 +95,14 @@ type Options struct {
 	// Metrics routes the store's measurements into an existing registry,
 	// so several stores (e.g. one per scheme in a benchmark) can share one
 	// exposition endpoint. When nil the store creates its own registry;
-	// metrics are always on — the no-hook fast path costs a few atomic
-	// adds and zero allocations per operation. Trace hooks are installed
-	// on this registry with AddHook.
+	// metrics are always on — they cost a few atomic adds and zero
+	// allocations per operation.
 	Metrics *obs.Registry
 
-	// CrashDir enables the flight recorder: on any operation error
-	// (including injected backend faults) the last 64 op events,
+	// CrashDir gives the store a flight recorder: on any operation error
+	// (including injected backend faults) the store's last 64 op events,
 	// a full metrics snapshot, and the structural gauges are written as a
 	// JSON crash file into this directory (boxinspect -crash reads them).
-	// When several stores share one registry, set CrashDir on one of them.
 	CrashDir string
 
 	// SlowOpThreshold enables the slow-op log: span recording is turned on
@@ -166,8 +161,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	var flight *obs.FlightRecorder
 	if opts.CrashDir != "" {
-		flight = obs.NewFlightRecorder(reg, opts.CrashDir, crashRing)
-		reg.AddHook(flight)
+		flight = obs.NewFlightRecorder(reg, opts.CrashDir)
 	}
 	reg.SetScheme(opts.Scheme.String())
 	if opts.SlowOpThreshold > 0 {
@@ -240,13 +234,12 @@ func (s *Store) Scheme() Scheme { return s.opts.Scheme }
 // Labeler exposes the underlying scheme for advanced use.
 func (s *Store) Labeler() order.Labeler { return s.labeler }
 
-// FlightRecorder returns the flight recorder installed via
-// Options.CrashDir, or nil when crash dumping is off.
+// FlightRecorder returns the store's flight recorder (Options.CrashDir),
+// or nil when crash dumping is off.
 func (s *Store) FlightRecorder() *obs.FlightRecorder { return s.flight }
 
 // MetricsRegistry returns the registry this store reports into (never
-// nil). Callers can expose it over HTTP with obs.Handler or install trace
-// hooks after the fact.
+// nil). Callers can expose it over HTTP with obs.Handler.
 func (s *Store) MetricsRegistry() *obs.Registry { return s.reg }
 
 // Metrics returns a point-in-time snapshot of every metric the store has
@@ -288,7 +281,8 @@ type opMeasure struct {
 }
 
 // begin opens a per-operation measurement against the store's registry,
-// snapshotting the pager's cumulative I/O counters and phase time.
+// snapshotting the pager's cumulative I/O counters and phase time, and
+// marks the op's start in the store's flight recorder (if any).
 //
 // Every operation except a lookup runs under the write lock, so installing
 // it as the registry's writer op is race-free: the lookups that run
@@ -305,6 +299,7 @@ func (s *Store) begin(op obs.Op) opMeasure {
 	}
 	m.ph = s.store.PhaseStats()
 	m.ctx = s.reg.Begin(s.schemeName, op, st.Reads, st.Writes)
+	s.flight.OpStart(m.ctx)
 	return m
 }
 
@@ -315,9 +310,12 @@ func (s *Store) begin(op obs.Op) opMeasure {
 // is exact when operations run sequentially; under concurrent lookups the
 // pager's phase counters are global, so an op overlapping others
 // under-counts its residual (clamped at zero), never over-counts a phase.
+// The op's end event enters the flight recorder; a failed op is dumped
+// there and then, on its own goroutine, under the store lock it holds.
 func (s *Store) end(m opMeasure, err error) {
 	st := s.store.Stats()
 	d := s.reg.End(m.ctx, st.Reads, st.Writes, err)
+	s.flight.OpEnd(m.ctx, st.Reads, st.Writes, d, err)
 	delta := s.store.PhaseStats().Sub(m.ph)
 	var extra int64
 	if m.excl {

@@ -104,12 +104,7 @@ func (s *Store) metaBlob() []byte {
 func OpenExisting(backend pager.Backend, runtime Options) (*Store, error) {
 	st, err := openExisting(backend, runtime)
 	if err != nil && runtime.CrashDir != "" {
-		reg := runtime.Metrics
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		fr := obs.NewFlightRecorder(reg, runtime.CrashDir, crashRing)
-		fr.DumpFailure("open-existing", err, map[string]string{
+		obs.DumpFailure(runtime.Metrics, runtime.CrashDir, "open-existing", err, map[string]string{
 			"stage": "open-existing",
 		})
 	}

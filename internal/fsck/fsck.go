@@ -119,8 +119,7 @@ func Check(path string, opts Options) (*Report, error) {
 }
 
 func dumpFsckFailure(dir, path string, err error) {
-	fr := obs.NewFlightRecorder(obs.NewRegistry(), dir, 0)
-	fr.DumpFailure("fsck", err, map[string]string{"stage": "fsck", "store": path})
+	obs.DumpFailure(nil, dir, "fsck", err, map[string]string{"stage": "fsck", "store": path})
 }
 
 func check(path string, opts Options) (*Report, error) {

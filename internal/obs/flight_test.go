@@ -8,29 +8,30 @@ import (
 	"testing"
 )
 
-// runOp drives one instrumented operation through the registry, optionally
-// failing it.
-func runOp(r *Registry, scheme string, op Op, err error) {
+// runOp drives one instrumented operation through the registry and the
+// recorder the way a store does, optionally failing it.
+func runOp(r *Registry, f *FlightRecorder, scheme string, op Op, err error) {
 	c := r.Begin(scheme, op, 0, 0)
-	r.End(c, 3, 1, err)
+	f.OpStart(c)
+	d := r.End(c, 3, 1, err)
+	f.OpEnd(c, 3, 1, d, err)
 }
 
 func TestFlightRecorderDumpsOnError(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRegistry()
-	f := NewFlightRecorder(r, dir, 16)
-	r.AddHook(f)
+	f := NewFlightRecorder(r, dir)
 	r.RegisterCollector(CollectorFunc(func() []GaugeValue {
 		return []GaugeValue{G("boxes_tree_height", "h", 3, "scheme", "W-BOX")}
 	}))
 
 	for i := 0; i < 5; i++ {
-		runOp(r, "W-BOX", OpInsert, nil)
+		runOp(r, f, "W-BOX", OpInsert, nil)
 	}
 	if f.Dumps() != 0 {
 		t.Fatalf("dumps after successes = %d, want 0", f.Dumps())
 	}
-	runOp(r, "W-BOX", OpInsert, errors.New("injected failure: budget exhausted"))
+	runOp(r, f, "W-BOX", OpInsert, errors.New("injected failure: budget exhausted"))
 
 	if f.Dumps() != 1 {
 		t.Fatalf("dumps = %d, want 1", f.Dumps())
@@ -54,12 +55,15 @@ func TestFlightRecorderDumpsOnError(t *testing.T) {
 		t.Errorf("trigger error = %q", d.Trigger.Error)
 	}
 	// The ring holds starts and ends of the preceding ops plus the failure.
-	if len(d.Events) < 6 {
-		t.Errorf("only %d events retained", len(d.Events))
+	if len(d.Events) != 12 {
+		t.Errorf("%d events retained, want 12", len(d.Events))
 	}
 	last := d.Events[len(d.Events)-1]
-	if last.Error == "" {
-		t.Errorf("newest ring event is not the failure: %+v", last)
+	if last.Error == "" || last.ErrorClass != "permanent" {
+		t.Errorf("newest ring event is not the classified failure: %+v", last)
+	}
+	if last.Reads != 3 || last.Writes != 1 {
+		t.Errorf("failure's I/O delta = (%d, %d), want (3, 1)", last.Reads, last.Writes)
 	}
 	// The dump carries the registered structural gauge alongside the
 	// registry's own amortized-ledger gauges.
@@ -80,22 +84,47 @@ func TestFlightRecorderDumpsOnError(t *testing.T) {
 func TestFlightRecorderRespectsDumpLimit(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRegistry()
-	f := NewFlightRecorder(r, dir, 8)
-	f.SetDumpLimit(2)
-	r.AddHook(f)
+	f := NewFlightRecorder(r, dir)
 
-	for i := 0; i < 5; i++ {
-		runOp(r, "B-BOX", OpDelete, errors.New("persistent fault"))
+	for i := 0; i < maxDumps+3; i++ {
+		runOp(r, f, "B-BOX", OpDelete, errors.New("persistent fault"))
 	}
-	if f.Dumps() != 2 {
-		t.Fatalf("dumps = %d, want 2", f.Dumps())
+	if f.Dumps() != maxDumps {
+		t.Fatalf("dumps = %d, want %d", f.Dumps(), maxDumps)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "crash-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Fatalf("%d crash files on disk, want 2: %v", len(files), files)
+	if len(files) != maxDumps {
+		t.Fatalf("%d crash files on disk, want %d: %v", len(files), maxDumps, files)
+	}
+}
+
+// TestDumpFailureOneShot: a failure outside any store op writes one
+// tagged dump with an empty (not null) event list.
+func TestDumpFailureOneShot(t *testing.T) {
+	dir := t.TempDir()
+	if path, err := DumpFailure(nil, dir, "fsck", nil, nil); path != "" || err != nil {
+		t.Fatalf("DumpFailure of a nil error = (%q, %v), want nothing written", path, err)
+	}
+	path, err := DumpFailure(nil, dir, "fsck", errors.New("3 problems"), map[string]string{"stage": "fsck"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"recent_events": []`) {
+		t.Errorf("one-shot dump's recent_events is not an empty list:\n%s", data)
+	}
+	d, err := ReadCrashDump(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Trigger.Scheme != "fsck" || d.Trigger.Op != "check" || d.Trigger.Error != "3 problems" || d.Tags["stage"] != "fsck" {
+		t.Errorf("dump = trigger %+v tags %v", d.Trigger, d.Tags)
 	}
 }
 

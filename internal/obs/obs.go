@@ -1,8 +1,8 @@
 // Package obs is the observability subsystem shared by every layer of the
 // repository: a low-overhead metrics registry (atomic counters and
 // fixed-bucket histograms, no external dependencies), per-operation series
-// recording wall time and block-I/O deltas, and a pluggable trace-hook
-// interface for structured operation logging.
+// recording wall time and block-I/O deltas, and a flight recorder that
+// dumps a store's recent operations to a crash file when one fails.
 //
 // The paper's entire argument is an I/O-accounting argument — W-BOX's
 // 1-I/O lookups, B-BOX's O(1) amortized updates, the caching layer's
@@ -14,17 +14,14 @@
 // amortization hides (splits, relabels, rebuilds, merges, cache repairs)
 // has a dedicated counter.
 //
-// The no-hook fast path performs no allocations: Begin/End manipulate a
-// by-value OpCtx and atomic counters only, so instrumentation can stay on
-// in production.
+// Begin/End perform no allocations: they manipulate a by-value OpCtx and
+// atomic counters only, so instrumentation can stay on in production.
 package obs
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"boxes/internal/faults"
 )
 
 // Op identifies one per-operation metric series.
@@ -269,7 +266,6 @@ type Registry struct {
 	phases   [numPhaseRows][numPhases]hist
 	writerOp atomic.Int32 // packed current exclusive-section cell; see SetWriterCell
 	tracer   *Tracer
-	hooks    atomic.Pointer[[]TraceHook]
 
 	// Amortized-cost ledger (ledger.go): per-(scheme, op, kind) attribution
 	// cells, per-kind global totals, per-(scheme, op) completed-op counts,
@@ -357,25 +353,6 @@ func (r *Registry) Schemes() []string {
 	return out
 }
 
-// AddHook installs a trace hook. Hooks should be installed before
-// operations begin; installation is safe concurrently with running
-// operations, but an operation in flight when the hook is added may miss
-// its start event.
-func (r *Registry) AddHook(h TraceHook) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.hooks.Load()
-	var next []TraceHook
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, h)
-	r.hooks.Store(&next)
-}
-
 // Inc adds one to a structural counter and, for ledger-mapped counters,
 // attributes the event to the current writer cell (counter first, then
 // cell, then total — the order the conservation invariant relies on).
@@ -432,18 +409,12 @@ type OpCtx struct {
 
 // Begin opens a per-operation measurement: reads/writes are the pager's
 // cumulative I/O counters at operation start. The scheme name is carried
-// into trace events.
+// into the store's flight-recorder events.
 func (r *Registry) Begin(scheme string, op Op, reads, writes uint64) OpCtx {
 	if r == nil {
 		return OpCtx{}
 	}
-	c := OpCtx{scheme: scheme, schemeIdx: r.SchemeIndex(scheme), op: op, start: time.Now(), reads: reads, writes: writes, active: true}
-	if hooks := r.hooks.Load(); hooks != nil {
-		for _, h := range *hooks {
-			h.OpStart(scheme, op)
-		}
-	}
-	return c
+	return OpCtx{scheme: scheme, schemeIdx: r.SchemeIndex(scheme), op: op, start: time.Now(), reads: reads, writes: writes, active: true}
 }
 
 // End closes a measurement opened by Begin: reads/writes are the pager's
@@ -470,23 +441,6 @@ func (r *Registry) End(c OpCtx, reads, writes uint64, err error) time.Duration {
 	s.latency.observe(uint64(d))
 	s.reads.observe(dr)
 	s.writes.observe(dw)
-	if hooks := r.hooks.Load(); hooks != nil {
-		ev := Event{
-			Scheme:   c.scheme,
-			Op:       c.op,
-			Start:    c.start,
-			Duration: d,
-			Reads:    dr,
-			Writes:   dw,
-			Err:      err,
-		}
-		if err != nil {
-			ev.Class = faults.Classify(err).String()
-		}
-		for _, h := range *hooks {
-			h.OpEnd(ev)
-		}
-	}
 	return d
 }
 

@@ -84,7 +84,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Inc(CtrWBoxSplits)
 	r.Add(CtrWBoxSplits, 3)
 	r.SetScheme("W-BOX")
-	r.AddHook(NewRingHook(4))
 	c := r.Begin("W-BOX", OpLookup, 0, 0)
 	r.End(c, 1, 1, nil)
 	if r.Counter(CtrWBoxSplits) != 0 || r.OpCount(OpLookup) != 0 {
@@ -110,41 +109,57 @@ func TestNoHookFastPathZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestTraceHookOrderingAndPayload(t *testing.T) {
+// TestFlightRecorderOrderingAndPayload: a recorder driven around one op
+// holds its start marker, then its end event carrying the scheme, the op,
+// the I/O delta against the Begin counters and the wall time End measured.
+func TestFlightRecorderOrderingAndPayload(t *testing.T) {
 	r := NewRegistry()
-	h := NewRingHook(8)
-	r.AddHook(h)
+	f := NewFlightRecorder(r, t.TempDir())
 	c := r.Begin("B-BOX", OpDelete, 5, 5)
-	r.End(c, 7, 6, nil)
-	evs := h.Events()
+	f.OpStart(c)
+	d := r.End(c, 7, 6, nil)
+	f.OpEnd(c, 7, 6, d, nil)
+	f.mu.Lock()
+	evs := f.recent()
+	f.mu.Unlock()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2 (start, end)", len(evs))
 	}
 	if !evs[0].Start || evs[1].Start {
 		t.Fatalf("event order wrong: %+v", evs)
 	}
-	end := evs[1].Event
-	if end.Scheme != "B-BOX" || end.Op != OpDelete || end.Reads != 2 || end.Writes != 1 {
+	if start := evs[0]; start.Scheme != "B-BOX" || start.Op != "delete" {
+		t.Errorf("start event payload = %+v", start)
+	}
+	end := evs[1]
+	if end.Scheme != "B-BOX" || end.Op != "delete" || end.Reads != 2 || end.Writes != 1 {
 		t.Errorf("end event payload = %+v", end)
 	}
-	if end.Duration < 0 {
-		t.Errorf("negative duration %v", end.Duration)
+	if end.Duration != int64(d) || end.Duration < 0 {
+		t.Errorf("end duration %d, want End's %d", end.Duration, d)
+	}
+	if f.Dumps() != 0 {
+		t.Errorf("a successful op dumped %d times", f.Dumps())
 	}
 }
 
-func TestRingHookWraps(t *testing.T) {
-	h := NewRingHook(3)
-	for i := 0; i < 5; i++ {
-		h.OpEnd(Event{Op: Op(i % int(numOps)), Duration: time.Duration(i)})
+// TestFlightRecorderRingWraps: past flightRing events the ring keeps the
+// newest ones, oldest first.
+func TestFlightRecorderRingWraps(t *testing.T) {
+	f := NewFlightRecorder(NewRegistry(), t.TempDir())
+	const extra = 2
+	for i := 0; i < flightRing+extra; i++ {
+		f.OpEnd(OpCtx{op: Op(i % int(numOps))}, 0, 0, time.Duration(i), nil)
 	}
-	evs := h.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+	f.mu.Lock()
+	evs := f.recent()
+	f.mu.Unlock()
+	if len(evs) != flightRing {
+		t.Fatalf("got %d events, want %d", len(evs), flightRing)
 	}
-	// Oldest-first: durations 2, 3, 4.
 	for i, ev := range evs {
-		if ev.Event.Duration != time.Duration(i+2) {
-			t.Fatalf("event %d has duration %v, want %d", i, ev.Event.Duration, i+2)
+		if ev.Duration != int64(i+extra) {
+			t.Fatalf("event %d has duration %d, want %d", i, ev.Duration, i+extra)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -387,5 +388,36 @@ func TestSimCounters(t *testing.T) {
 		if sum == 0 {
 			t.Fatal("faults injected but no sim_faults_* counter moved")
 		}
+	}
+}
+
+// TestSimArtifactDirDumpsOncePerFailedOp: a history restarts the store
+// many times on one registry, and each incarnation's flight recorder is
+// its own, so the run leaves at most one crash file per op that failed,
+// never one per incarnation still hanging off the registry.
+func TestSimArtifactDirDumpsOncePerFailedOp(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	cfg := Config{Seed: 42, Scheme: "wbox", Mix: MixMixed, Ops: 250, FaultRate: 0.12, ArtifactDir: dir, Metrics: reg}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failure != nil {
+		t.Fatal(rep.Failure)
+	}
+	if rep.Stats.Restarts < 2 {
+		t.Fatalf("only %d restarts: the history no longer exercises several incarnations", rep.Stats.Restarts)
+	}
+	var failed uint64
+	for _, op := range reg.Snapshot().Ops {
+		failed += op.Errors
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "crash-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed == 0 || uint64(len(files)) > failed {
+		t.Fatalf("%d crash files for %d failed ops, want between 1 and one per failed op", len(files), failed)
 	}
 }
