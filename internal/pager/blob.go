@@ -63,20 +63,25 @@ func (s *Store) WriteBlob(data []byte) (BlockID, error) {
 // order, with the block's image. A chain cannot hold more blocks than the
 // store has allocated, so one that runs longer loops: the walk reports it
 // as ErrCorrupt after at most NumBlocks reads, whatever the chain holds.
+// A next pointer the backend holds no block for is ErrCorrupt too, naming
+// the block that holds it; any other read error keeps its own class.
 func (s *Store) walkBlob(head BlockID, visit func(id BlockID, buf []byte) error) error {
 	limit := s.NumBlocks()
-	for id, n := head, uint64(0); id != NilBlock; n++ {
+	for prev, id, n := NilBlock, head, uint64(0); id != NilBlock; n++ {
 		if n == limit {
 			return corruptBlock(id, "blob chain runs past the %d allocated blocks (cycle)", limit)
 		}
 		buf, err := s.Read(id)
 		if err != nil {
+			if nb := noBlockError(""); prev != NilBlock && errors.As(err, &nb) {
+				return corruptBlock(prev, "blob next pointer %d: %v", id, err)
+			}
 			return err
 		}
 		if err := visit(id, buf); err != nil {
 			return err
 		}
-		id = BlockID(binary.LittleEndian.Uint64(buf[0:8]))
+		prev, id = id, BlockID(binary.LittleEndian.Uint64(buf[0:8]))
 	}
 	return nil
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"boxes/internal/faults"
 )
 
 func TestBlobRoundTripSizes(t *testing.T) {
@@ -187,5 +189,35 @@ func TestReadBlobCycleIsCorrupt(t *testing.T) {
 	cmd.Env = append(os.Environ(), "PAGER_CYCLIC_BLOB=1")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("child read: %v\n%s", err, out)
+	}
+}
+
+// TestBlobWalkKeepsFaultClasses: a read fault injected on a blob chain's
+// head or on a block reached through its next pointer comes back in its
+// own class, transient or permanent, never relabeled ErrCorrupt (only a
+// pointer the backend holds no block for is corruption).
+func TestBlobWalkKeepsFaultClasses(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		arm   func(*faults.Schedule)
+		class faults.Class
+	}{
+		{"head/transient", func(s *faults.Schedule) { s.ArmFailNext(1) }, faults.Transient},
+		{"next/transient", func(s *faults.Schedule) { s.FailEveryKth(2, faults.ModeTransient, faults.OpRead) }, faults.Transient},
+		{"next/permanent", func(s *faults.Schedule) { s.FailEveryKth(2, faults.ModePermanent, faults.OpRead) }, faults.Permanent},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sched := faults.NewSchedule(1)
+			s := NewStore(NewFaultBackend(NewMemBackend(512), sched))
+			head, err := s.WriteBlob(bytes.Repeat([]byte{7}, 3*512))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.arm(sched)
+			_, err = s.ReadBlob(head)
+			if !errors.Is(err, ErrInjected) || errors.Is(err, ErrCorrupt) || faults.Classify(err) != c.class {
+				t.Fatalf("ReadBlob: err = %v (class %v), want an injected %v fault, not ErrCorrupt", err, faults.Classify(err), c.class)
+			}
+		})
 	}
 }

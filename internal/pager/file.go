@@ -1114,7 +1114,7 @@ func (fb *FileBackend) ReadBlock(id BlockID, buf []byte) error {
 		return ErrClosed
 	}
 	if id == NilBlock || id >= fb.next {
-		return fmt.Errorf("pager: read of invalid block %d", id)
+		return noBlockError(fmt.Sprintf("pager: read of invalid block %d", id))
 	}
 	if len(buf) != fb.blockSize {
 		return fmt.Errorf("pager: read buffer of %d bytes, want %d", len(buf), fb.blockSize)

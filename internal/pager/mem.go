@@ -121,10 +121,10 @@ func (m *MemBackend) Close() error {
 
 func (m *MemBackend) check(id BlockID) error {
 	if id == NilBlock || int(id) >= len(m.blocks) {
-		return fmt.Errorf("pager: block %d out of range", id)
+		return noBlockError(fmt.Sprintf("pager: block %d out of range", id))
 	}
 	if m.blocks[id] == nil {
-		return fmt.Errorf("pager: block %d is not allocated", id)
+		return noBlockError(fmt.Sprintf("pager: block %d is not allocated", id))
 	}
 	return nil
 }

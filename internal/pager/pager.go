@@ -94,6 +94,14 @@ type Backend interface {
 	Close() error
 }
 
+// noBlockError is a backend's refusal of a block ID that names no block
+// it holds: one past its bound or, on MemBackend, one never allocated or
+// freed. walkBlob reports one reached through a chain pointer as
+// corruption of the block holding the pointer.
+type noBlockError string
+
+func (e noBlockError) Error() string { return string(e) }
+
 // TxBackend is implemented by backends that can make a batch of writes
 // atomic (FileBackend with its write-ahead log). Store opens a batch lazily
 // at the first mutation inside an outermost BeginOp/EndOp pair and commits
