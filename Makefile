@@ -54,8 +54,9 @@ flake-check:
 # two minutes; each decoder of untrusted bytes gets 30 s: the saved
 # metadata blob (FuzzRestoreMeta), the W-BOX and B-BOX block codecs
 # (FuzzNodeView: header, decodeNode, the in-place scanners and the
-# writeNode round trip), the write-ahead log scan (FuzzScanWAL) and the
-# wire protocol's request, response and both hellos. Failures drop
+# writeNode round trip), the write-ahead log scan (FuzzScanWAL), the
+# wire protocol's frame reader (FuzzReadFrame: length prefix, CRC, size
+# cap), request, response and both hellos. Failures drop
 # a repro file into testdata/fuzz/ that should be committed as a
 # regression. go test ./... runs only the committed seeds.
 FUZZ_SHORT := -run '^$$' -fuzztime=30s
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wbox $(FUZZ_SHORT) -fuzz='^FuzzNodeView$$'
 	$(GO) test ./internal/bbox $(FUZZ_SHORT) -fuzz='^FuzzNodeView$$'
 	$(GO) test ./internal/pager $(FUZZ_SHORT) -fuzz='^FuzzScanWAL$$'
+	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzReadFrame$$'
 	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzDecodeRequest$$'
 	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzDecodeResponse$$'
 	$(GO) test ./internal/serve $(FUZZ_SHORT) -fuzz='^FuzzClientHello$$'
